@@ -34,6 +34,7 @@ and never the other way around.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +82,20 @@ class LoadBalancer:
     def invalidate(self) -> None:
         """Fleet membership or predictor state changed: drop any memos.
 
-        The router calls this on every activate/drain so stateful policies
-        (``least-ect``'s priming memo) never act on a stale fleet view.
-        The base policies keep no cross-request memos, so this is a no-op.
+        The router calls this on every activate/drain so a policy that
+        keeps cross-request state never acts on a stale fleet view.  The
+        built-in policies keep no such memos, so this is a no-op.
+        """
+        return None
+
+    def prepare(
+        self, nodes: "list[ClusterNode]", requests: "Iterable[InferenceRequest]"
+    ) -> None:
+        """The router ledgered ``requests`` and will route them over ``nodes``.
+
+        Called once per ingestion, before any of them is routed, so a
+        policy can batch per-request work; ``requests`` may be a one-pass
+        iterator.  It may change a decision's cost, never the decision.
         """
         return None
 
@@ -185,72 +197,57 @@ class LeastECTBalancer(LoadBalancer):
     this very request — so a node whose only devices are slow for this
     batch size is priced accordingly, not just by queue length.
 
-    Before probing the nodes, every distinct predictor behind them is
-    primed for both dGPU states of this (model, batch) cell in one
-    batched flat-forest call (fleets built by ``make_fleet`` share one
-    trained predictor, so this is usually a single call fleet-wide); the
-    per-node probes then resolve their rankings from the predictor's
-    cell memo instead of running the forest once per node.
+    The forest runs once per ingestion, not per arrival: :meth:`prepare`
+    scores every missing (model, batch) cell of the new requests, in both
+    dGPU states, in batched forest calls on each distinct fitted predictor
+    behind the routable nodes (``make_fleet`` fleets share one).
+    Probes then read each cell's memoized class order.  Priming only moves
+    cost — a cell it skips is scored lazily, bit-identically — and is
+    skipped below two routable nodes, where :meth:`choose` never probes.
     """
 
     name = "least-ect"
     stateless_choice = True
 
-    #: Bound on the (model, batch) priming memo; cleared when exceeded.
-    _PRIMED_MAX = 16384
-
-    def __init__(self) -> None:
-        self._primed: "set[tuple[str, int]]" = set()
-
-    def invalidate(self) -> None:
-        """Forget which cells were primed (new node => new predictor set).
-
-        Priming is a pure performance hint — a skipped prime only means the
-        predictor evaluates cells one at a time — so staleness here can
-        never change a routing decision, only slow one down.
-        """
-        self._primed.clear()
-
-    def _prime(self, nodes, request, spec) -> None:
-        seen = set()
-        for node in nodes:
+    def prepare(self, nodes, requests) -> None:
+        routable = [n for n in nodes if n.routable]
+        if len(routable) < 2:
+            return
+        cells = dict.fromkeys((r.model, r.batch) for r in requests)
+        primed = set()
+        for node in routable:
             backlog = node.frontend.backlog
             scheduler = getattr(backlog, "scheduler", None)
             if scheduler is None:  # duck-typed backlog (tests, adapters)
                 continue
             predictor = scheduler.predictors.get(backlog.policy)
-            if (
-                predictor is None
-                or not getattr(predictor, "_fitted", False)
-                or id(predictor) in seen
-            ):
+            if predictor is None or not predictor.fitted or id(predictor) in primed:
                 continue
-            predictor.prime_cells(spec, request.batch, ("warm", "idle"))
-            seen.add(id(predictor))
+            primed.add(id(predictor))
+            specs = node.frontend.specs
+            predictor.prime_cells(
+                (specs[model], batch, state)
+                for model, batch in cells for state in ("warm", "idle")
+            )
 
     def _pick(self, nodes, request, spec, now):
-        # Walking every node's getattr chain per request dominates once the
-        # predictors' cell memos are warm, so remember which (model, batch)
-        # cells this fleet was already primed for.
-        memo_key = (spec.name, request.batch)
-        if memo_key not in self._primed:
-            self._prime(nodes, request, spec)
-            if len(self._primed) >= self._PRIMED_MAX:
-                self._primed.clear()
-            self._primed.add(memo_key)
+        # Equal to min(nodes, key=(delay, samples, name)), but the sample
+        # counts are read only for the nodes tied on the least delay.
+        delays = [
+            n.frontend.backlog.estimate_completion(spec, request.batch, now)[1]
+            for n in nodes
+        ]
+        least = min(delays)
+        tied = [n for n, delay in zip(nodes, delays) if delay == least]
+        return tied[0] if len(tied) == 1 else min(tied, key=_samples_then_name)
 
-        def ect(node: ClusterNode) -> tuple:
-            _, delay = node.frontend.backlog.estimate_completion(
-                spec, request.batch, now
-            )
-            # Tiebreak on unresolved samples: the O(1) counter when the
-            # node exposes it, else the stats() snapshot (same value).
-            samples = getattr(node, "outstanding_samples", None)
-            if samples is None:
-                samples = node.stats().outstanding_samples
-            return (delay, samples, node.name)
 
-        return min(nodes, key=ect)
+def _samples_then_name(node: ClusterNode) -> tuple:
+    """Least-ECT's tiebreak; the O(1) counter if exposed, else ``stats()``."""
+    samples = getattr(node, "outstanding_samples", None)
+    if samples is None:
+        samples = node.stats().outstanding_samples
+    return (samples, node.name)
 
 
 BALANCERS = {

@@ -77,15 +77,19 @@ class ClusterResponse:
 
     __slots__ = (
         "request", "node_name", "inner", "n_routes", "_shed_reason", "on_done",
+        "_ledger",
     )
 
-    def __init__(self, request: InferenceRequest):
+    def __init__(
+        self, request: InferenceRequest, ledger: "ClusterRouter | None" = None
+    ):
         self.request = request
         self.node_name: "str | None" = None
         self.inner: "ServingResponse | None" = None
         self.n_routes = 0
         self._shed_reason: "str | None" = None   # router-level shed override
         self.on_done: "Callable[[ClusterResponse], None] | None" = None
+        self._ledger = ledger   # router whose counters the resolution moves
 
     def bind(self, node_name: str, inner: ServingResponse) -> None:
         """Point this handle at the (new) node-level response."""
@@ -104,6 +108,11 @@ class ClusterResponse:
             self._fire_done()
 
     def _fire_done(self) -> None:
+        ledger = self._ledger
+        if ledger is not None:   # the router's running counters, once
+            self._ledger = None
+            ledger._n_resolved += 1
+            ledger._n_good += int(self.served and self.deadline_met is not False)
         hook = self.on_done
         if hook is not None:
             self.on_done = None
@@ -304,6 +313,8 @@ class ClusterRouter:
         self._responses: "list[ClusterResponse]" = []
         self._by_id: "dict[int, ClusterResponse]" = {}
         self._seq = 0
+        self._n_resolved = 0  # ledger counters: ClusterResponse._fire_done
+        self._n_good = 0
 
         # -- resilience (armed only when a config is given) -----------------
         self.resilience = resilience
@@ -374,9 +385,6 @@ class ClusterRouter:
         arrival_s: "float | None" = None,
     ) -> ClusterResponse:
         """Submit one request by value; router assigns the request id."""
-        if model not in self.specs:
-            known = ", ".join(sorted(self.specs)) or "<none>"
-            raise SchedulerError(f"model {model!r} is not served; deployed: {known}")
         arrival = self.loop.now if arrival_s is None else float(arrival_s)
         request = InferenceRequest(
             request_id=self._seq,
@@ -421,7 +429,7 @@ class ClusterRouter:
                 f"cannot submit into the past: arrival {request.arrival_s} "
                 f"< now={self.loop.now}"
             )
-        response = ClusterResponse(request)
+        response = ClusterResponse(request, ledger=self)
         self._by_id[request.request_id] = response
         self._responses.append(response)
         self._seq = max(self._seq, request.request_id + 1)
@@ -696,15 +704,11 @@ class ClusterRouter:
         Counted over the router's own ledger, so router-level sheds
         (deadline passed, retry budget exhausted, no active node) weigh
         against it alongside node-level sheds and late completions.
-        1.0 before anything resolves.
+        1.0 before anything resolves.  O(1): running counters.
         """
-        resolved = [r for r in self._responses if r.done]
-        if not resolved:
+        if not self._n_resolved:
             return 1.0
-        good = sum(
-            1 for r in resolved if r.served and r.deadline_met is not False
-        )
-        return good / len(resolved)
+        return self._n_good / self._n_resolved
 
     # -- driving -----------------------------------------------------------
 
@@ -719,7 +723,8 @@ class ClusterRouter:
     ) -> ClusterResult:
         """Replay a whole trace through the fleet and drain the loop.
 
-        Trace arrivals are ledgered first.  The default path injects one
+        Trace arrivals are ledgered and handed to the balancer's
+        :meth:`~LoadBalancer.prepare` first.  The default path injects one
         routing event per request through the event loop's bulk fast path
         — one heapify over the (typically pre-sorted) arrival array
         instead of one ``heappush`` per request.
@@ -750,6 +755,7 @@ class ClusterRouter:
                 (request.arrival_s, partial(self._route, self._register(request), None))
                 for request in trace
             ]
+            self.balancer.prepare(self.routable_nodes(), trace)
             self.loop.schedule_bulk(items, label="route")
             if items:
                 last_arrival = max(t for t, _ in items)
@@ -767,11 +773,15 @@ class ClusterRouter:
         sequence block is reserved at injection time, keeping tie-breaks
         identical to per-event scheduling) and a
         :class:`~repro.sim.engine.TraceCursor` routes each run of equal
-        timestamps in one pass.  Arrivals must be non-decreasing and at
-        or after the loop's current time; the caller drives the loop.
+        timestamps in one pass (after one balancer ``prepare`` call).
+        Arrivals must be non-decreasing and at or after the loop's
+        current time; the caller drives the loop.
         """
         responses = [self._register(request) for request in requests]
         if responses:
+            self.balancer.prepare(
+                self.routable_nodes(), (r.request for r in responses)
+            )
             TraceCursor(
                 self.loop,
                 [r.request.arrival_s for r in responses],
@@ -885,7 +895,7 @@ class ClusterRouter:
     @property
     def n_pending(self) -> int:
         """Requests routed (or awaiting routing) but not yet resolved."""
-        return sum(1 for r in self._responses if not r.done)
+        return len(self._responses) - self._n_resolved
 
     def decision_cache_stats(self) -> dict:
         """Fleet-wide rollup of the nodes' decision-cache counters."""

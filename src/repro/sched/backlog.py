@@ -30,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.errors import SchedulerError
 from repro.nn.builders import ModelSpec
 from repro.ocl.event import Event
@@ -345,24 +343,16 @@ class BacklogAwareScheduler:
         by ranking only the devices the node can place on right now.
         """
         predictor = self.scheduler.predictors[self.policy]
-        classes = ("cpu", "dgpu", "igpu")
         available = self.available_classes()
-        # Memoized per-cell probabilities: repeated requests for the same
-        # (model, batch, state) cell — the common case in a flood — skip
-        # the forest entirely after the first evaluation.
-        proba = predictor.cell_proba(spec, batch, gpu_state)
-        if proba is not None:
-            order = np.argsort(proba)[::-1]
-            ranked = tuple(
-                classes[i] for i in order
-                if i < len(classes) and classes[i] in available
-            )
+        # The predictor memoizes each cell's class order once, shared by
+        # every node: a decision-cache miss here only filters it.
+        cell = predictor.cell(spec, batch, gpu_state)
+        if cell is not None:
+            ranked = tuple(c for c in cell[1] if c in available)
         else:
             top = predictor.predict_device(spec, batch, gpu_state)
-            ranked = tuple(
-                c for c in (top, *(c for c in classes if c != top))
-                if c in available
-            )
+            rest = (c for c in ("cpu", "dgpu", "igpu") if c != top)
+            ranked = tuple(c for c in (top, *rest) if c in available)
         if not ranked:
             raise SchedulerError(
                 f"no ranked device class present in context (has: {sorted(available)})"

@@ -236,8 +236,8 @@ class _CellHealth:
 class OnlinePredictor:
     """A :class:`DevicePredictor` that keeps learning while it serves.
 
-    Duck-types the base predictor's whole decision surface (``cell_proba``,
-    ``predict_device``, ``predict_index``, ``prime_cells``,
+    Duck-types the base predictor's whole decision surface (``fitted``,
+    ``cell``, ``predict_device``, ``predict_index``, ``prime_cells``,
     ``predict_batch``, ``fit_generation``), so it drops into an
     :class:`~repro.sched.scheduler.OnlineScheduler`'s predictor table
     unchanged.  The additional surface — :meth:`observe`, :meth:`is_stale`,
@@ -309,16 +309,20 @@ class OnlinePredictor:
     def fit_generation(self) -> int:
         return self.base.fit_generation
 
+    @property
+    def fitted(self) -> bool:
+        return self.base.fitted
+
     def fit(self, dataset: SchedulerDataset) -> "OnlinePredictor":
         """Refit the base from scratch (offline path); window is kept."""
         self.base.fit(dataset)
         return self
 
-    def cell_proba(self, spec, batch, gpu_state):
-        return self.base.cell_proba(spec, batch, gpu_state)
+    def cell(self, spec, batch, gpu_state):
+        return self.base.cell(spec, batch, gpu_state)
 
-    def prime_cells(self, spec, batch, gpu_states) -> None:
-        self.base.prime_cells(spec, batch, gpu_states)
+    def prime_cells(self, cells) -> int:
+        return self.base.prime_cells(cells)
 
     def predict_index(self, spec, batch, gpu_state) -> int:
         return self.base.predict_index(spec, batch, gpu_state)

@@ -39,14 +39,22 @@ class DevicePredictor:
     #: Per-cell memo bound: (model, batch, gpu_state) cells seen per fit.
     #: Coalescers produce many distinct batch sizes, so cap and evict FIFO.
     _CELL_CACHE_MAX = 16384
+    #: Rows per priming forest call: bounds the forest's temporary arrays.
+    _PRIME_BLOCK = 1024
 
     def __init__(self, policy: "Policy | str", estimator: BaseEstimator | None = None):
         self.policy = Policy.parse(policy)
         self.estimator = estimator if estimator is not None else default_estimator()
         self._fitted = False
-        self._cell_proba: dict[tuple, "np.ndarray | None"] = {}
+        # (model, batch, gpu_state) -> (proba, class order)
+        self._cells: "dict[tuple, tuple]" = {}
         #: Bumped on every (re)fit; decision caches key their validity on it.
         self.fit_generation = 0
+
+    @property
+    def fitted(self) -> bool:
+        """Whether :meth:`fit` (or a persistence load) has trained it."""
+        return self._fitted
 
     def fit(self, dataset: SchedulerDataset) -> "DevicePredictor":
         """Train on a labelled sweep; the dataset's policy must match."""
@@ -58,69 +66,60 @@ class DevicePredictor:
         self.estimator = clone(self.estimator)
         self.estimator.fit(dataset.x, dataset.y)
         self._fitted = True
-        self._cell_proba.clear()
+        self._cells.clear()
         self.fit_generation += 1
         return self
 
     # -- memoized per-cell probabilities -----------------------------------
 
-    def _remember(self, key: tuple, proba: "np.ndarray | None") -> None:
-        if len(self._cell_proba) >= self._CELL_CACHE_MAX:
-            self._cell_proba.pop(next(iter(self._cell_proba)))
-        self._cell_proba[key] = proba
-
-    def cell_proba(
-        self, spec: ModelSpec, batch: int, gpu_state: str
-    ) -> "np.ndarray | None":
-        """Class probabilities for one (model, batch, dGPU-state) cell.
-
-        A fitted estimator is deterministic, so the answer for a cell
-        never changes between fits: the first call runs the batched flat
-        path, every later one is a dict hit.  Returns None when the
-        estimator exposes no ``predict_proba``.
-        """
-        self._require_fitted()
+    def cell(self, spec: ModelSpec, batch: int, gpu_state: str) -> "tuple | None":
+        """``(class probabilities, class order)`` for one (model, batch,
+        dGPU-state) cell — fixed per fit, so scored once, then a dict hit.
+        None when the estimator has no ``predict_proba``."""
         key = (spec.name, int(batch), gpu_state)
-        try:
-            return self._cell_proba[key]
-        except KeyError:
-            pass
-        if not hasattr(self.estimator, "predict_proba"):
-            self._remember(key, None)
-            return None
-        features = encode_point(spec, batch, gpu_state)[None, :]
-        proba = self.estimator.predict_proba(features)[0]
-        self._remember(key, proba)
-        return proba
+        cell = self._cells.get(key)
+        if cell is None and self.prime_cells(((spec, batch, gpu_state),)):
+            cell = self._cells[key]
+        return cell
 
-    def prime_cells(
-        self, spec: ModelSpec, batch: int, gpu_states: "tuple[str, ...]"
-    ) -> None:
-        """Evaluate any missing cells for ``gpu_states`` in ONE batched call.
-
-        A fleet balancer about to price several nodes can prime both dGPU
-        states up front: the estimator sees a single (n_missing, d) matrix
-        instead of one row per node probe.
-        """
+    def prime_cells(self, cells) -> int:
+        """Score the missing ``(spec, batch, gpu_state)`` cells, one forest
+        call per ``_PRIME_BLOCK`` rows and at most ``_CELL_CACHE_MAX`` cells
+        (a pass never evicts its own entries).  Each row of a call is scored
+        independently, so a cell's bits never depend on its batch-mates."""
         self._require_fitted()
         if not hasattr(self.estimator, "predict_proba"):
-            return
-        missing = [
-            s for s in gpu_states
-            if (spec.name, int(batch), s) not in self._cell_proba
-        ]
-        if not missing:
-            return
-        rows = np.vstack([encode_point(spec, batch, s) for s in missing])
-        probas = self.estimator.predict_proba(rows)
-        for s, proba in zip(missing, probas):
-            self._remember((spec.name, int(batch), s), proba)
+            return 0
+        missing = {}
+        for spec, batch, gpu_state in cells:
+            key = (spec.name, int(batch), gpu_state)
+            if key not in self._cells and key not in missing:
+                missing[key] = encode_point(spec, batch, gpu_state)
+                if len(missing) == self._CELL_CACHE_MAX:
+                    break
+        if missing:
+            rows = np.vstack(list(missing.values()))
+            probas = np.concatenate([
+                self.estimator.predict_proba(rows[i:i + self._PRIME_BLOCK])
+                for i in range(0, len(rows), self._PRIME_BLOCK)
+            ])
+            for key, proba in zip(missing, probas):
+                if len(self._cells) >= self._CELL_CACHE_MAX:
+                    self._cells.pop(next(iter(self._cells)))   # FIFO
+                # The reversed default-kind argsort the ranking always used,
+                # so tied classes keep their order.
+                ranked = np.argsort(proba)[::-1].tolist()
+                order = tuple(
+                    DEVICE_CLASSES[i] for i in ranked if i < len(DEVICE_CLASSES)
+                )
+                self._cells[key] = (proba, order)
+        return len(missing)
 
     def predict_index(self, spec: ModelSpec, batch: int, gpu_state: str) -> int:
         """Class index (0=CPU, 1=dGPU, 2=iGPU) for one decision."""
-        proba = self.cell_proba(spec, batch, gpu_state)
-        if proba is not None:
-            return int(np.argmax(proba))
+        cell = self.cell(spec, batch, gpu_state)
+        if cell is not None:
+            return int(np.argmax(cell[0]))
         features = encode_point(spec, batch, gpu_state)[None, :]
         return int(self.estimator.predict(features)[0])
 

@@ -19,6 +19,7 @@ from repro.cluster import ClusterRouter, NodeSpec
 from repro.faults import FaultInjector, ResilienceConfig
 
 from tests.cascade.conftest import build_cascade_fleet
+from tests.cluster.test_ledger_counters import assert_counters_match
 
 #: The fast defensive stack used across fault tests (tests/cluster).
 RESILIENCE = ResilienceConfig(
@@ -199,3 +200,24 @@ class TestCrashes:
         answered = sum(result.exit_counts().values())
         shed_samples = sum(c.batch for c in result.shed)
         assert answered + shed_samples == 16 * 32
+
+
+class TestLedgerCounters:
+    def test_router_counters_match_a_recount(
+        self, cascade_predictors, cascade_profile
+    ):
+        # Cascades own every response's on_done hook; the router's running
+        # counters must still see each resolution (escalations included).
+        router = make_router(cascade_predictors, resilience=RESILIENCE)
+        ex = make_executor(router, cascade_profile, rng=7)
+        for i in range(16):
+            ex.submit(batch=32, arrival_s=0.002 * i)
+        FaultInjector(router).crash_node(0.01, "node-a")
+        router.schedule_health(0.5)
+        router.run(until=0.012)
+        assert router.n_pending > 0
+        assert_counters_match(router)
+        router.run()
+        assert len(router.result().responses) > 16    # escalations routed
+        assert router.n_pending == 0
+        assert_counters_match(router)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import ClusterNode, NodeSpec, make_fleet
+from repro.cluster import ClusterNode, LeastECTBalancer, NodeSpec, make_fleet
 from repro.serving import SLOConfig
 from tests.serving.conftest import SERVING_SPECS
 
@@ -27,6 +27,18 @@ HET_NODE_SPECS = (
 CLUSTER_SLO = SLOConfig(
     deadline_s=0.3, max_queue_depth=64, max_batch=4096, max_wait_s=0.005
 )
+
+
+class NoPrimeLeastECT(LeastECTBalancer):
+    """Least-ECT with ingestion priming switched off: the decision oracle.
+
+    Every cell is then evaluated lazily, one at a time, the first time a
+    probe asks for it — so any routing difference against the real
+    balancer would be priming changing a decision.
+    """
+
+    def prepare(self, nodes, requests) -> None:
+        return None
 
 
 def build_fleet(

@@ -5,17 +5,25 @@ end-to-end: a least-ECT fleet riding out an overload must produce the
 *same simulated-time story* — per-request statuses, nodes, devices,
 latencies, tail percentiles, shed rate — with the cache on as with it
 off, while the telemetry rollup actually surfaces the hit counters.  The
-router must also tell its balancer about membership changes (the
-least-ECT priming memo is only safe because activate/drain invalidate it).
+router must also tell its balancer about membership changes, and a drain
+mid-trace must leave least-ECT's decisions equal to the no-prime oracle's.
 """
 
 import pytest
 
-from repro.cluster import ClusterRouter, NodeSpec, RoundRobinBalancer
+from repro.cluster import (
+    ClusterRouter,
+    LeastECTBalancer,
+    NodeSpec,
+    RoundRobinBalancer,
+)
 from repro.nn.zoo import MNIST_SMALL
+from repro.sched.policies import Policy
+from repro.sched.predictor import DevicePredictor
+from repro.shard.digest import digest_responses
 from repro.workloads.requests import make_trace
 from repro.workloads.streams import OverloadStream
-from tests.cluster.conftest import build_fleet
+from tests.cluster.conftest import NoPrimeLeastECT, build_fleet
 
 
 @pytest.fixture(scope="module")
@@ -186,26 +194,29 @@ class TestMembershipInvalidation:
         router.drain_node("node-b")
         assert balancer.invalidations == 2
 
-    def test_least_ect_memo_survives_invalidate_correctly(self, serving_predictors):
-        """After a drain-triggered invalidate, the least-ECT memo re-primes
-        and routing still resolves (a smoke for the memo lifecycle)."""
-        router = ClusterRouter(
-            build_fleet(serving_predictors), balancer="least-ect"
-        )
-        assert router.balancer._primed == set()
+    def test_least_ect_memo_survives_invalidate_correctly(self, online_dataset):
+        """A drain mid-trace (which invalidates the balancer) still resolves
+        every request, and every decision matches the no-prime oracle."""
         stream = OverloadStream(
-            horizon_s=0.5, slo_s=0.3, normal_rate_hz=50,
-            overload_rate_hz=50, overload_start_s=0.1, overload_end_s=0.2,
-            normal_batch=64, overload_batch=64,
+            horizon_s=0.5, slo_s=0.3, normal_rate_hz=200,
+            overload_rate_hz=2000, overload_start_s=0.1, overload_end_s=0.2,
+            normal_batch=64, overload_batch=256,
         )
         trace = make_trace(stream, [MNIST_SMALL], rng=3)
-        for request in trace:
-            router.submit_request(request)
-        router.run()
-        assert router.balancer._primed  # primed during routing
-        router.drain_node("node-a")
-        assert router.balancer._primed == set()  # membership change dropped it
-        router.run()
-        result = router.result()
-        assert all(r.done for r in result.responses)
-        assert len(result.served) + len(result.shed) == len(trace)
+        digests = []
+        for balancer in (LeastECTBalancer(), NoPrimeLeastECT()):
+            # A fresh forest per run: the oracle must evaluate lazily.
+            predictors = {
+                Policy.THROUGHPUT: DevicePredictor(Policy.THROUGHPUT).fit(
+                    online_dataset
+                )
+            }
+            router = ClusterRouter(build_fleet(predictors), balancer=balancer)
+            router.loop.schedule(0.15, lambda _loop, r=router: r.drain_node("node-a"))
+            result = router.serve_trace(trace)
+            assert [e.kind for e in result.events].count("drain_start") == 1
+            assert router.n_rerouted > 0
+            assert all(r.done for r in result.responses)
+            assert len(result.served) + len(result.shed) == len(trace)
+            digests.append(digest_responses(result.responses))
+        assert digests[0] == digests[1]
