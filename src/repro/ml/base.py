@@ -20,6 +20,12 @@ class BaseEstimator:
     grid search generic.
     """
 
+    #: True when a fit is a pure function of ``(type, get_params(), x, y)``
+    #: for an int or None ``random_state``, and prediction never mutates the
+    #: fitted state: refitting identical inputs may then keep the fitted
+    #: instance (see :meth:`repro.sched.predictor.DevicePredictor.fit`).
+    pure_fit = False
+
     def get_params(self) -> dict:
         """Constructor parameters as a dict."""
         sig = inspect.signature(type(self).__init__)

@@ -25,6 +25,8 @@ class RandomForestClassifier(BaseEstimator):
     'sqrt' as in sklearn.
     """
 
+    pure_fit = True
+
     def __init__(
         self,
         n_estimators: int = 50,

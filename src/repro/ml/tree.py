@@ -61,6 +61,8 @@ class DecisionTreeClassifier(BaseEstimator):
     ``random_state`` seeds it.
     """
 
+    pure_fit = True
+
     def __init__(
         self,
         criterion: str = "gini",

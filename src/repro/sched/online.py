@@ -23,6 +23,9 @@ Three mechanisms ride on that stream:
   and the base forest is refit on the offline dataset plus those live
   rows.  The refit bumps ``fit_generation``, so the decision cache's
   existing wholesale invalidation in ``_entry_for`` fires unchanged.
+  A refit whose merged dataset equals the last fit's keeps the fitted
+  forest (:meth:`~repro.sched.predictor.DevicePredictor.fit`), counted
+  as a refit reuse.
 * **Drift detection** — per (model, device class, log2-batch bucket)
   cell, a two-sided Page–Hinkley test watches the relative residual
   between the learned service estimate (what the scheduler *predicted*)
@@ -292,6 +295,7 @@ class OnlinePredictor:
         self.n_observations = 0
         self.n_refits = 0
         self.n_refit_skips = 0
+        self.n_refit_reuses = 0
         self.n_drift_flags = 0
         self.n_recoveries = 0
 
@@ -465,8 +469,10 @@ class OnlinePredictor:
             batches=np.asarray(batches, dtype=np.int64),
             gpu_states=states,
         )
+        reuses = self.base.n_fit_reuses
         self.base.fit(base.merge(live))
         self.n_refits += 1
+        self.n_refit_reuses += self.base.n_fit_reuses - reuses
         return True
 
     # -- staleness queries ---------------------------------------------------
@@ -512,6 +518,7 @@ class OnlinePredictor:
             "window_fill": len(self._window),
             "refits": self.n_refits,
             "refit_skips": self.n_refit_skips,
+            "refit_reuses": self.n_refit_reuses,
             "drift_flags": self.n_drift_flags,
             "recoveries": self.n_recoveries,
             "active_flags": [k.label() for k in self.active_flags],

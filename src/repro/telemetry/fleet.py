@@ -275,9 +275,9 @@ class FleetTelemetry:
 
         Routing-side counters (decisions, fallback occupancy, drift
         invalidations) sum across nodes.  Predictor-side counters (refits,
-        drift flags, recoveries) take the max instead: fleets normally
-        share one :class:`~repro.sched.online.OnlinePredictor`, so every
-        node reports the same fleet-wide totals and summing would
+        refit reuses, drift flags, recoveries) take the max instead: fleets
+        normally share one :class:`~repro.sched.online.OnlinePredictor`, so
+        every node reports the same fleet-wide totals and summing would
         multiply-count them.  Active flags merge as a set union.
         """
         per_node: dict[str, dict] = {}
@@ -304,6 +304,9 @@ class FleetTelemetry:
                 s["drift_invalidations"] for s in per_node.values()
             ),
             "refits": max(s["predictor"]["refits"] for s in per_node.values()),
+            "refit_reuses": max(
+                s["predictor"]["refit_reuses"] for s in per_node.values()
+            ),
             "drift_flags": max(
                 s["predictor"]["drift_flags"] for s in per_node.values()
             ),

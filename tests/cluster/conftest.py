@@ -12,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster import ClusterNode, LeastECTBalancer, NodeSpec, make_fleet
+from repro.sched.predictor import DevicePredictor
 from repro.serving import SLOConfig
 from tests.serving.conftest import SERVING_SPECS
 
@@ -54,3 +55,16 @@ def build_fleet(
 @pytest.fixture()
 def het_fleet(serving_predictors) -> "list[ClusterNode]":
     return build_fleet(serving_predictors)
+
+
+class AlwaysRetrainPredictor(DevicePredictor):
+    """A device predictor that retrains on every fit: the refit oracle.
+
+    It forgets its last fit's inputs before each fit, so an unchanged
+    refit trains a fresh forest as a fit always did — any decision that
+    differs from the real predictor's would be fit reuse changing it.
+    """
+
+    def fit(self, dataset):
+        self._last_fit = None
+        return super().fit(dataset)
