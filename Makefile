@@ -2,13 +2,17 @@
 
 PY ?= python
 
-.PHONY: install test bench bench-full bench-wallclock bench-million bench-sharded bench-drift profile-cluster repro examples serve-demo cluster-demo cascade-demo chaos-demo partition-demo million-demo sharded-demo drift-demo lint-clean
+.PHONY: install test loc bench bench-full bench-wallclock bench-million bench-sharded bench-drift profile-cluster repro examples serve-demo cluster-demo cascade-demo chaos-demo partition-demo million-demo sharded-demo drift-demo lint-clean
 
 install:
 	pip install -e .
 
 test:
 	$(PY) -m pytest tests/
+
+# Python line counts of src/ and tests/ (ROADMAP north star 2 tracks them).
+loc:
+	@for d in src tests; do echo "$$d $$(find $$d -name '*.py' | xargs cat | wc -l)"; done
 
 bench:
 	$(PY) -m pytest benchmarks/ --benchmark-only
@@ -24,7 +28,7 @@ bench-wallclock:
 	PYTHONPATH=src $(PY) benchmarks/wallclock/check.py BENCH_hotpaths.json
 
 # Million-request replay alone: the seeded production trace (MMPP +
-# flash crowd + sessions) through the vectorized dispatch path, with the
+# flash crowd + sessions) through serve_trace's batched dispatch, with the
 # determinism digest and throughput floor enforced.
 bench-million:
 	PYTHONPATH=src $(PY) benchmarks/wallclock/run.py --only million \
@@ -88,7 +92,7 @@ chaos-demo:
 partition-demo:
 	$(PY) examples/partitioned_cluster.py
 
-# Million demo: production-shaped trace replayed per-event and batched,
+# Million demo: production-shaped trace replayed per request and batched,
 # with a built-in digit-identity assertion (CI runs it with --tiny).
 million-demo:
 	$(PY) examples/million_replay.py --tiny

@@ -101,7 +101,7 @@ _SHARDED_FLOORS = {
     "tiny": {"requests": 20_000, "rps": 1_000.0},
 }
 
-#: Floors for the million-request vectorized replay.  Full mode must
+#: Floors for the million-request serve_trace replay.  Full mode must
 #: move a seeded 1M-request production trace at >= 2x the committed
 #: cluster trajectory (2 x 23.3k ~= 46.6k req/s); tiny mode only proves
 #: the batched path is not accidentally per-event slow.

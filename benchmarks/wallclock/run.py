@@ -345,8 +345,8 @@ def _million_trace(tiny: bool):
 
     # Fixed per-component batch sizes (sigma 0): production frontends
     # bucket batch sizes before dispatch, and a bounded (model, batch)
-    # cell space is what lets the decision cache and the vectorized
-    # router's per-run probe memo absorb a million-request flood.
+    # cell space is what lets the decision cache and the router's
+    # per-run probe memo absorb a million-request flood.
     if tiny:
         n_requests = 20_000
         horizon = 4.0
@@ -404,11 +404,11 @@ def _outcome_digest(responses) -> str:
 
 
 def bench_million(tiny: bool, profile: "str | None" = None) -> dict:
-    """Million-request replay on the batched (vectorized) dispatch path.
+    """Million-request replay through ``serve_trace``.
 
     The production-shaped trace from :func:`_million_trace` floods the
     same 4-node fleet as the ``cluster`` section, replayed through the
-    :class:`TraceCursor`/vectorized routing path.  The whole replay runs
+    :class:`TraceCursor` and run-batched routing.  The whole replay runs
     twice on fresh fleets and must produce the same outcome digest —
     batching is an optimization, not a semantics change — and wall time
     is the best of the two runs (same noise floor as ``_best_of``).
@@ -440,9 +440,7 @@ def bench_million(tiny: bool, profile: "str | None" = None) -> dict:
             # the unbounded exact digest is both faster and sharper here.
             node.frontend.telemetry.latency = LatencyDigest(exact=True)
         router = ClusterRouter(fleet, balancer="least-ect", rng=123)
-        result, wall_s = _timed_trace(
-            lambda t: router.serve_trace(t, vectorized=True), trace, profile
-        )
+        result, wall_s = _timed_trace(router.serve_trace, trace, profile)
         return result, wall_s, _outcome_digest(result.responses), router
 
     result, wall_a, digest_a, router = run_once()

@@ -2,12 +2,12 @@
 
 Builds a seeded production-shaped trace — an MMPP burst process, a flash
 crowd and heavy-tailed user sessions interleaved over two models — and
-replays it twice through the same 4-node fleet: once on the classic
-per-event path and once on the vectorized path (TraceCursor runs +
-batched routing/admission).  The script *asserts* that both replays
-resolve every request digit-for-digit identically (status, node, device,
-virtual end time and fleet telemetry), then reports the wall-clock
-speedup the batched path buys.
+replays it twice through the same 4-node fleet: once per request through
+``submit_request`` (one heap event per arrival) and once through
+``serve_trace`` (TraceCursor runs + batched routing/admission).  The
+script *asserts* that both replays resolve every request digit-for-digit
+identically (status, node, device, virtual end time and fleet
+telemetry), then reports the wall-clock speedup the batched path buys.
 
 ``--tiny`` keeps the trace small for CI; the default size is a few
 hundred thousand requests (the full million lives in
@@ -94,11 +94,17 @@ def production_trace(tiny: bool):
     return mix.build(rng=20220530)
 
 
-def replay(trace, predictors, vectorized: bool):
+def replay(trace, predictors, per_request: bool):
     fleet = make_fleet(list(FLEET), predictors, SPECS, default_slo=SLO)
     router = ClusterRouter(fleet, balancer="least-ect", rng=123)
     t0 = time.perf_counter()
-    result = router.serve_trace(trace, vectorized=vectorized)
+    if per_request:
+        for request in trace:
+            router.submit_request(request)
+        router.run()
+        result = router.result()
+    else:
+        result = router.serve_trace(trace)
     wall_s = time.perf_counter() - t0
     outcome = []
     for r in result.responses:
@@ -122,15 +128,15 @@ def main() -> int:
           "of simulated time, both dispatch paths...")
 
     per_event, telemetry_a, result, wall_a = replay(
-        trace, predictors, vectorized=False
+        trace, predictors, per_request=True
     )
     batched, telemetry_b, _, wall_b = replay(
-        trace, predictors, vectorized=True
+        trace, predictors, per_request=False
     )
 
     # The contract this example exists to demonstrate: batching the
     # dispatch never changes a single outcome.
-    assert per_event == batched, "vectorized replay diverged from per-event"
+    assert per_event == batched, "serve_trace diverged from per-request replay"
     assert telemetry_a == telemetry_b, "fleet telemetry diverged"
     print("digit-identical: every request resolved the same way on both "
           "paths (statuses, nodes, devices, virtual end times, telemetry)")

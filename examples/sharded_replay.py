@@ -11,7 +11,7 @@ around:
   change;
 * a single-group sharded replay over a ``hash`` front tier (the static
   fast path: no windows at all) produces exactly the digest the
-  monolithic vectorized ``serve_trace`` computes over the same fleet.
+  monolithic ``serve_trace`` computes over the same fleet.
 
 Then it reports the wall-clock speedup the extra processes buy (on a
 single-core machine expect none — the point of the digests is that you
@@ -124,7 +124,7 @@ def main() -> int:
           f"p99 {r.latency_percentile(99.0, trace) * 1e3:.1f} ms")
 
     # Second identity: one static-routed group is exactly the monolithic
-    # vectorized replay — sharding degenerates to serve_trace cleanly.
+    # replay — sharding degenerates to serve_trace cleanly.
     mono_specs = (
         NodeSpec("solo-a"), NodeSpec("solo-b", device_classes=("cpu",)),
     )
@@ -134,7 +134,7 @@ def main() -> int:
         rng=np.random.default_rng(np.random.SeedSequence(SEED).spawn(1)[0]),
     )
     t0 = time.perf_counter()
-    mono = router.serve_trace(trace, vectorized=True)
+    mono = router.serve_trace(trace)
     mono_wall = time.perf_counter() - t0
     plan = ShardPlan(
         groups=(mono_specs,), n_workers=1, front_tier="hash",
@@ -145,7 +145,7 @@ def main() -> int:
         "single-group static shard diverged from monolithic serve_trace"
     )
     print(f"degenerate case verified: 1 static group == monolithic "
-          f"vectorized replay, digest {solo.digest[:16]}... "
+          f"serve_trace, digest {solo.digest[:16]}... "
           f"(monolithic wall {mono_wall:.2f}s)")
     return 0
 

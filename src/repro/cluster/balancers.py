@@ -71,10 +71,11 @@ class LoadBalancer:
 
     #: Whether :meth:`choose` is a pure function of fleet state at one
     #: instant — no internal state advanced, no randomness drawn.  The
-    #: router's vectorized arrival path may then reuse one decision for
-    #: every simultaneous arrival of the same (model, batch) cell, which
-    #: is exactly what the per-request path would have computed (nothing
-    #: a pure policy reads changes between same-instant routing calls).
+    #: router's trace cursor may then reuse one decision for every
+    #: simultaneous arrival of the same (model, batch) cell, which is
+    #: exactly what one routing event per request would have computed
+    #: (nothing a pure policy reads changes between same-instant routing
+    #: calls).
     #: Policies that mutate per call (round-robin's turn counter,
     #: power-of-two's RNG) must leave this False.
     stateless_choice = False
@@ -312,8 +313,8 @@ class FrontTier:
     the summaries (``uses_summaries = False``) are *static*: the whole
     trace can be routed upfront and the shards run to completion with no
     window synchronization at all — which is also what makes a
-    single-group static replay bit-identical to the monolithic vectorized
-    path.
+    single-group static replay bit-identical to the monolithic
+    ``serve_trace``.
     """
 
     name = "abstract"

@@ -41,7 +41,7 @@ from repro.faults.config import ResilienceConfig
 from repro.rng import ensure_rng
 from repro.serving.frontend import ServingFrontend, ServingResponse
 from repro.serving.queues import QueueEntry
-from repro.sim.engine import TraceCursor
+from repro.sim.engine import TraceCursor, check_arrival_order
 from repro.telemetry.fleet import FleetTelemetry
 from repro.workloads.requests import InferenceRequest, RequestTrace
 
@@ -719,73 +719,68 @@ class ClusterRouter:
         return end
 
     def serve_trace(
-        self, trace: RequestTrace, vectorized: bool = False
+        self, trace: RequestTrace, vectorized: bool = True
     ) -> ClusterResult:
         """Replay a whole trace through the fleet and drain the loop.
 
-        Trace arrivals are ledgered and handed to the balancer's
-        :meth:`~LoadBalancer.prepare` first.  The default path injects one
-        routing event per request through the event loop's bulk fast path
-        — one heapify over the (typically pre-sorted) arrival array
-        instead of one ``heappush`` per request.
-
-        With ``vectorized=True`` the trace stays off the heap: a
+        The trace goes through :meth:`feed_requests`: arrivals are
+        checked for order, ledgered and handed to the balancer's
+        :meth:`~LoadBalancer.prepare`, then a
         :class:`~repro.sim.engine.TraceCursor` fires once per run of
-        equal timestamps, the run is routed in one pass (pure balancers —
-        ``stateless_choice`` — probe each distinct (model, batch) cell
+        equal timestamps.  The run is routed in one pass (pure balancers
+        — ``stateless_choice`` — probe each distinct (model, batch) cell
         once instead of once per request), and the routed entries are
         delivered to their frontends by a single follow-up event whose
-        late sequence number lands exactly where the per-event arrivals
-        would have.  Bit-identical to the default path; the equivalence
-        tests replay mixed traces both ways, with faults and partitions
-        armed, and compare results digit for digit.
+        late sequence number lands exactly where per-request arrivals
+        would have.  Outcomes are digit-identical to one
+        :meth:`submit_request` per arrival followed by :meth:`run`; the
+        equivalence tests replay mixed traces both ways, with faults and
+        partitions armed, and compare results digit for digit.
 
         With a resilience config, heartbeats are scheduled automatically
         through ``heartbeat_tail_s`` past the last arrival, so crashes
         during (or just after) the trace are detected without the caller
         wiring a :class:`~repro.faults.health.HealthMonitor` by hand.
+
+        ``vectorized`` is accepted for compatibility and must stay True;
+        per-event ingestion is :meth:`submit_request` in a loop.
         """
-        last_arrival = None
-        if vectorized:
-            responses = self.feed_requests(trace)
-            if responses:
-                last_arrival = responses[-1].request.arrival_s
-        else:
-            items = [
-                (request.arrival_s, partial(self._route, self._register(request), None))
-                for request in trace
-            ]
-            self.balancer.prepare(self.routable_nodes(), trace)
-            self.loop.schedule_bulk(items, label="route")
-            if items:
-                last_arrival = max(t for t, _ in items)
-        if self.resilience is not None and last_arrival is not None:
-            self.schedule_health(last_arrival + self.resilience.heartbeat_tail_s)
+        if not vectorized:
+            raise ValueError(
+                "serve_trace(vectorized=False) was removed: the trace "
+                "cursor is the only ingestion path; call submit_request "
+                "per arrival, then run(), for one event per request"
+            )
+        responses = self.feed_requests(trace)
+        if self.resilience is not None and responses:
+            self.schedule_health(
+                responses[-1].request.arrival_s + self.resilience.heartbeat_tail_s
+            )
         self.run()
         return self.result()
 
     def feed_requests(self, requests) -> "list[ClusterResponse]":
         """Ledger a batch of time-ordered requests and arm their cursor.
 
-        The vectorized ingestion step of :meth:`serve_trace`, exposed on
-        its own so a shard worker can inject each conservative window's
-        arrivals mid-simulation: requests are registered upfront (their
-        sequence block is reserved at injection time, keeping tie-breaks
-        identical to per-event scheduling) and a
+        The ingestion step of :meth:`serve_trace`, exposed on its own so
+        a shard worker can inject each conservative window's arrivals
+        mid-simulation: requests are registered upfront (their sequence
+        block is reserved at injection time, keeping tie-breaks identical
+        to per-request scheduling) and a
         :class:`~repro.sim.engine.TraceCursor` routes each run of equal
         timestamps in one pass (after one balancer ``prepare`` call).
         Arrivals must be non-decreasing and at or after the loop's
-        current time; the caller drives the loop.
+        current time, checked before anything is ledgered; the caller
+        drives the loop.
         """
+        requests = list(requests)
+        times = [request.arrival_s for request in requests]
+        check_arrival_order(times, self.loop.now)
         responses = [self._register(request) for request in requests]
         if responses:
-            self.balancer.prepare(
-                self.routable_nodes(), (r.request for r in responses)
-            )
+            self.balancer.prepare(self.routable_nodes(), requests)
             TraceCursor(
-                self.loop,
-                [r.request.arrival_s for r in responses],
-                partial(self._route_run, responses),
+                self.loop, times, partial(self._route_run, responses),
                 label="route",
             ).start()
         return responses
@@ -822,10 +817,16 @@ class ClusterRouter:
         the per-request decisions exactly.  Phase 2 is a single event at
         the same timestamp delivering the entries in submission order;
         its sequence number is allocated here, after the run's timeout
-        arms, exactly where the per-event path allocates its arrival
-        events — so timers and injector events landing on this instant
-        interleave identically on both paths.
+        arms, exactly where one submit_request per arrival allocates its
+        arrival events — so timers and injector events landing on this
+        instant interleave identically on both paths.
+
+        A run of one request has no decision or probe to share, so it is
+        routed exactly as :meth:`submit_request` would route it.
         """
+        if j - i == 1:
+            self._route(responses[i], None)
+            return
         now = self.loop.now
         active = self.routable_nodes()
         balancer = self.balancer

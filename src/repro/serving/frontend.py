@@ -44,7 +44,7 @@ from repro.serving.admission import AdmissionController
 from repro.serving.coalescer import BatchCoalescer, CoalescedBatch
 from repro.serving.queues import QueueEntry, make_queue
 from repro.serving.workers import DeviceWorker
-from repro.sim.engine import EventLoop, TraceCursor
+from repro.sim.engine import EventLoop, TraceCursor, check_arrival_order
 from repro.telemetry.serving import ServingTelemetry
 from repro.workloads.requests import InferenceRequest, RequestTrace
 
@@ -386,13 +386,14 @@ class ServingFrontend:
         self._in_flight = 0          # requests dispatched, not yet completed
         self._in_flight_samples = 0
         # Completion-estimate memo for a batched run of simultaneous
-        # arrivals.  Non-None only while a vectorized run callback is
-        # delivering same-timestamp entries: between dispatches nothing
-        # that estimate_completion reads can change at a fixed instant,
-        # so one (model, batch) probe serves the whole run.  Every
-        # dispatch path clears it (the dispatch moves command queues),
-        # which is what keeps admission decisions bit-identical to the
-        # per-event path.
+        # arrivals.  Non-None only between begin_arrival_batch() and
+        # end_arrival_batch(), while a trace-cursor run is delivering
+        # same-timestamp entries: between dispatches nothing that
+        # estimate_completion reads can change at a fixed instant, so one
+        # (model, batch) probe serves the whole run.  Every dispatch path
+        # clears it (the dispatch moves command queues), which is what
+        # keeps admission decisions bit-identical to one submit_request
+        # per arrival.
         self._est_memo: "dict[tuple[str, int], float] | None" = None
 
         # -- resilience state (inert unless faults are injected) -----------
@@ -479,7 +480,7 @@ class ServingFrontend:
     ) -> "tuple[ServingResponse, QueueEntry]":
         """Register a request without scheduling its arrival event.
 
-        The cluster router's vectorized path batches deliveries itself
+        The cluster router's trace cursor batches deliveries itself
         (one event per run of simultaneous arrivals); it registers here
         during routing and later feeds each entry to the arrival handler
         directly.  Ledger state after registration is identical to
@@ -511,59 +512,49 @@ class ServingFrontend:
         """Disarm the completion-estimate memo after a batched run."""
         self._est_memo = None
 
-    def serve_trace(
-        self, trace: RequestTrace, vectorized: bool = False
-    ) -> ServingResult:
+    def serve_trace(self, trace: RequestTrace) -> ServingResult:
         """Replay a whole trace through the frontend and drain the loop.
 
-        Arrivals are registered first.  The default path injects them
-        through the event loop's bulk fast path — one heapify over the
-        (typically pre-sorted) trace instead of one ``heappush`` per
-        request.  With ``vectorized=True`` the trace never enters the
-        heap at all: a :class:`~repro.sim.engine.TraceCursor` fires one
-        event per run of equal timestamps and the run is admitted
-        synchronously with a shared completion-estimate memo — the heap
-        holds only live timers/completions (log of *active* events, not
-        of the trace) and simultaneous arrivals cost one backlog probe
-        per (model, batch) cell.  Results are bit-identical either way;
-        equivalence tests hold both paths to that.
+        Arrivals are checked for order and registered first, then a
+        :class:`~repro.sim.engine.TraceCursor` fires one event per run
+        of equal timestamps and admits the run synchronously with a
+        shared completion-estimate memo: the heap holds only live
+        timers/completions, never the trace, and simultaneous arrivals
+        cost one backlog probe per (model, batch) cell.  Outcomes are
+        digit-identical to one :meth:`submit_request` per arrival
+        followed by :meth:`run`, the reference the equivalence tests
+        hold this path to.
         """
+        requests = list(trace)
+        times = [request.arrival_s for request in requests]
+        check_arrival_order(times, self.loop.now)
         responses = []
         entries = []
-        for request in trace:
+        for request in requests:
             self._require_spec(request.model)
             response, entry = self._register_arrival(
                 self._with_default_deadline(request), None
             )
             responses.append(response)
             entries.append(entry)
-        if vectorized:
-            TraceCursor(
-                self.loop,
-                [entry.request.arrival_s for entry in entries],
-                partial(self._arrive_run, entries),
-                label="arrive",
-            ).start()
-        else:
-            self.loop.schedule_bulk(
-                [
-                    (entry.request.arrival_s, partial(self._on_arrival, entry))
-                    for entry in entries
-                ],
-                label="arrive",
-            )
+        TraceCursor(
+            self.loop, times, partial(self._arrive_run, entries), label="arrive"
+        ).start()
         self.run()
         return ServingResult(responses=responses, telemetry=self.telemetry)
 
     def _arrive_run(self, entries: "list[QueueEntry]", i: int, j: int) -> None:
         """Deliver one run of same-timestamp arrivals synchronously."""
-        outer = self._est_memo
-        self._est_memo = {}
+        if j - i == 1:
+            self._on_arrival(entries[i])
+            return
+        armed = self.begin_arrival_batch()
         try:
             for k in range(i, j):
                 self._on_arrival(entries[k])
         finally:
-            self._est_memo = outer
+            if armed:
+                self.end_arrival_batch()
 
     def _with_default_deadline(self, request: InferenceRequest) -> InferenceRequest:
         """Stamp the model's configured default SLO on deadline-less requests."""

@@ -51,7 +51,7 @@ class StaticAssign:
     serves, in trace order.  The worker feeds everything upfront and runs
     to completion at :class:`Finalize` — zero synchronization, which is
     what makes a single-group static replay bit-identical to the
-    monolithic vectorized path.
+    monolithic ``serve_trace``.
     """
 
     requests: "dict[int, np.ndarray]"

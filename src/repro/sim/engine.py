@@ -15,7 +15,7 @@ from typing import Any, Callable, NamedTuple
 
 from repro.sim.clock import VirtualClock
 
-__all__ = ["ScheduledEvent", "EventLoop", "TraceCursor"]
+__all__ = ["ScheduledEvent", "EventLoop", "TraceCursor", "check_arrival_order"]
 
 
 class ScheduledEvent(NamedTuple):
@@ -128,15 +128,15 @@ class EventLoop:
     def reserve_sequences(self, n: int) -> int:
         """Claim ``n`` consecutive sequence numbers; returns the first.
 
-        Batched dispatch (:class:`TraceCursor`) fires one event per
-        *run* of same-timestamp arrivals instead of one per arrival, but
+        A :class:`TraceCursor` fires one event per *run* of
+        same-timestamp arrivals instead of one per arrival, but
         tie-breaking against independently scheduled events (fault
-        campaigns, coalescer timers, heartbeats) must match the
-        per-event path exactly.  Reserving the whole block at ingestion
-        time — exactly when :meth:`schedule_bulk` would have numbered
-        each arrival — and firing each run under its first arrival's
-        reserved seq makes the (time, seq) order of every event in the
-        simulation identical to the unbatched schedule.
+        campaigns, coalescer timers, heartbeats) must match one
+        :meth:`schedule` call per arrival made at ingestion time.  The
+        block is exactly the seqs those calls would have taken; firing
+        each run under its first arrival's reserved seq makes the
+        (time, seq) order of every event in the simulation identical to
+        that per-arrival schedule.
         """
         if n < 0:
             raise ValueError(f"cannot reserve a negative block, got {n}")
@@ -183,55 +183,6 @@ class EventLoop:
         self._dead.add(seq)
         self._cancelled += 1
         return True
-
-    def schedule_bulk(
-        self,
-        items: "list[tuple[float, Callable[[EventLoop], Any]]]",
-        label: str = "",
-    ) -> int:
-        """Enqueue many (time, action) pairs in one pass.
-
-        Trace ingestion schedules tens of thousands of arrivals before the
-        first event fires; pushing them one by one costs O(n log n) sifts.
-        This fast path validates once, extends the heap, and restores the
-        invariant with a single O(n) ``heapify`` — or skips even that when
-        the heap is empty and the items arrive pre-sorted (a sorted array
-        *is* a valid min-heap).  Sequence numbers are handed out in item
-        order, so the pop order — and therefore every simulated-time
-        result — is identical to n individual :meth:`schedule` calls.
-
-        Returns the number of events enqueued.
-        """
-        now = self.clock.now
-        seq = self._seq
-        events = []
-        prev = -float("inf")
-        sorted_items = True
-        for item in items:
-            time = float(item[0])
-            if time < now:
-                raise ValueError(
-                    f"cannot schedule into the past: {time} < now={now}"
-                )
-            if time < prev:
-                sorted_items = False
-            prev = time
-            events.append(
-                ScheduledEvent(time=time, seq=seq, action=item[1], label=label)
-            )
-            seq += 1
-        self._seq = seq
-        if not events:
-            return 0
-        # Extend in place (never rebind: run() holds a local alias).  With
-        # an empty heap and sorted items the result is already a valid
-        # min-heap; otherwise one O(n) heapify restores the invariant.
-        needs_heapify = bool(self._heap) or not sorted_items
-        self._heap.extend(events)
-        self._live.update(ev.seq for ev in events)
-        if needs_heapify:
-            heapq.heapify(self._heap)
-        return len(events)
 
     def schedule_after(
         self, delay: float, action: Callable[["EventLoop"], Any], label: str = ""
@@ -332,6 +283,25 @@ class EventLoop:
         return clock.now
 
 
+def check_arrival_order(times, now: float) -> None:
+    """Raise ``ValueError`` unless ``times`` can feed a :class:`TraceCursor`.
+
+    The arrivals must be non-decreasing and start at or after ``now``.
+    Trace ingestion calls this before it ledgers a single request, so an
+    out-of-order input fails whole instead of dying half-replayed inside
+    the event loop.
+    """
+    prev = now
+    for i, t in enumerate(times):
+        if t < prev:
+            before = f"arrival_s[{i - 1}]" if i else "now"
+            raise ValueError(
+                f"arrival_s[{i}]={t} precedes {before}={prev}: arrivals "
+                "must be non-decreasing and at or after the loop's clock"
+            )
+        prev = t
+
+
 class TraceCursor:
     """Walk a sorted timestamp array, firing one callback per *run*.
 
@@ -344,16 +314,17 @@ class TraceCursor:
     across simultaneous arrivals.
 
     Equivalence with per-event scheduling is exact: the constructor
-    reserves one sequence number per timestamp (the same block
-    :meth:`EventLoop.schedule_bulk` would have consumed at the same
-    moment) and each run fires under its first member's reserved seq, so
-    every tie against independently scheduled events — injector
-    campaigns armed before ingestion, timers armed mid-replay — resolves
-    exactly as it would have for the first per-event arrival of that run.
+    reserves one sequence number per timestamp (the same block one
+    :meth:`EventLoop.schedule` call per arrival would have consumed at
+    the same moment) and each run fires under its first member's
+    reserved seq, so every tie against independently scheduled events —
+    injector campaigns armed before ingestion, timers armed mid-replay —
+    resolves exactly as it would have for the first per-event arrival of
+    that run.
 
     ``times`` must be non-decreasing and entirely at or after the loop's
-    current time (a trace that already passed :class:`RequestTrace`
-    validation is; the first schedule re-checks against ``now``).
+    current time; callers check that with :func:`check_arrival_order`
+    before they ledger anything.
     """
 
     __slots__ = ("_loop", "_times", "_on_run", "_label", "_block", "_i", "_n")
@@ -394,7 +365,11 @@ class TraceCursor:
             j += 1
         self._i = j
         if j < n:
-            loop.schedule_reserved(
-                times[j], self._block + j, self._fire, label=self._label
-            )
+            # Inline schedule_reserved: the seq comes from this cursor's
+            # own block and the times were order-checked at ingestion, so
+            # its guards cannot fail here.
+            seq = self._block + j
+            event = ScheduledEvent(float(times[j]), seq, self._fire, self._label)
+            heapq.heappush(loop._heap, event)
+            loop._live.add(seq)
         self._on_run(i, j)

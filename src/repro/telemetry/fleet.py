@@ -79,9 +79,9 @@ class FleetTelemetry:
 
         Opt-in (a shard worker attaches its group's loop so imbalance and
         window stalls are observable per shard): snapshots without an
-        attachment are unchanged, which keeps the vectorized-vs-per-event
-        equivalence comparisons — whose event *counts* legitimately differ
-        — byte-identical.  ``loop`` needs only a ``utilization() -> dict``
+        attachment are unchanged, which keeps the equivalence comparisons
+        of ``serve_trace`` against a ``submit_request`` loop — whose event
+        *counts* legitimately differ — byte-identical.  ``loop`` needs only a ``utilization() -> dict``
         (see :meth:`repro.sim.engine.EventLoop.utilization`).
         """
         self._loop = loop

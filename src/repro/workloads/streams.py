@@ -261,7 +261,7 @@ class MMPPStream(ArrivalProcess):
     ``quantum_s`` truncates timestamps to a production-log grid (default
     1 ms).  Real open-loop traces carry finite-resolution timestamps, so
     simultaneous arrivals are the norm — and the serving stack's
-    vectorized arrival path batches exactly those same-timestamp runs.
+    trace cursor batches exactly those same-timestamp runs.
     Set ``quantum_s=None`` for continuous timestamps.
     """
 

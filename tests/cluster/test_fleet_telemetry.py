@@ -100,7 +100,7 @@ def test_attach_loop_surfaces_utilization_opt_in(fleet):
     from repro.sim.engine import EventLoop
 
     # Without an attachment the snapshot is unchanged — that absence is
-    # what keeps per-event vs vectorized telemetry comparisons exact.
+    # what keeps serve_trace vs submit_request-oracle telemetry exact.
     assert "event_loop" not in fleet.snapshot()
 
     loop = EventLoop()

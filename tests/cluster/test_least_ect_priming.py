@@ -26,6 +26,7 @@ from repro.shard.digest import digest_responses
 from repro.workloads import MixedTrace, MMPPStream, TraceComponent
 from tests.cluster.conftest import HET_NODE_SPECS, NoPrimeLeastECT, build_fleet
 from tests.cluster.test_balancers import REQUEST, StubNode
+from tests.replay_oracle import route_per_request
 
 #: Four identical full-testbed nodes: every idle instant is a four-way tie.
 TWIN_NODE_SPECS = tuple(NodeSpec(f"twin-{i}") for i in range(4))
@@ -91,16 +92,18 @@ def replay(router, trace, path) -> str:
         router.feed_requests(requests[half:])
         router.run()
         responses = router.result().responses
+    elif path == "per_event":
+        # No prepare() call: submit_request primes one cell at a time,
+        # lazily, at its first probe.
+        responses = route_per_request(router, trace).responses
     else:
-        responses = router.serve_trace(
-            trace, vectorized=(path == "vectorized")
-        ).responses
+        responses = router.serve_trace(trace).responses
     assert router.n_pending == 0
     return digest_responses(responses)
 
 
 class TestNoPrimeOracle:
-    @pytest.mark.parametrize("path", ["per_event", "vectorized", "feed_requests"])
+    @pytest.mark.parametrize("path", ["per_event", "serve_trace", "feed_requests"])
     def test_priming_changes_no_outcome(self, pristine, lognormal_trace, path):
         primed = fresh_router(pristine, LeastECTBalancer())
         oracle = fresh_router(pristine, NoPrimeLeastECT())

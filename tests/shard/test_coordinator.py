@@ -53,7 +53,7 @@ def test_static_single_group_matches_monolithic_vectorized(
         fleet, balancer="least-ect",
         rng=np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0]),
     )
-    mono = router.serve_trace(shard_trace, vectorized=True)
+    mono = router.serve_trace(shard_trace)
     solo = run_plan(
         serving_predictors, shard_trace,
         groups=(specs,), front_tier="hash", seed=seed,

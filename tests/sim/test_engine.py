@@ -215,119 +215,6 @@ class TestScheduleRepeating:
             loop.schedule_repeating(-1.0, lambda l: None, until=5.0)
 
 
-def _run_tagged(loop, schedule):
-    """Fire ``schedule()``-enqueued tagged events, return the firing log."""
-    log = []
-    schedule(log)
-    loop.run()
-    return log
-
-
-class TestScheduleBulk:
-    def test_scheduling_at_exactly_now_is_allowed(self):
-        loop = EventLoop(start=2.0)
-        fired = []
-        loop.schedule(2.0, lambda l: fired.append(("one", l.now)))
-        loop.schedule_bulk([(2.0, lambda l: fired.append(("bulk", l.now)))])
-        loop.run()
-        assert fired == [("one", 2.0), ("bulk", 2.0)]
-        assert loop.now == 2.0
-
-    def test_empty_items_is_a_noop(self):
-        loop = EventLoop(start=1.0)
-        assert loop.schedule_bulk([]) == 0
-        assert loop.pending == 0
-
-    def test_returns_count(self):
-        loop = EventLoop()
-        n = loop.schedule_bulk([(float(i), lambda l: None) for i in range(7)])
-        assert n == 7
-        assert loop.pending == 7
-
-    def test_past_time_rejected_and_nothing_enqueued(self):
-        loop = EventLoop()
-        loop.schedule(1.0, lambda l: None)
-        loop.run()
-        with pytest.raises(ValueError):
-            loop.schedule_bulk([(2.0, lambda l: None), (0.5, lambda l: None)])
-        assert loop.pending == 0  # the valid prefix was not half-applied
-
-    def test_unsorted_items_fire_in_time_order(self):
-        loop = EventLoop()
-        order = []
-        loop.schedule_bulk(
-            [(t, lambda l, t=t: order.append(t)) for t in (3.0, 1.0, 2.0)]
-        )
-        loop.run()
-        assert order == [1.0, 2.0, 3.0]
-
-    def test_ties_keep_item_order(self):
-        loop = EventLoop()
-        order = []
-        loop.schedule_bulk(
-            [(1.0, lambda l, tag=tag: order.append(tag)) for tag in "abc"]
-        )
-        loop.run()
-        assert order == ["a", "b", "c"]
-
-    def test_bulk_onto_a_nonempty_heap_merges(self):
-        loop = EventLoop()
-        order = []
-        loop.schedule(1.5, lambda l: order.append("mid"))
-        loop.schedule_bulk(
-            [
-                (1.0, lambda l: order.append("early")),
-                (2.0, lambda l: order.append("late")),
-            ]
-        )
-        loop.run()
-        assert order == ["early", "mid", "late"]
-
-    def test_bulk_inside_a_callback_is_not_lost(self):
-        # run() iterates a local alias of the heap: an in-flight callback
-        # that bulk-schedules must feed that same heap, not a rebound one.
-        loop = EventLoop()
-        order = []
-
-        def inject(l):
-            order.append("inject")
-            l.schedule_bulk(
-                [
-                    (l.now, lambda l2: order.append("now")),
-                    (l.now + 1.0, lambda l2: order.append("later")),
-                ]
-            )
-
-        loop.schedule(1.0, inject)
-        loop.run()
-        assert order == ["inject", "now", "later"]
-
-    @given(
-        st.lists(
-            st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
-            max_size=40,
-        )
-    )
-    def test_bulk_matches_individual_schedules(self, times):
-        """Property: bulk ingestion is observationally identical to n
-        individual ``schedule`` calls — same firing order (ties included),
-        same final clock — for sorted and unsorted traces alike."""
-        def fire_individual(log):
-            for i, t in enumerate(times):
-                loop_a.schedule(t, lambda l, i=i: log.append((l.now, i)))
-
-        def fire_bulk(log):
-            loop_b.schedule_bulk(
-                [(t, lambda l, i=i: log.append((l.now, i))) for i, t in enumerate(times)]
-            )
-
-        loop_a, loop_b = EventLoop(), EventLoop()
-        log_a = _run_tagged(loop_a, fire_individual)
-        log_b = _run_tagged(loop_b, fire_bulk)
-        assert log_a == log_b
-        assert loop_a.now == loop_b.now
-
-
 class TestHorizonEdge:
     """run(until=t) boundary semantics: inclusive, and cheap to cancel at."""
 
@@ -405,19 +292,20 @@ class TestTraceCursor:
 
     def test_tie_order_matches_bulk_ingestion(self):
         """An event armed before ingestion beats same-time arrivals; one
-        armed after ingestion (or mid-replay) loses to them — on both the
-        per-event and the cursor path."""
+        armed after ingestion (or mid-replay) loses to them — whether the
+        whole trace is ingested by one ``schedule`` call per arrival or
+        by the cursor."""
         from functools import partial
 
         from repro.sim.engine import TraceCursor
 
         times = [1.0, 1.0, 2.0, 2.0]
 
-        def replay(vectorized):
+        def replay(cursor):
             loop = EventLoop()
             log = []
             loop.schedule(1.0, lambda lp: log.append("pre"))
-            if vectorized:
+            if cursor:
                 def on_run(i, j):
                     for k in range(i, j):
                         log.append(("arrive", loop.now, k))
@@ -429,14 +317,25 @@ class TestTraceCursor:
                     log.append(("arrive", lp.now, k))
                     if k == 1:
                         lp.schedule(2.0, lambda l: log.append("mid"))
-                loop.schedule_bulk(
-                    [(t, partial(arrive, k=k)) for k, t in enumerate(times)]
-                )
+                for k, t in enumerate(times):
+                    loop.schedule(t, partial(arrive, k=k))
             loop.schedule(2.0, lambda lp: log.append("post"))
             loop.run()
             return log
 
-        assert replay(vectorized=False) == replay(vectorized=True)
+        assert replay(cursor=False) == replay(cursor=True)
+
+    def test_check_arrival_order_names_the_offending_index(self):
+        from repro.sim.engine import check_arrival_order
+
+        check_arrival_order([], 5.0)
+        check_arrival_order([1.0, 1.0, 2.0], 1.0)
+        with pytest.raises(ValueError, match=r"arrival_s\[0\]=0.5 precedes now=1.0"):
+            check_arrival_order([0.5, 2.0], 1.0)
+        with pytest.raises(
+            ValueError, match=r"arrival_s\[2\]=0.5 precedes arrival_s\[1\]=2.0"
+        ):
+            check_arrival_order([1.0, 2.0, 0.5], 0.0)
 
     def test_reserved_seq_rejects_double_use_and_unreserved(self):
         loop = EventLoop()
@@ -458,9 +357,8 @@ class TestTraceCursor:
 
         loop_a, loop_b = EventLoop(), EventLoop()
         log_a, log_b = [], []
-        loop_a.schedule_bulk(
-            [(t, lambda l, k=k: log_a.append((l.now, k))) for k, t in enumerate(times)]
-        )
+        for k, t in enumerate(times):
+            loop_a.schedule(t, lambda l, k=k: log_a.append((l.now, k)))
         TraceCursor(
             loop_b,
             times,
