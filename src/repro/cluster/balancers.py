@@ -199,9 +199,9 @@ class LeastECTBalancer(LoadBalancer):
     batch size is priced accordingly, not just by queue length.
 
     The forest runs once per ingestion, not per arrival: :meth:`prepare`
-    scores every missing (model, batch) cell of the new requests, in both
-    dGPU states, in batched forest calls on each distinct fitted predictor
-    behind the routable nodes (``make_fleet`` fleets share one).
+    scores every missing (model, batch interval) cell of the new requests,
+    in both dGPU states, in batched forest calls on each distinct fitted
+    predictor behind the routable nodes (``make_fleet`` fleets share one).
     Probes then read each cell's memoized class order.  Priming only moves
     cost — a cell it skips is scored lazily, bit-identically — and is
     skipped below two routable nodes, where :meth:`choose` never probes.

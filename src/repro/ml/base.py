@@ -53,6 +53,14 @@ class BaseEstimator:
     def predict(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def split_points(self, column: int) -> "np.ndarray | None":
+        """Sorted unique thresholds the fitted model splits ``column`` at.
+
+        None (the default) means the model exposes no such partition;
+        tree models override it.
+        """
+        return None
+
     def score(self, x: np.ndarray, y: np.ndarray) -> float:
         """Mean accuracy on ``(x, y)``."""
         return float(np.mean(self.predict(x) == np.asarray(y)))

@@ -97,6 +97,15 @@ class _FlatBase:
     def n_nodes(self) -> int:
         return int(self.feature.shape[0])
 
+    def split_points(self, column: int) -> np.ndarray:
+        """Sorted unique thresholds of every split on feature ``column``."""
+        # Sort and drop repeats by hand: np.unique imports numpy.ma on
+        # first use, a module a serving process otherwise never loads.
+        points = np.sort(self.threshold[self.feature == column])
+        keep = np.ones(points.size, dtype=bool)
+        keep[1:] = points[1:] != points[:-1]
+        return points[keep]
+
     def _route(self, xflat: np.ndarray, w_col: np.ndarray,
                w_idx: np.ndarray) -> np.ndarray:
         """Advance every lane of ``w_idx`` to its leaf, one level per step.

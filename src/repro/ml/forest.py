@@ -101,6 +101,11 @@ class RandomForestClassifier(BaseEstimator):
             self._flat = FlatForest.from_trees(self.trees_)
         return self._flat
 
+    def split_points(self, column: int) -> np.ndarray:
+        """Sorted unique thresholds any tree splits ``column`` at: every
+        value between two consecutive ones scores the same bits."""
+        return self.flatten().split_points(column)
+
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Soft-voted distributions via the flat-arena fast path.
 

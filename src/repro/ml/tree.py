@@ -218,6 +218,11 @@ class DecisionTreeClassifier(BaseEstimator):
             self._flat = FlatTree.from_tree(self)
         return self._flat
 
+    def split_points(self, column: int) -> np.ndarray:
+        """Sorted unique thresholds this tree splits ``column`` at: every
+        value between two consecutive ones takes the same path."""
+        return self.flatten().split_points(column)
+
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Batched class distributions via the flat-array fast path.
 

@@ -16,10 +16,16 @@ The request path through :meth:`BacklogAwareScheduler.decide` /
 cluster balancer probes it once per node per arrival), so decisions are
 served through a cache (see :class:`_DecisionEntry`): the predictor's
 ranking and the eligible (device, queue, estimate) bindings are resolved
-once per (model, batch, dGPU-state) cell, while backlog waits and learned
-service values are always read live — cached decisions are bit-identical
-to uncached ones by construction.  Invalidation is explicit: a predictor
-refit (or swap) clears the cache wholesale, and every feedback update
+once per (model, batch interval, log2 batch bucket, dGPU-state) cell,
+while backlog waits and learned service values are always read live —
+cached decisions are bit-identical to uncached ones by construction.  A
+batch interval lies between two consecutive thresholds the predictor's
+trees split the batch column at (:meth:`DevicePredictor.batch_cuts
+<repro.sched.predictor.DevicePredictor.batch_cuts>`), so the ranking is
+fixed within it; the log2 bucket fixes the outcome-table cell and the
+drift-fallback plan, which are all an entry reads of the batch.
+Invalidation is explicit: a predictor refit (or swap) clears the cache
+wholesale, and every feedback update
 (:meth:`~BacklogAwareScheduler.record_service` /
 :meth:`~BacklogAwareScheduler.submit_virtual`) bumps the touched cell's
 version so entries holding its estimate binding rebuild on next use.
@@ -28,12 +34,13 @@ version so entries holding its estimate binding rebuild on next use.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from repro.errors import SchedulerError
 from repro.nn.builders import ModelSpec
 from repro.ocl.event import Event
-from repro.sched.feedback import CellKey, OutcomeTable
+from repro.sched.feedback import CellKey, OutcomeTable, batch_bucket
 from repro.sched.policies import Policy
 from repro.sched.scheduler import OnlineScheduler
 
@@ -53,17 +60,18 @@ class BacklogDecision:
 
 
 class _DecisionEntry:
-    """One cached (model, batch, dGPU-state) decision cell.
+    """One cached (model, batch interval, log2 bucket, dGPU-state) cell.
 
     Holds only what is *structurally* fixed for the cell — the predictor's
-    ranking, and for each eligible device class its name, command queue and
-    current outcome-table estimate binding.  Queue backlog (``current_time``)
-    and estimate freshness are evaluated live at every use, so a hit runs
-    the exact float expressions the uncached path runs.  ``version`` pins
-    the cell's feedback version at build time: any ``record_service`` /
-    ``submit_virtual`` observation for the cell bumps that version and the
-    entry rebuilds, so a replaced/aged estimate object can never be read
-    stale.
+    ranking (fixed per batch interval), and for each eligible device class
+    its name, command queue and current outcome-table estimate binding
+    (fixed per log2 bucket, as is the drift-fallback plan).  Queue backlog
+    (``current_time``) and estimate freshness are evaluated live at every
+    use, so a hit runs the exact float expressions the uncached path runs.
+    ``version`` pins the cell's feedback version at build time: any
+    ``record_service`` / ``submit_virtual`` observation for the cell bumps
+    that version and the entry rebuilds, so a replaced/aged estimate
+    object can never be read stale.
     """
 
     __slots__ = ("ranked", "cell", "eligible", "version", "fallback")
@@ -126,6 +134,7 @@ class BacklogAwareScheduler:
         self._feedback_invalidations = 0
         self._seen_predictor: "object | None" = None
         self._seen_generation: "int | None" = -1
+        self._seen_cuts: "tuple[float, ...] | None" = None   # its batch_cuts()
         self._mask_invalidations = 0
         # Per-model placement bias (cascade stage pinning): model name ->
         # preferred device classes, moved to the front of the predictor's
@@ -482,15 +491,14 @@ class BacklogAwareScheduler:
         A flip changes the cell's routing *plan* (predictor-ranked vs
         fallback), which the cache froze at build time — so every entry
         for the flipped (model, batch-bucket), across both dGPU states
-        and all concrete batch sizes in the bucket, is dropped.  Refits
+        and all batch intervals in the bucket, is dropped.  Refits
         need nothing here: the bumped ``fit_generation`` already clears
         the cache wholesale in ``_entry_for``.
         """
         for key in (*events.flagged, *events.recovered):
             stale = [
                 k for k in self._entries
-                if k[0] == key.model
-                and int(math.log2(k[1])) == key.batch_bucket
+                if k[0] == key.model and k[2] == key.batch_bucket
             ]
             for k in stale:
                 del self._entries[k]
@@ -604,12 +612,20 @@ class BacklogAwareScheduler:
         generation = getattr(predictor, "fit_generation", None)
         if predictor is not self._seen_predictor or generation != self._seen_generation:
             # A refit (or a predictor swap) may reorder every ranking.
+            self._seen_cuts = predictor.batch_cuts()
             if self._entries:
                 self._entries.clear()
                 self._refit_clears += 1
             self._seen_predictor = predictor
             self._seen_generation = generation
-        key = (spec.name, batch, gpu_state)
+        cuts = self._seen_cuts
+        # repro.sched.predictor.batch_interval, inlined: hits are serving-hot.
+        key = (
+            spec.name,
+            bisect_left(cuts, float(batch)) if cuts is not None else batch,
+            batch_bucket(batch),
+            gpu_state,
+        )
         entry = self._entries.get(key)
         if entry is not None and entry.version == self._feedback_versions.get(entry.cell, 0):
             self._cache_hits += 1

@@ -21,7 +21,18 @@ from dataclasses import dataclass, field
 
 from repro.sched.policies import Policy
 
-__all__ = ["CellKey", "Estimate", "OutcomeTable"]
+__all__ = ["CellKey", "Estimate", "OutcomeTable", "batch_bucket"]
+
+
+def batch_bucket(batch: int) -> int:
+    """floor(log2(batch)), exact for every positive integer batch.
+
+    ``int(math.log2(batch))`` rounds through a float and lands one bucket
+    high just below large powers of two (``2**49 - 1``).
+    """
+    if batch <= 0:
+        raise ValueError(f"batch must be positive, got {batch}")
+    return int(batch).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -35,9 +46,7 @@ class CellKey:
     @classmethod
     def of(cls, model: str, batch: int, gpu_state: str) -> "CellKey":
         """Build the cell for a concrete (model, batch, gpu_state) request."""
-        if batch <= 0:
-            raise ValueError(f"batch must be positive, got {batch}")
-        return cls(model=model, batch_bucket=int(math.log2(batch)), gpu_state=gpu_state)
+        return cls(model=model, batch_bucket=batch_bucket(batch), gpu_state=gpu_state)
 
 
 @dataclass

@@ -58,6 +58,7 @@ from repro.errors import SchedulerError
 from repro.nn.builders import ModelSpec
 from repro.sched.dataset import SchedulerDataset, device_class_index
 from repro.sched.features import encode_point
+from repro.sched.feedback import batch_bucket
 from repro.sched.predictor import DevicePredictor
 from repro.telemetry.streaming import P2Quantile
 
@@ -240,10 +241,10 @@ class OnlinePredictor:
     """A :class:`DevicePredictor` that keeps learning while it serves.
 
     Duck-types the base predictor's whole decision surface (``fitted``,
-    ``cell``, ``predict_device``, ``predict_index``, ``prime_cells``,
-    ``predict_batch``, ``fit_generation``), so it drops into an
-    :class:`~repro.sched.scheduler.OnlineScheduler`'s predictor table
-    unchanged.  The additional surface — :meth:`observe`, :meth:`is_stale`,
+    ``cell``, ``batch_cuts``, ``predict_device``, ``predict_index``,
+    ``prime_cells``, ``predict_batch``, ``fit_generation``), so it drops
+    into an :class:`~repro.sched.scheduler.OnlineScheduler`'s predictor
+    table unchanged.  The additional surface — :meth:`observe`, :meth:`is_stale`,
     :meth:`snapshot` — is what the backlog scheduler and telemetry use.
 
     Parameters
@@ -325,6 +326,9 @@ class OnlinePredictor:
     def cell(self, spec, batch, gpu_state):
         return self.base.cell(spec, batch, gpu_state)
 
+    def batch_cuts(self):
+        return self.base.batch_cuts()
+
     def prime_cells(self, cells) -> int:
         return self.base.prime_cells(cells)
 
@@ -372,7 +376,7 @@ class OnlinePredictor:
         recovered: "list[DriftKey]" = []
         if predicted_s is not None and predicted_s > 0.0:
             residual = (service_s - predicted_s) / predicted_s
-            key = DriftKey(model, device, int(math.log2(batch)))
+            key = DriftKey(model, device, batch_bucket(batch))
             health = self._health.get(key)
             if health is None:
                 health = self._health[key] = _CellHealth(self.config)
@@ -486,7 +490,7 @@ class OnlinePredictor:
         """
         if not self._stale_cells:
             return False
-        return (model, int(math.log2(batch))) in self._stale_cells
+        return (model, batch_bucket(batch)) in self._stale_cells
 
     @property
     def active_flags(self) -> "tuple[DriftKey, ...]":

@@ -9,6 +9,8 @@ the Table I-winning hyperparameters.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from repro.errors import SchedulerError
@@ -16,10 +18,27 @@ from repro.ml.base import BaseEstimator, clone
 from repro.ml.forest import RandomForestClassifier
 from repro.nn.builders import ModelSpec
 from repro.sched.dataset import DEVICE_CLASSES, SchedulerDataset
-from repro.sched.features import encode_point
+from repro.sched.features import FEATURE_NAMES, encode_point
 from repro.sched.policies import Policy
 
-__all__ = ["DevicePredictor", "default_estimator"]
+__all__ = ["DevicePredictor", "batch_interval", "default_estimator"]
+
+#: Feature column the cell memo partitions at the estimator's split points.
+_BATCH_COLUMN = FEATURE_NAMES.index("batch")
+
+
+def batch_interval(cuts: "tuple[float, ...] | None", batch: int) -> int:
+    """Memo key of ``batch`` under :meth:`DevicePredictor.batch_cuts`.
+
+    The index of the interval ``(cuts[i-1], cuts[i]]`` holding the
+    encoded (float) batch: a tree goes left iff ``x <= threshold``, so
+    every batch of one interval takes the same path through every tree.
+    Without cuts the batch itself is the key.  A non-positive batch is
+    rejected: it would otherwise share the first interval's key.
+    """
+    if batch <= 0:
+        raise ValueError(f"batch must be positive, got {batch}")
+    return bisect_left(cuts, float(batch)) if cuts is not None else int(batch)
 
 
 def default_estimator(random_state: int = 7) -> BaseEstimator:
@@ -36,8 +55,9 @@ def default_estimator(random_state: int = 7) -> BaseEstimator:
 class DevicePredictor:
     """A trained device-selection model for one policy."""
 
-    #: Per-cell memo bound: (model, batch, gpu_state) cells seen per fit.
-    #: Coalescers produce many distinct batch sizes, so cap and evict FIFO.
+    #: Per-cell memo bound, FIFO.  A tree estimator's cells are batch
+    #: intervals, a few dozen per model; it binds only for estimators
+    #: without split points, whose cells are raw batch sizes.
     _CELL_CACHE_MAX = 16384
     #: Rows per priming forest call: bounds the forest's temporary arrays.
     _PRIME_BLOCK = 1024
@@ -46,8 +66,10 @@ class DevicePredictor:
         self.policy = Policy.parse(policy)
         self.estimator = estimator if estimator is not None else default_estimator()
         self._fitted = False
-        # (model, batch, gpu_state) -> (proba, class order)
+        # (model, batch interval, gpu_state) -> (proba, class order)
         self._cells: "dict[tuple, tuple]" = {}
+        # (fit generation, batch cuts) the memo keys are derived from.
+        self._cuts: "tuple[int, tuple | None]" = (-1, None)
         #: Bumped on every (re)fit; decision caches key their validity on it.
         self.fit_generation = 0
         #: Fits that kept the fitted estimator (see :meth:`fit`).
@@ -104,27 +126,43 @@ class DevicePredictor:
 
     # -- memoized per-cell probabilities -----------------------------------
 
+    def batch_cuts(self) -> "tuple[float, ...] | None":
+        """Sorted thresholds the estimator splits the batch column at, or
+        None when it exposes none (see :func:`batch_interval`).  Read once
+        per fit generation, so a loaded predictor that never ran
+        :meth:`fit` takes them from its estimator too."""
+        generation, cuts = self._cuts
+        if generation != self.fit_generation:
+            self._require_fitted()
+            points = self.estimator.split_points(_BATCH_COLUMN)
+            cuts = tuple(points.tolist()) if points is not None else None
+            self._cuts = (self.fit_generation, cuts)
+        return cuts
+
     def cell(self, spec: ModelSpec, batch: int, gpu_state: str) -> "tuple | None":
         """``(class probabilities, class order)`` for one (model, batch,
-        dGPU-state) cell — fixed per fit, so scored once, then a dict hit.
-        None when the estimator has no ``predict_proba``."""
-        key = (spec.name, int(batch), gpu_state)
+        dGPU-state) cell — fixed per fit and per batch interval, so scored
+        once, then a dict hit.  None when the estimator has no
+        ``predict_proba``."""
+        key = (spec.name, batch_interval(self.batch_cuts(), batch), gpu_state)
         cell = self._cells.get(key)
         if cell is None and self.prime_cells(((spec, batch, gpu_state),)):
             cell = self._cells[key]
         return cell
 
     def prime_cells(self, cells) -> int:
-        """Score the missing ``(spec, batch, gpu_state)`` cells, one forest
-        call per ``_PRIME_BLOCK`` rows and at most ``_CELL_CACHE_MAX`` cells
-        (a pass never evicts its own entries).  Each row of a call is scored
-        independently, so a cell's bits never depend on its batch-mates."""
+        """Score the missing ``(spec, batch, gpu_state)`` cells — one row
+        per batch interval — in one forest call per ``_PRIME_BLOCK`` rows
+        and at most ``_CELL_CACHE_MAX`` cells (a pass never evicts its own
+        entries).  Each row of a call is scored independently, so a cell's
+        bits never depend on its batch-mates."""
         self._require_fitted()
         if not hasattr(self.estimator, "predict_proba"):
             return 0
+        cuts = self.batch_cuts()
         missing = {}
         for spec, batch, gpu_state in cells:
-            key = (spec.name, int(batch), gpu_state)
+            key = (spec.name, batch_interval(cuts, batch), gpu_state)
             if key not in self._cells and key not in missing:
                 missing[key] = encode_point(spec, batch, gpu_state)
                 if len(missing) == self._CELL_CACHE_MAX:

@@ -12,7 +12,6 @@ coalescer, workers, frontend) can deposit into one shared
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -257,7 +256,7 @@ class BatchHistogram:
         """Record one dispatched batch of ``samples`` total samples."""
         if samples <= 0:
             raise ValueError(f"batch must be positive, got {samples}")
-        bucket = int(math.log2(samples))
+        bucket = int(samples).bit_length() - 1   # exact floor(log2)
         self._counts[bucket] = self._counts.get(bucket, 0) + 1
         self._n += 1
         self._total += samples

@@ -1,8 +1,8 @@
 """Least-ECT's per-ingestion priming and delay-only probes change no decision.
 
-``LeastECTBalancer.prepare`` scores every (model, batch) cell of a newly
-ledgered trace in one forest call per predictor; ``_pick`` reads sample
-counts only for nodes tied on the minimum delay.  Both are cost-only:
+``LeastECTBalancer.prepare`` scores every (model, batch interval) cell of
+a newly ledgered trace in one forest call per predictor; ``_pick`` reads
+sample counts only for nodes tied on the minimum delay.  Both are cost-only:
 against the no-prime oracle (``NoPrimeLeastECT``) and the old
 ``min(key=(delay, samples, name))`` pick, every outcome digest must match
 on every ingestion path.
@@ -21,7 +21,7 @@ from repro.nn.zoo import MNIST_SMALL, SIMPLE
 from repro.sched.dataset import generate_dataset
 from repro.sched.online import OnlineConfig, OnlinePredictor
 from repro.sched.policies import Policy
-from repro.sched.predictor import DevicePredictor
+from repro.sched.predictor import DevicePredictor, batch_interval
 from repro.shard.digest import digest_responses
 from repro.workloads import MixedTrace, MMPPStream, TraceComponent
 from tests.cluster.conftest import HET_NODE_SPECS, NoPrimeLeastECT, build_fleet
@@ -83,6 +83,12 @@ def count_forest_calls(predictor) -> list:
     return calls
 
 
+def interval_cells(predictor, trace) -> set:
+    """The distinct (model, batch interval) cells of ``trace``."""
+    cuts = predictor.batch_cuts()
+    return {(r.model, batch_interval(cuts, r.batch)) for r in trace}
+
+
 def replay(router, trace, path) -> str:
     if path == "feed_requests":
         requests = list(trace)
@@ -118,13 +124,15 @@ class TestPrepare:
         predictor = router.nodes[0].frontend.backlog.scheduler.predictors[
             Policy.THROUGHPUT
         ]
-        predictor._PRIME_BLOCK = 64
+        predictor._PRIME_BLOCK = 3
         calls = count_forest_calls(predictor)
         router.feed_requests(list(lognormal_trace))
-        rows = 2 * len({(r.model, r.batch) for r in lognormal_trace})
-        assert rows > 2 * 64                   # several blocks, both states
+        # One row per (model, batch interval, dGPU state), not per batch.
+        rows = 2 * len(interval_cells(predictor, lognormal_trace))
+        assert rows > 2 * 3                    # several blocks, both states
+        assert rows < len({(r.model, r.batch) for r in lognormal_trace})
         assert sum(calls) == rows
-        assert calls == [64] * (rows // 64) + ([rows % 64] if rows % 64 else [])
+        assert calls == [3] * (rows // 3) + ([rows % 3] if rows % 3 else [])
         router.run()
         assert router.n_pending == 0
 
@@ -138,7 +146,7 @@ class TestPrepare:
         )
         calls = count_forest_calls(online)
         router.feed_requests(list(lognormal_trace))
-        cells = {(r.model, r.batch) for r in lognormal_trace}
+        cells = interval_cells(online, lognormal_trace)
         assert calls and sum(calls) == 2 * len(cells)
 
     def test_single_routable_node_primes_nothing(self, pristine, lognormal_trace):

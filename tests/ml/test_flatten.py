@@ -111,3 +111,42 @@ class TestFlatForest:
     def test_unfitted_member_raises(self):
         with pytest.raises(ValueError, match="unfitted"):
             FlatForest.from_trees([DecisionTreeClassifier()])
+
+
+def node_thresholds(node, column) -> set:
+    """Every split threshold on ``column`` in a ``_Node`` graph."""
+    if node.feature < 0:
+        return set()
+    own = {node.threshold} if node.feature == column else set()
+    below = node_thresholds(node.left, column) | node_thresholds(node.right, column)
+    return own | below
+
+
+class TestSplitPoints:
+    @pytest.mark.parametrize("column", range(4))
+    def test_tree_matches_node_graph(self, tree, column):
+        points = tree.split_points(column)
+        assert points.tolist() == sorted(node_thresholds(tree.root_, column))
+
+    @pytest.mark.parametrize("column", range(4))
+    def test_forest_is_the_union_over_trees(self, forest, column):
+        union = set().union(*(node_thresholds(t.root_, column) for t in forest.trees_))
+        assert forest.split_points(column).tolist() == sorted(union)
+
+    def test_values_between_points_share_a_path(self, forest):
+        points = forest.split_points(0)
+        assert len(points) >= 2
+        lo, hi = points[0], points[1]
+        xq = np.zeros((3, 4))
+        xq[:, 0] = (np.nextafter(lo, np.inf), (lo + hi) / 2, hi)
+        leaves = forest.flatten().apply(xq)
+        assert np.all(leaves == leaves[:, :1])
+
+    def test_unsplit_column_and_other_estimators(self, data):
+        from repro.ml.knn import KNeighborsClassifier
+
+        x, y = data
+        stump = DecisionTreeClassifier(max_depth=1, random_state=0).fit(x, y)
+        unused = [c for c in range(4) if c != stump.root_.feature]
+        assert stump.split_points(unused[0]).size == 0
+        assert KNeighborsClassifier().fit(x, y).split_points(0) is None

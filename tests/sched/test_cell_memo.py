@@ -22,7 +22,7 @@ from repro.nn.zoo import MNIST_SMALL, SIMPLE
 from repro.sched.dataset import DEVICE_CLASSES
 from repro.sched.online import OnlineConfig, OnlinePredictor
 from repro.sched.policies import Policy
-from repro.sched.predictor import DevicePredictor
+from repro.sched.predictor import DevicePredictor, batch_interval
 
 SPECS = {s.name: s for s in (SIMPLE, MNIST_SMALL)}
 
@@ -88,7 +88,11 @@ class TestBatchedPriming:
             batched = copy.deepcopy(model)
             batched._PRIME_BLOCK = 5           # several forest calls
             lazy = copy.deepcopy(model)
-            distinct = {(spec.name, batch, state) for spec, batch, state in cells}
+            cuts = batched.batch_cuts()
+            distinct = {
+                (spec.name, batch_interval(cuts, batch), state)
+                for spec, batch, state in cells
+            }
             assert batched.prime_cells(cells) == len(distinct)
             forbid_forest(batched)
             for spec, batch, state in cells:
@@ -115,9 +119,15 @@ class TestBatchedPriming:
     def test_one_pass_never_evicts_its_own_cells(self, pristine):
         predictor = copy.deepcopy(pristine[0])
         predictor._CELL_CACHE_MAX = 4
-        for batch in (1, 2, 3, 4):       # fill the memo with older cells
+        cuts = predictor.batch_cuts()
+        # One batch per interval: the last batch at or below each cut,
+        # then one past the final cut.
+        batches = [int(c) for c in cuts if c >= 1] + [int(cuts[-1]) + 1]
+        firsts = list({batch_interval(cuts, b): b for b in batches}.values())
+        assert len(firsts) > 4
+        for batch in firsts[:4]:         # fill the memo with older cells
             predictor.cell(MNIST_SMALL, batch, "idle")
-        cells = [(SIMPLE, batch, "warm") for batch in range(10, 20)]
+        cells = [(SIMPLE, batch, "warm") for batch in firsts]
         assert predictor.prime_cells(cells) == 4
         lazy = copy.deepcopy(pristine[0])
         calls = []

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.sched.feedback import CellKey, OutcomeTable
+from repro.sched.feedback import CellKey, OutcomeTable, batch_bucket
 from repro.sched.policies import Policy
+from repro.telemetry.serving import BatchHistogram
+
+#: (batch, floor(log2(batch))) where a float log2 rounds up a bucket.
+LARGE_BATCHES = [(2**49 - 1, 48), (2**49, 49), (2**53, 53)]
 
 
 class TestCellKey:
@@ -21,6 +25,21 @@ class TestCellKey:
     def test_invalid_batch(self):
         with pytest.raises(ValueError):
             CellKey.of("m", 0, "warm")
+
+
+class TestBatchBucket:
+    @pytest.mark.parametrize("batch, bucket", LARGE_BATCHES)
+    def test_large_batches_are_exact(self, batch, bucket):
+        assert batch_bucket(batch) == bucket
+        assert CellKey.of("m", batch, "warm").batch_bucket == bucket
+        histogram = BatchHistogram()
+        histogram.add(batch)
+        assert histogram.counts == {bucket: 1}
+
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_non_positive_rejected(self, batch):
+        with pytest.raises(ValueError, match="batch must be positive"):
+            batch_bucket(batch)
 
 
 @pytest.fixture()

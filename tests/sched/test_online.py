@@ -27,7 +27,7 @@ from repro.sched.online import (
     PageHinkley,
 )
 from repro.sched.policies import Policy
-from repro.sched.predictor import DevicePredictor
+from repro.sched.predictor import DevicePredictor, batch_interval
 from repro.sched.scheduler import OnlineScheduler
 from repro.telemetry.serving import ServingTelemetry
 
@@ -321,6 +321,39 @@ class TestLifecycle:
             )
         assert online.is_stale("simple", 64)
         assert online.n_recoveries == 0
+
+    def test_large_batch_flags_its_exact_bucket(self, online_dataset):
+        config = OnlineConfig(
+            refit_interval=10_000, drift_min_samples=3, recovery_samples=3
+        )
+        online = make_online(online_dataset, config)
+        big = 2**49 - 1                     # float log2 rounds this to 49
+        for i in range(10):
+            online.observe(
+                "simple", big, "warm", "dgpu", 0.005, predicted_s=0.005, now=i * 0.01
+            )
+        online.observe("simple", big, "warm", "dgpu", 0.04, predicted_s=0.005, now=1.0)
+        assert [k.batch_bucket for k in online.active_flags] == [48]
+        assert online.is_stale("simple", 2**48)
+        assert not online.is_stale("simple", 2**49)
+
+    def test_flag_drops_every_interval_of_its_bucket_only(self, online_dataset):
+        bl = make_backlog({Policy.THROUGHPUT: make_online(online_dataset)})
+        cuts = bl.scheduler.predictors[Policy.THROUGHPUT].batch_cuts()
+        # Bucket 6 is [64, 128); 128 opens bucket 7.
+        batches = (64, 100, 127, 128)
+        for batch in batches:
+            for state in ("warm", "idle"):
+                bl._entry_for(SIMPLE, batch, state)
+        bl._entry_for(MNIST_SMALL, 64, "warm")
+        keys = set(bl._entries)
+        bl._apply_online_events(
+            OnlineEvents(flagged=(DriftKey("simple", "dgpu", 6),))
+        )
+        dropped = keys - set(bl._entries)
+        assert dropped == {k for k in keys if k[0] == "simple" and k[2] == 6}
+        assert len(dropped) == 2 * len({batch_interval(cuts, b) for b in batches[:3]})
+        assert bl.cache_stats()["drift_invalidations"] == len(dropped)
 
     def test_drift_invalidations_counted(self, online_dataset):
         predictors = {Policy.THROUGHPUT: make_online(online_dataset, FAST)}

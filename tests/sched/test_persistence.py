@@ -11,7 +11,7 @@ from repro.sched.persistence import (
     save_dataset,
     save_predictor,
 )
-from repro.sched.predictor import DevicePredictor
+from repro.sched.predictor import DevicePredictor, batch_interval
 
 
 class TestDatasetRoundtrip:
@@ -58,6 +58,44 @@ class TestPredictorRoundtrip:
                     assert loaded.predict_device(spec, batch, state) == (
                         predictor.predict_device(spec, batch, state)
                     )
+
+    def test_loaded_predictor_keys_cells_by_interval(
+        self, small_throughput_dataset, tmp_path
+    ):
+        """A loaded predictor never runs ``fit``: its batch cuts still come
+        from the loaded forest, it primes one row per interval, and its
+        cells rank exactly as the original's."""
+        predictor = DevicePredictor("throughput").fit(small_throughput_dataset)
+        path = tmp_path / "rf.pkl"
+        save_predictor(predictor, path)
+        loaded = load_predictor(path)
+        assert loaded.fit_generation == 0
+        cuts = loaded.batch_cuts()
+        assert cuts is not None and cuts == predictor.batch_cuts()
+
+        rows = []
+        forest = loaded.estimator.predict_proba
+        loaded.estimator.predict_proba = lambda x: rows.append(len(x)) or forest(x)
+        edges = {int(c) + d for c in cuts for d in (0, 1)}
+        batches = sorted({1, 2, 3, 300_000} | edges)
+        cells = [
+            (spec, batch, state)
+            for spec in (SIMPLE, MNIST_SMALL)
+            for batch in batches
+            for state in ("warm", "idle")
+        ]
+        primed = loaded.prime_cells(cells)
+        intervals = {
+            (spec.name, batch_interval(cuts, batch), state)
+            for spec, batch, state in cells
+        }
+        assert primed == sum(rows) == len(intervals) < len(cells)
+        for spec, batch, state in cells:
+            proba, order = loaded.cell(spec, batch, state)
+            original, original_order = predictor.cell(spec, batch, state)
+            assert order == original_order
+            assert proba.tobytes() == original.tobytes()
+        assert len(rows) == 1                  # every cell was primed
 
     def test_unfitted_rejected(self, tmp_path):
         with pytest.raises(SchedulerError, match="unfitted"):
