@@ -4,9 +4,13 @@ The serving layer's pitch in one table: under bursty and overloaded
 streams, dynamic batch coalescing (ride the batch-throughput curve of
 Fig. 3) plus admission control should buy a lower p99 latency and a
 bounded queue, at the price of shedding what provably cannot meet its
-deadline.  The naive baseline dispatches each request individually
-through the same backlog-aware scheduler.
+deadline.  The naive baseline dispatches each request individually, at
+its arrival, on the predictor's pick (the frontend with
+``IMMEDIATE_DISPATCH`` and ``max_rank=1``, the trace's deadlines
+removed so nothing is shed).
 """
+
+from dataclasses import replace
 
 from conftest import emit
 
@@ -18,10 +22,9 @@ from repro.sched.dataset import generate_dataset
 from repro.sched.dispatcher import Dispatcher
 from repro.sched.policies import Policy
 from repro.sched.predictor import DevicePredictor
-from repro.sched.runtime import StreamRunner
 from repro.sched.scheduler import OnlineScheduler
-from repro.serving import ServingFrontend, SLOConfig
-from repro.workloads.requests import make_trace
+from repro.serving import IMMEDIATE_DISPATCH, ServingFrontend, SLOConfig
+from repro.workloads.requests import RequestTrace, make_trace
 from repro.workloads.streams import BurstStream, OverloadStream
 
 SPECS = {s.name: s for s in (SIMPLE, MNIST_SMALL)}
@@ -67,7 +70,12 @@ def test_bench_serving_frontend(benchmark):
         for name, stream in STREAMS.items():
             trace = make_trace(stream, [MNIST_SMALL], rng=7)
 
-            naive = StreamRunner(build_scheduler(predictors), SPECS).run(trace)
+            naive = ServingFrontend(
+                build_scheduler(predictors), SPECS,
+                default_slo=IMMEDIATE_DISPATCH, max_rank=1,
+            ).serve_trace(
+                RequestTrace(tuple(replace(r, deadline_s=None) for r in trace))
+            )
             naive_p99 = naive.latency_percentile(99)
 
             frontend = ServingFrontend(

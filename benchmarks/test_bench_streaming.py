@@ -1,8 +1,11 @@
 """Bench: the adaptive scheduler under live streams (§V's adaptivity).
 
 Regenerates the dynamic-behaviour evidence: bursts, diurnal cycles and
-overloads routed by the online scheduler, with oracle costing to report
-prediction accuracy and energy vs the hindsight optimum.
+overloads routed one request at a time by the online scheduler (the
+serving frontend with ``IMMEDIATE_DISPATCH`` and ``max_rank=1``), with
+each placement scored against the hindsight-best device
+(:meth:`MeasurementSession.best_device`, the training-set labeller) at
+the dGPU state it probed.
 """
 
 from conftest import emit
@@ -15,15 +18,16 @@ from repro.sched.dataset import generate_dataset
 from repro.sched.dispatcher import Dispatcher
 from repro.sched.policies import Policy
 from repro.sched.predictor import DevicePredictor
-from repro.sched.runtime import StreamRunner
 from repro.sched.scheduler import OnlineScheduler
+from repro.serving import IMMEDIATE_DISPATCH, ServingFrontend
+from repro.telemetry.session import MeasurementSession
 from repro.workloads.requests import make_trace
 from repro.workloads.streams import BurstStream, DiurnalStream, OverloadStream
 
 SPECS = {s.name: s for s in (SIMPLE, MNIST_SMALL, MNIST_DEEP, MNIST_CNN)}
 
 
-def build_runner(policy="throughput"):
+def build_frontend():
     ctx = Context(get_all_devices())
     dispatcher = Dispatcher(ctx)
     for spec in SPECS.values():
@@ -35,7 +39,22 @@ def build_runner(policy="throughput"):
         Policy.ENERGY: DevicePredictor("energy").fit(generate_dataset("energy")),
     }
     scheduler = OnlineScheduler(ctx, dispatcher, predictors)
-    return StreamRunner(scheduler, SPECS, cost_oracle=True)
+    return ServingFrontend(
+        scheduler, SPECS, default_slo=IMMEDIATE_DISPATCH, max_rank=1
+    )
+
+
+def prediction_accuracy(result):
+    """Share of placements on the hindsight-best device."""
+    session = MeasurementSession()
+    hits = [
+        session.best_device(
+            SPECS[r.request.model], r.request.batch, r.gpu_state,
+            r.request.policy,
+        ) == r.device_name
+        for r in result.served
+    ]
+    return sum(hits) / len(hits)
 
 
 def test_bench_streams(benchmark):
@@ -52,16 +71,17 @@ def test_bench_streams(benchmark):
     def run():
         rows = []
         for name, stream in streams.items():
-            runner = build_runner()
             trace = make_trace(stream, list(SPECS.values()), rng=11)
-            result = runner.run(trace)
+            result = build_frontend().serve_trace(trace)
+            served = result.served
             shares = result.device_shares()
+            mean_latency = sum(r.latency_s for r in served) / len(served)
             rows.append(
                 (
                     name,
-                    len(result),
-                    fmt_pct(result.prediction_accuracy),
-                    f"{result.mean_latency_s * 1e3:.2f} ms",
+                    len(served),
+                    fmt_pct(prediction_accuracy(result)),
+                    f"{mean_latency * 1e3:.2f} ms",
                     f"{result.total_energy_j:.1f} J",
                     ", ".join(f"{d}:{fmt_pct(s, 0)}" for d, s in shares.items()),
                 )

@@ -18,13 +18,14 @@ from repro import (
     Dispatcher,
     OnlineScheduler,
     Policy,
-    StreamRunner,
+    ServingFrontend,
     generate_dataset,
 )
 from repro.experiments.report import fmt_pct, render_table
 from repro.nn.zoo import MNIST_DEEP, MNIST_SMALL
 from repro.ocl.device import DeviceState
 from repro.ocl.platform import get_all_devices
+from repro.serving import IMMEDIATE_DISPATCH
 from repro.workloads.requests import make_trace
 from repro.workloads.streams import DiurnalStream
 
@@ -58,7 +59,11 @@ def main() -> None:
 
     predictor = DevicePredictor(Policy.ENERGY).fit(generate_dataset("energy"))
     scheduler = OnlineScheduler(ctx, dispatcher, [predictor])
-    runner = StreamRunner(scheduler, SPECS, cost_oracle=False)
+    # One request at a time, at arrival, on the energy forest's pick.
+    frontend = ServingFrontend(
+        scheduler, SPECS, default_slo=IMMEDIATE_DISPATCH, max_rank=1,
+        policy=Policy.ENERGY,
+    )
 
     stream = DiurnalStream(
         horizon_s=60.0, period_s=30.0,
@@ -68,7 +73,7 @@ def main() -> None:
     trace = make_trace(stream, list(SPECS.values()), policy="energy", rng=5)
     print(f"replaying {len(trace)} requests across two day/night cycles\n")
 
-    result = runner.run(trace)
+    result = frontend.serve_trace(trace)
 
     rows = [("adaptive scheduler", f"{result.total_energy_j:.1f} J", "-")]
     for device_class in ("cpu", "igpu", "dgpu"):
@@ -78,8 +83,8 @@ def main() -> None:
     print(render_table(("placement", "total energy", "scheduler saves"), rows))
 
     # Day-vs-night routing: the low-load valleys should lean on the iGPU.
-    night = [r for r in result.records if stream.phase_at(r.request.arrival_s) < 0.25]
-    day = [r for r in result.records if stream.phase_at(r.request.arrival_s) > 0.75]
+    night = [r for r in result.served if stream.phase_at(r.request.arrival_s) < 0.25]
+    day = [r for r in result.served if stream.phase_at(r.request.arrival_s) > 0.75]
 
     def share_of(recs, device):
         return sum(r.device == device for r in recs) / max(len(recs), 1)

@@ -9,6 +9,8 @@ queues, and sheds only what provably cannot meet its deadline.
 Run:  python examples/serving_frontend.py   (or: make serve-demo)
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.experiments.report import fmt_pct, render_table
@@ -19,10 +21,9 @@ from repro.sched.dataset import generate_dataset
 from repro.sched.dispatcher import Dispatcher
 from repro.sched.policies import Policy
 from repro.sched.predictor import DevicePredictor
-from repro.sched.runtime import StreamRunner
 from repro.sched.scheduler import OnlineScheduler
-from repro.serving import ServingFrontend, SLOConfig
-from repro.workloads.requests import make_trace
+from repro.serving import IMMEDIATE_DISPATCH, ServingFrontend, SLOConfig
+from repro.workloads.requests import RequestTrace, make_trace
 from repro.workloads.streams import OverloadStream
 
 SPECS = {s.name: s for s in (SIMPLE, MNIST_SMALL)}
@@ -58,7 +59,12 @@ def main() -> None:
     trace = make_trace(stream, [MNIST_SMALL], rng=7)
     print(f"trace: {len(trace)} requests, {trace.total_samples} samples\n")
 
-    naive = StreamRunner(build_scheduler(predictors), SPECS).run(trace)
+    # Naive: every request alone, at arrival, on the predictor's pick —
+    # no coalescing, no admission (so its deadlines are dropped too).
+    naive = ServingFrontend(
+        build_scheduler(predictors), SPECS,
+        default_slo=IMMEDIATE_DISPATCH, max_rank=1,
+    ).serve_trace(RequestTrace(tuple(replace(r, deadline_s=None) for r in trace)))
 
     frontend = ServingFrontend(
         build_scheduler(predictors),

@@ -4,9 +4,11 @@
 that occur at real-time, such as data bursts, application overloads and
 system changes."  The trained forest is an *offline* snapshot, so when a
 second application grabs 95% of the discrete GPU mid-run, the snapshot is
-wrong — the adaptive layer (prediction + realized-outcome feedback +
-bounded exploration) notices within a handful of requests and reroutes,
-then drifts back once the contention clears and its estimates age out.
+wrong.  The backlog-aware scheduler learns each device's realized service
+time: the contended dGPU's estimate balloons, so within a handful of
+requests placement spills off the predictor's pick onto the runner-up,
+then drifts back once the contention clears and the stale estimate ages
+out (an unmeasured device is costed at zero service, so it is re-tried).
 
 Run:  python examples/system_changes.py
 """
@@ -22,26 +24,25 @@ from repro import (
 from repro.experiments.report import render_table
 from repro.nn.zoo import MNIST_DEEP
 from repro.ocl.platform import get_all_devices
-from repro.sched.adaptive import AdaptiveScheduler
+from repro.sched.backlog import BacklogAwareScheduler
 
 
-def drain(ada, n, t, batch=1 << 14):
-    devices = []
+def drain(backlog, n, t, batch=1 << 14):
+    picks = []
     for _ in range(n):
-        decision, event = ada.submit_virtual(MNIST_DEEP, batch, "throughput", t)
-        devices.append((decision.device, decision.source))
+        decision, event = backlog.submit_virtual(MNIST_DEEP, batch, t)
+        picks.append((decision.device, decision.spilled))
         t = event.time_ended + 0.05
-    return devices, t
+    return picks, t
 
 
 def summarize(tag, picks):
     counts: dict[str, int] = {}
     for device, _ in picks:
         counts[device] = counts.get(device, 0) + 1
-    sources = {s for _, s in picks}
     return (tag, len(picks),
             ", ".join(f"{d}:{c}" for d, c in sorted(counts.items())),
-            ", ".join(sorted(sources)))
+            sum(spilled for _, spilled in picks))
 
 
 def main() -> None:
@@ -50,36 +51,34 @@ def main() -> None:
     dispatcher.deploy_fresh(MNIST_DEEP, rng=0)
     predictor = DevicePredictor(Policy.THROUGHPUT).fit(generate_dataset("throughput"))
     base = OnlineScheduler(ctx, dispatcher, [predictor])
-    ada = AdaptiveScheduler(base, explore_rate=0.2, ttl_s=10.0, rng=1)
+    backlog = BacklogAwareScheduler(base, service_ttl_s=10.0)
     dgpu = ctx.get_device("dgpu")
 
     rows = []
     # Phase 1: steady state — big Mnist-Deep batches belong on the dGPU.
-    picks, t = drain(ada, 20, 0.0)
+    picks, t = drain(backlog, 20, 0.0)
     rows.append(summarize("steady state", picks))
 
     # Phase 2: another application occupies 95% of the dGPU.
     dgpu.set_background_load(0.95)
-    picks, t = drain(ada, 40, t)
+    picks, t = drain(backlog, 40, t)
     rows.append(summarize("dGPU contended (first 40)", picks))
 
     # Phase 3: contention clears; estimates age out and traffic returns.
     dgpu.set_background_load(0.0)
-    picks, t = drain(ada, 40, t + 15.0)  # idle gap lets estimates expire
+    picks, t = drain(backlog, 40, t + 15.0)  # idle gap lets estimates expire
     rows.append(summarize("contention cleared", picks))
 
     print(
         render_table(
-            ("phase", "requests", "device picks", "decision sources"),
+            ("phase", "requests", "device picks", "spills"),
             rows,
             title="adaptive routing through a system change",
         )
     )
-    stats = ada.stats()
     print(
-        f"\ntotals: {stats['predictor']} predictor decisions, "
-        f"{stats['feedback_overrides']} feedback overrides, "
-        f"{stats['explorations']} exploration probes"
+        f"\ntotals: {backlog.n_spills} spills off the predictor's pick "
+        f"in {sum(r[1] for r in rows)} decisions"
     )
 
 

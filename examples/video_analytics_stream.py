@@ -14,14 +14,16 @@ from repro import (
     Context,
     DevicePredictor,
     Dispatcher,
+    MeasurementSession,
     OnlineScheduler,
     Policy,
-    StreamRunner,
+    ServingFrontend,
     generate_dataset,
 )
 from repro.experiments.report import fmt_pct, render_table
 from repro.nn.zoo import CIFAR10, MNIST_CNN
 from repro.ocl.platform import get_all_devices
+from repro.serving import IMMEDIATE_DISPATCH
 from repro.workloads.requests import make_trace
 from repro.workloads.streams import BurstStream
 
@@ -36,7 +38,10 @@ def main() -> None:
 
     predictor = DevicePredictor(Policy.THROUGHPUT).fit(generate_dataset("throughput"))
     scheduler = OnlineScheduler(ctx, dispatcher, [predictor])
-    runner = StreamRunner(scheduler, SPECS, cost_oracle=True)
+    # One request at a time, at arrival, on the forest's pick.
+    frontend = ServingFrontend(
+        scheduler, SPECS, default_slo=IMMEDIATE_DISPATCH, max_rank=1
+    )
 
     stream = BurstStream(
         horizon_s=30.0,
@@ -50,7 +55,8 @@ def main() -> None:
     print(f"replaying {len(trace)} requests over {stream.horizon_s:.0f}s "
           f"({trace.total_samples} frames total)\n")
 
-    result = runner.run(trace)
+    result = frontend.serve_trace(trace)
+    served = result.served
 
     # Split the outcome into burst windows vs quiet periods.
     windows = stream.burst_windows()
@@ -58,8 +64,8 @@ def main() -> None:
     def in_burst(t: float) -> bool:
         return any(lo <= t < hi for lo, hi in windows)
 
-    burst_recs = [r for r in result.records if in_burst(r.request.arrival_s)]
-    quiet_recs = [r for r in result.records if not in_burst(r.request.arrival_s)]
+    burst_recs = [r for r in served if in_burst(r.request.arrival_s)]
+    quiet_recs = [r for r in served if not in_burst(r.request.arrival_s)]
 
     def shares(recs):
         counts = {}
@@ -80,13 +86,23 @@ def main() -> None:
             title="placement by traffic period",
         )
     )
+    # Hindsight oracle: the device the characterization names best for
+    # each request's (model, batch) at the dGPU state its placement probed.
+    session = MeasurementSession()
+    correct = sum(
+        session.best_device(SPECS[r.request.model], r.request.batch,
+                            r.gpu_state, "throughput") == r.device_name
+        for r in served
+    )
+    mean_latency = sum(r.latency_s for r in served) / len(served)
+    makespan = max(r.end_s for r in served)
     print(
         f"\nprediction accuracy vs hindsight oracle: "
-        f"{fmt_pct(result.prediction_accuracy)}"
+        f"{fmt_pct(correct / len(served))}"
     )
-    print(f"mean request latency: {result.mean_latency_s * 1e3:.2f} ms   "
+    print(f"mean request latency: {mean_latency * 1e3:.2f} ms   "
           f"p99: {result.latency_percentile(99) * 1e3:.2f} ms")
-    print(f"total energy: {result.total_energy_j:.1f} J over {result.makespan_s:.1f}s")
+    print(f"total energy: {result.total_energy_j:.1f} J over {makespan:.1f}s")
 
 
 if __name__ == "__main__":

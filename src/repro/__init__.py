@@ -19,16 +19,18 @@ The adaptive scheduler (the paper's contribution)::
 
     from repro.sched import (
         Policy, generate_dataset, DevicePredictor,
-        Dispatcher, OnlineScheduler, StreamRunner,
+        Dispatcher, OnlineScheduler, BacklogAwareScheduler,
     )
 
 Online predictor refresh (live refits, drift detection, fallback)::
 
     from repro.sched import OnlinePredictor, OnlineConfig
 
-SLO-aware serving frontend (queues, coalescing, admission control)::
+SLO-aware serving frontend (queues, coalescing, admission control; with
+``IMMEDIATE_DISPATCH`` and ``max_rank=1``, a one-request-at-a-time
+stream replay on the predictor's choice)::
 
-    from repro.serving import ServingFrontend, SLOConfig
+    from repro.serving import ServingFrontend, SLOConfig, IMMEDIATE_DISPATCH
 
 Cluster layer (fleet simulation, load balancing, autoscaling)::
 
@@ -78,12 +80,10 @@ from repro.partition import (
 from repro.sched import (
     DevicePredictor,
     Dispatcher,
-    InferenceService,
     OnlineConfig,
     OnlinePredictor,
     OnlineScheduler,
     Policy,
-    StreamRunner,
     generate_dataset,
 )
 from repro.serving import ServingFrontend, ServingResponse, SLOConfig
@@ -109,8 +109,6 @@ __all__ = [
     "OnlineConfig",
     "OnlinePredictor",
     "OnlineScheduler",
-    "StreamRunner",
-    "InferenceService",
     "ServingFrontend",
     "ServingResponse",
     "SLOConfig",

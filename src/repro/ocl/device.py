@@ -113,8 +113,8 @@ class Device:
         The paper's adaptivity claims include responding to "application
         overloads and system changes": a contended device delivers only
         ``1 - fraction`` of its throughput, which the static predictor
-        cannot see — only the online feedback layer
-        (:mod:`repro.sched.adaptive`) observes the realized slowdown.
+        cannot see — only the realized service times the backlog
+        scheduler learns (:mod:`repro.sched.backlog`) observe the slowdown.
         """
         if not (0.0 <= fraction < 1.0):
             raise ValueError(f"background load must be in [0, 1), got {fraction}")

@@ -12,23 +12,22 @@ Pipeline:
 3. :mod:`repro.sched.scheduler` is the online scheduler of Fig. 5: read
    the request, probe the dGPU state over PCIe, predict the device for the
    active policy, dispatch through the Fig. 2 dispatcher.
-4. :mod:`repro.sched.runtime` runs request *streams* against the scheduler
-   over virtual time, which is where the adaptivity claims (bursts,
-   overloads, device-state changes) are exercised.
-5. :mod:`repro.sched.adaptive` closes the online loop: realized-outcome
-   feedback (:mod:`repro.sched.feedback`) plus bounded exploration correct
-   the offline predictor when the system changes (e.g. dGPU contention).
-6. :mod:`repro.sched.backlog` adds queue-aware spilling so overloads do
-   not pile onto a single "best" device.
-7. :mod:`repro.sched.online` keeps the predictor honest in production:
+4. :mod:`repro.sched.backlog` places each request on the earliest
+   finisher among the predictor's top-ranked devices, from live backlogs
+   and service times learned from realized dispatches
+   (:mod:`repro.sched.feedback`): overloads spill instead of piling onto
+   a single "best" device, and a system change (e.g. dGPU contention)
+   shows up as a slower realized service time and moves traffic off the
+   device.  The serving frontend (:mod:`repro.serving`) runs every request
+   stream — bursts, overloads, diurnal cycles — through it.
+5. :mod:`repro.sched.online` keeps the predictor honest in production:
    sliding-window refits from live service times, deterministic
    Page–Hinkley drift detection per (model, device, batch-bucket) cell,
    and uncertainty-aware fallback to backlog-only routing while a cell
    is flagged stale.
-8. :mod:`repro.sched.persistence` ships trained artifacts between runs.
+6. :mod:`repro.sched.persistence` ships trained artifacts between runs.
 """
 
-from repro.sched.adaptive import AdaptiveDecision, AdaptiveScheduler
 from repro.sched.backlog import BacklogAwareScheduler, BacklogDecision
 from repro.sched.dataset import SchedulerDataset, generate_dataset
 from repro.sched.feedback import CellKey, OutcomeTable
@@ -44,8 +43,6 @@ from repro.sched.online import (
 )
 from repro.sched.policies import Policy
 from repro.sched.predictor import DevicePredictor
-from repro.sched.runtime import StreamResult, StreamRunner
-from repro.sched.service import InferenceService, ServiceResponse
 from repro.sched.scheduler import OnlineScheduler, SchedulingDecision
 
 __all__ = [
@@ -59,12 +56,8 @@ __all__ = [
     "Dispatcher",
     "OnlineScheduler",
     "SchedulingDecision",
-    "StreamRunner",
-    "StreamResult",
     "CellKey",
     "OutcomeTable",
-    "AdaptiveScheduler",
-    "AdaptiveDecision",
     "BacklogAwareScheduler",
     "BacklogDecision",
     "OnlineConfig",
@@ -74,6 +67,4 @@ __all__ = [
     "PageHinkley",
     "BatchPartitioner",
     "PartitionPlan",
-    "InferenceService",
-    "ServiceResponse",
 ]

@@ -8,8 +8,12 @@ current backlog plus a learned service-time estimate, and the request goes
 to the earliest finisher among the devices the predictor ranks highly.
 
 Service times are learned online per (cell, device) from realized
-dispatches — the same outcome-table machinery as the adaptive layer — so
-no oracle previews are consulted.
+dispatches (:class:`~repro.sched.feedback.OutcomeTable`), so no oracle
+previews are consulted.  That table is also how placement adapts to
+system changes: a contended device's realized service time rises and the
+argmin moves off it; an unmeasured (or aged-out) device is assumed to
+serve in zero time, so alternatives get probed and a recovered device is
+re-tried once its stale estimate expires.
 
 The request path through :meth:`BacklogAwareScheduler.decide` /
 :meth:`~BacklogAwareScheduler.estimate_completion` is serving-hot (a
@@ -113,10 +117,7 @@ class BacklogAwareScheduler:
         self.scheduler = scheduler
         self.policy = Policy.parse(policy)
         self.max_rank = max_rank
-        # Service-time table: lower is better -> LATENCY direction.
-        self._service = OutcomeTable(
-            policy=Policy.LATENCY, alpha=service_alpha, ttl_s=service_ttl_s
-        )
+        self._service = OutcomeTable(alpha=service_alpha, ttl_s=service_ttl_s)
         self.n_spills = 0
         # Live device mask: None serves every device in the context; a
         # frozenset of class values and/or device names restricts placement

@@ -4,10 +4,10 @@ The trained predictor encodes the *offline* characterization; the paper's
 adaptivity claims ("respond quickly to dynamic fluctuations ... application
 overloads and system changes", §I/§V) need an *online* signal too.  This
 module provides it: an :class:`OutcomeTable` of exponentially-weighted
-per-cell, per-device estimates of the realized policy metric, built purely
-from the requests the scheduler actually served (plus optional exploration
-probes).  Estimates age out after a TTL of virtual time so a recovered
-device gets re-tried.
+per-cell, per-device estimates of a realized metric (the backlog
+scheduler's service seconds), built purely from the requests the scheduler
+actually served.  Estimates age out after a TTL of virtual time so a
+recovered device gets re-tried.
 
 A *cell* coarsens a request to (model, log2-batch bucket, dGPU state) —
 the same granularity at which the characterization found behaviour to
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.sched.policies import Policy
 
 __all__ = ["CellKey", "Estimate", "OutcomeTable", "batch_bucket"]
 
@@ -60,20 +59,16 @@ class Estimate:
 
 @dataclass
 class OutcomeTable:
-    """Per-(cell, device) running estimates of a policy metric.
+    """Per-(cell, device) running estimates of a realized metric.
 
     Parameters
     ----------
-    policy:
-        Determines the metric direction (throughput maximizes; latency and
-        energy minimize).
     alpha:
         EWMA weight of a new observation.
     ttl_s:
         Virtual seconds after which an estimate is considered stale.
     """
 
-    policy: Policy
     alpha: float = 0.4
     ttl_s: float = 30.0
     _table: dict[tuple[CellKey, str], Estimate] = field(default_factory=dict)
@@ -122,39 +117,6 @@ class OutcomeTable:
         if est is None or now - est.updated_at > self.ttl_s:
             return None
         return est
-
-    def fresh_devices(self, cell: CellKey, now: float) -> dict[str, Estimate]:
-        """All devices with a fresh estimate for the cell."""
-        out = {}
-        for (c, device), est in self._table.items():
-            if c == cell and now - est.updated_at <= self.ttl_s:
-                out[device] = est
-        return out
-
-    def best_device(self, cell: CellKey, now: float) -> "str | None":
-        """Observed-best device for a cell (None without >= 2 fresh views).
-
-        Requiring at least two devices prevents 'best' from meaning
-        'only one we ever tried'.
-        """
-        fresh = self.fresh_devices(cell, now)
-        if len(fresh) < 2:
-            return None
-        pick = max if self.policy.maximize else min
-        return pick(fresh, key=lambda d: fresh[d].value)
-
-    def least_recently_measured(
-        self, cell: CellKey, devices: "list[str]", now: float
-    ) -> str:
-        """Exploration target: the device with the oldest (or no) estimate."""
-        if not devices:
-            raise ValueError("no devices to choose from")
-
-        def age(device: str) -> float:
-            est = self._table.get((cell, device))
-            return now - est.updated_at if est is not None else math.inf
-
-        return max(devices, key=age)
 
     @property
     def n_cells(self) -> int:

@@ -176,7 +176,7 @@ class OnlineScheduler:
         self._dgpu = self._find_dgpu()
         return queue
 
-    # -- time control (for streaming runtimes) ------------------------------
+    # -- time control (for stream replays) ----------------------------------
 
     def queue_for(self, device_name: str) -> CommandQueue:
         """The command queue serving a device (by spec name)."""

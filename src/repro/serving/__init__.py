@@ -16,7 +16,9 @@ discrete-event engine:
   coalesced batches and feed realized service times back.
 * :mod:`repro.serving.frontend` — the :class:`ServingFrontend` façade
   (``submit(model, x, deadline_s, policy)`` → future-like
-  :class:`ServingResponse`) plus per-model :class:`SLOConfig`.
+  :class:`ServingResponse`) plus per-model :class:`SLOConfig`;
+  :data:`IMMEDIATE_DISPATCH` turns coalescing and admission off for
+  one-request-at-a-time stream replays.
 
 Placement stays paper-faithful (the trained predictor ranks devices, the
 backlog layer spills under load); queues, deadlines and admission are the
@@ -26,6 +28,7 @@ extension that makes the scheduler a server.
 from repro.serving.admission import AdmissionController, AdmissionDecision
 from repro.serving.coalescer import BatchCoalescer, CoalescedBatch
 from repro.serving.frontend import (
+    IMMEDIATE_DISPATCH,
     NodeStats,
     ServingFrontend,
     ServingResponse,
@@ -53,6 +56,7 @@ __all__ = [
     "AdmissionDecision",
     "DeviceWorker",
     "SLOConfig",
+    "IMMEDIATE_DISPATCH",
     "NodeStats",
     "ServingFrontend",
     "ServingResponse",

@@ -1,8 +1,8 @@
 """The SLO-aware serving frontend: queues → coalescer → placement → workers.
 
-This is the serving loop the rest of :mod:`repro.serving` plugs into,
-mirroring :class:`~repro.sched.service.InferenceService`'s façade shape
-(``submit(model, x, deadline_s, policy)``) but running over the
+This is the serving loop the rest of :mod:`repro.serving` plugs into: a
+one-class façade (``submit(model, x, deadline_s, policy)`` returns real
+scores, where the request ran and what it cost) running over the
 discrete-event engine so thousands of queued, coalesced, deadline-carrying
 requests replay deterministically:
 
@@ -20,6 +20,12 @@ requests replay deterministically:
 5. completion resolves every merged request's future-like
    :class:`ServingResponse` and feeds the realized service time back into
    the scheduler's outcome table.
+
+With :data:`IMMEDIATE_DISPATCH` and ``max_rank=1`` the frontend places
+every request alone, at its arrival, on the predictor's top-ranked device:
+the Fig. 5 scheduler replaying a stream one request at a time, which is
+how prediction accuracy is read off a trace (``response.gpu_state`` is
+the dGPU state the placement probed).
 
 Everything observable flows through
 :class:`~repro.telemetry.serving.ServingTelemetry`: latency percentiles,
@@ -50,6 +56,7 @@ from repro.workloads.requests import InferenceRequest, RequestTrace
 
 __all__ = [
     "SLOConfig",
+    "IMMEDIATE_DISPATCH",
     "NodeStats",
     "ServingResponse",
     "ServingResult",
@@ -109,6 +116,13 @@ class SLOConfig:
             raise ValueError(f"ect_margin must be positive, got {self.ect_margin}")
 
 
+#: One request per launch, dispatched at arrival, never refused: no
+#: coalescing wait, no queue bound, no deadline.
+IMMEDIATE_DISPATCH = SLOConfig(
+    deadline_s=None, max_queue_depth=None, max_batch=1, max_wait_s=0.0
+)
+
+
 @dataclass(frozen=True, slots=True)
 class NodeStats:
     """A cheap load snapshot of one frontend, for cluster-level polling.
@@ -165,9 +179,9 @@ class ServingResponse:
     """
 
     __slots__ = (
-        "request", "status", "device", "device_name", "trigger", "batch_id",
-        "batch_size", "dispatched_s", "start_s", "end_s", "energy_j",
-        "scores", "degraded", "shed_reason", "on_done",
+        "request", "status", "device", "device_name", "gpu_state", "trigger",
+        "batch_id", "batch_size", "dispatched_s", "start_s", "end_s",
+        "energy_j", "scores", "degraded", "shed_reason", "on_done",
     )
 
     def __init__(self, request: InferenceRequest):
@@ -175,6 +189,7 @@ class ServingResponse:
         self.status = "pending"
         self.device: "str | None" = None          # device-class value
         self.device_name: "str | None" = None
+        self.gpu_state: "str | None" = None       # dGPU state probed at placement
         self.trigger: "str | None" = None         # what dispatched its batch
         self.batch_id: "int | None" = None        # which coalesced batch served it
         self.batch_size: "int | None" = None      # coalesced launch size
@@ -444,9 +459,17 @@ class ServingFrontend:
         ``x`` is either a host batch (real scores come back) or a bare
         batch size (timing/energy only).  ``deadline_s`` is the *relative*
         SLO from arrival; omitted, the model's configured default applies.
+        ``policy`` must be the frontend's placement policy (one frontend
+        places under one predictor); omitted, it is stamped on the request.
         The work itself happens when the event loop runs past the arrival.
         """
         spec = self._require_spec(model)
+        placement_policy = self.backlog.policy
+        if policy is not None and Policy.parse(policy) is not placement_policy:
+            raise SchedulerError(
+                f"policy {str(policy)!r} does not match this frontend's "
+                f"placement policy {placement_policy.value!r}"
+            )
         if isinstance(x, np.ndarray):
             batch, data = int(x.shape[0]), x
         else:
@@ -459,7 +482,7 @@ class ServingFrontend:
             arrival_s=arrival,
             model=spec.name,
             batch=batch,
-            policy=str(policy) if policy is not None else Policy.THROUGHPUT.value,
+            policy=placement_policy.value,
             deadline_s=None if relative is None else arrival + relative,
         )
         return self._schedule_arrival(request, data)
@@ -773,6 +796,7 @@ class ServingFrontend:
             response.status = "ok"
             response.device = placement.device
             response.device_name = placement.device_name
+            response.gpu_state = placement.gpu_state
             response.trigger = batch.trigger
             response.batch_id = batch_id
             response.batch_size = total

@@ -1,4 +1,4 @@
-"""Classification requests and traces for the streaming runtime.
+"""Classification requests and traces replayed through the serving frontend.
 
 Traces serialize to JSON (:meth:`RequestTrace.to_json` / ``from_json``) so
 a stream experiment can be replayed exactly across processes or shipped as

@@ -23,7 +23,7 @@ class TestMatrix:
     def test_latency_coincides_with_throughput(self, result):
         """For whole-batch requests min-latency == max-throughput, so the
         two policies label (and score) identically; they diverge only once
-        queueing enters (the streaming runtime)."""
+        queueing enters (the serving frontend)."""
         tput = result.row("throughput")
         lat = result.row("latency")
         assert lat.seen_accuracy == pytest.approx(tput.seen_accuracy)

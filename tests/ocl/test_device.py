@@ -3,8 +3,9 @@
 import pytest
 
 from repro.hw.specs import CPU_I7_8700, DGPU_GTX_1080TI
-from repro.nn.zoo import MNIST_SMALL
+from repro.nn.zoo import MNIST_DEEP, MNIST_SMALL
 from repro.ocl.device import Device, DeviceState
+from repro.ocl.platform import get_all_devices
 
 
 @pytest.fixture()
@@ -75,3 +76,30 @@ class TestPreview:
         cur, _ = dgpu.preview(MNIST_SMALL, 1024)
         idle, _ = dgpu.preview(MNIST_SMALL, 1024, state=DeviceState.IDLE)
         assert cur.total_s == pytest.approx(idle.total_s)
+
+
+class TestDeviceContention:
+    def test_background_load_slows_execution(self):
+        devices = get_all_devices()
+        dgpu = devices[2]
+        t_free, _ = dgpu.preview(MNIST_DEEP, 1024)
+        dgpu.set_background_load(0.5)
+        timing, _ = dgpu.execute(MNIST_DEEP, 1024, now=0.0)
+        dgpu.force_state(DeviceState.IDLE)
+        assert timing.compute_warm_s > t_free.compute_warm_s
+
+    def test_invalid_load_rejected(self):
+        device = get_all_devices()[0]
+        with pytest.raises(ValueError):
+            device.set_background_load(1.0)
+        with pytest.raises(ValueError):
+            device.set_background_load(-0.1)
+
+    def test_preview_ignores_contention(self):
+        """Previews model the offline characterization, which contention
+        invalidates — that gap is what learned service times close."""
+        device = get_all_devices()[0]
+        before, _ = device.preview(MNIST_SMALL, 256)
+        device.set_background_load(0.8)
+        after, _ = device.preview(MNIST_SMALL, 256)
+        assert after.total_s == pytest.approx(before.total_s)

@@ -1,13 +1,21 @@
-"""The online-adaptation layer (system changes, exploration, overrides)."""
+"""Adaptation to system changes through learned service times.
+
+:class:`BacklogAwareScheduler` places each request on the earliest
+finisher among the predictor's ``max_rank`` top devices, from service
+times learned off realized dispatches.  An unmeasured (or aged-out)
+device is assumed to serve in zero time, so with ``max_rank >= 2`` the
+alternatives get probed; a contended device's realized service time rises
+and traffic spills off it.
+"""
 
 import pytest
 
+from repro.errors import SchedulerError
 from repro.nn.zoo import MNIST_DEEP, MNIST_SMALL
 from repro.ocl.context import Context
 from repro.ocl.platform import get_all_devices
-from repro.sched.adaptive import AdaptiveScheduler
+from repro.sched.backlog import BacklogAwareScheduler
 from repro.sched.dispatcher import Dispatcher
-from repro.sched.policies import Policy
 from repro.sched.scheduler import OnlineScheduler
 
 
@@ -20,11 +28,11 @@ def base(trained_predictors):
     return OnlineScheduler(ctx, dispatcher, trained_predictors)
 
 
-def drain(ada, spec, batch, n, t0=0.0, gap=0.01, policy="throughput"):
+def drain(backlog, spec, batch, n, t0=0.0, gap=0.01):
     """Submit n back-to-back requests, returning the device sequence."""
     devices, t = [], t0
     for _ in range(n):
-        decision, event = ada.submit_virtual(spec, batch, policy, arrival_s=t)
+        decision, event = backlog.submit_virtual(spec, batch, arrival_s=t)
         devices.append(decision.device)
         t = event.time_ended + gap
     return devices, t
@@ -32,106 +40,83 @@ def drain(ada, spec, batch, n, t0=0.0, gap=0.01, policy="throughput"):
 
 class TestSteadyState:
     def test_follows_predictor_without_disturbance(self, base):
-        ada = AdaptiveScheduler(base, explore_rate=0.0, rng=0)
-        devices, _ = drain(ada, MNIST_DEEP, 1 << 14, 10)
+        backlog = BacklogAwareScheduler(base, max_rank=1)
+        devices, _ = drain(backlog, MNIST_DEEP, 1 << 14, 10)
         assert set(devices) == {"dgpu"}  # big batches: predictor is right
-        assert ada.stats()["feedback_overrides"] == 0
+        assert backlog.n_spills == 0
 
     def test_exploration_visits_other_devices(self, base):
-        ada = AdaptiveScheduler(base, explore_rate=0.3, rng=2)
-        devices, _ = drain(ada, MNIST_DEEP, 1 << 14, 40)
+        """Zero-service optimism sends work to the unmeasured runner-up."""
+        backlog = BacklogAwareScheduler(base, max_rank=2)
+        devices, _ = drain(backlog, MNIST_DEEP, 1 << 14, 40)
         assert len(set(devices)) >= 2
-        assert ada.stats()["explorations"] > 0
+        assert backlog.n_spills > 0
 
     def test_zero_exploration_never_explores(self, base):
-        ada = AdaptiveScheduler(base, explore_rate=0.0, rng=0)
-        drain(ada, MNIST_SMALL, 256, 20)
-        assert ada.stats()["explorations"] == 0
+        backlog = BacklogAwareScheduler(base, max_rank=1)
+        devices, _ = drain(backlog, MNIST_SMALL, 256, 20)
+        assert len(set(devices)) == 1
+        assert backlog.n_spills == 0
 
 
 class TestSystemChanges:
     def test_contention_triggers_override(self, base):
-        """§V adaptivity: when another app grabs the dGPU, realized
-        throughput collapses and the feedback layer reroutes."""
-        ada = AdaptiveScheduler(base, explore_rate=0.15, rng=1)
-        _, t = drain(ada, MNIST_DEEP, 1 << 14, 20)
+        """§V adaptivity: when another app grabs the dGPU, its realized
+        service time balloons and placement spills off it."""
+        backlog = BacklogAwareScheduler(base)
+        _, t = drain(backlog, MNIST_DEEP, 1 << 14, 20)
+        spills_before = backlog.n_spills
 
         base.context.get_device("dgpu").set_background_load(0.95)
-        devices, _ = drain(ada, MNIST_DEEP, 1 << 14, 50, t0=t)
+        devices, _ = drain(backlog, MNIST_DEEP, 1 << 14, 50, t0=t)
         late = devices[-15:]
         assert late.count("dgpu") < len(late) / 2
-        assert ada.stats()["feedback_overrides"] > 0
+        assert backlog.n_spills > spills_before
 
     def test_recovery_after_contention_clears(self, base):
         """Estimates age out: once the dGPU frees up, traffic returns."""
-        ada = AdaptiveScheduler(base, explore_rate=0.2, ttl_s=5.0, rng=3)
-        _, t = drain(ada, MNIST_DEEP, 1 << 14, 10)
+        backlog = BacklogAwareScheduler(base, service_ttl_s=5.0)
+        _, t = drain(backlog, MNIST_DEEP, 1 << 14, 10)
         dgpu = base.context.get_device("dgpu")
 
         dgpu.set_background_load(0.95)
-        _, t = drain(ada, MNIST_DEEP, 1 << 14, 30, t0=t)
+        _, t = drain(backlog, MNIST_DEEP, 1 << 14, 30, t0=t)
 
         dgpu.set_background_load(0.0)
-        # Long quiet gap: stale estimates expire, exploration re-probes.
-        devices, _ = drain(ada, MNIST_DEEP, 1 << 14, 40, t0=t + 30.0)
+        # Long quiet gap: stale estimates expire, the dGPU is re-probed.
+        devices, _ = drain(backlog, MNIST_DEEP, 1 << 14, 40, t0=t + 30.0)
         assert devices[-10:].count("dgpu") >= 5
 
 
 class TestMechanics:
     def test_decision_sources_labelled(self, base):
-        ada = AdaptiveScheduler(base, explore_rate=0.5, rng=4)
-        sources = set()
+        """Every decision says whether it left the predictor's top pick."""
+        backlog = BacklogAwareScheduler(base, max_rank=2)
+        spilled = set()
         t = 0.0
         for _ in range(30):
-            d, ev = ada.submit_virtual(MNIST_SMALL, 512, "throughput", arrival_s=t)
-            sources.add(d.source)
+            d, ev = backlog.submit_virtual(MNIST_SMALL, 512, arrival_s=t)
+            spilled.add(d.spilled)
+            assert d.spilled == (d.device != d.ranked[0])
             t = ev.time_ended + 0.01
-        assert "predictor" in sources
-        assert "explore" in sources
+        assert spilled == {False, True}
 
     def test_unknown_policy_rejected(self, base):
-        from repro.errors import SchedulerError
-
-        ada = AdaptiveScheduler(base)
-        with pytest.raises(SchedulerError):
-            ada.submit_virtual(MNIST_SMALL, 8, Policy.LATENCY, arrival_s=0.0)
+        with pytest.raises(SchedulerError, match="unknown policy"):
+            BacklogAwareScheduler(base, policy="carbon")
 
     def test_invalid_params(self, base):
         with pytest.raises(ValueError):
-            AdaptiveScheduler(base, explore_rate=1.0)
+            BacklogAwareScheduler(base, max_rank=0)
         with pytest.raises(ValueError):
-            AdaptiveScheduler(base, switch_margin=-0.1)
+            BacklogAwareScheduler(base, service_alpha=0.0)
+        with pytest.raises(ValueError):
+            BacklogAwareScheduler(base, service_ttl_s=-1.0)
 
     def test_stats_shape(self, base):
-        ada = AdaptiveScheduler(base, explore_rate=0.0, rng=0)
-        drain(ada, MNIST_SMALL, 64, 5)
-        stats = ada.stats()
-        assert set(stats) == {"predictor", "feedback_overrides", "explorations"}
-        assert sum(stats.values()) == 5
-
-
-class TestDeviceContention:
-    def test_background_load_slows_execution(self):
-        devices = get_all_devices()
-        dgpu = devices[2]
-        t_free, _ = dgpu.preview(MNIST_DEEP, 1024)
-        dgpu.set_background_load(0.5)
-        timing, _ = dgpu.execute(MNIST_DEEP, 1024, now=0.0)
-        dgpu.force_state(__import__("repro.ocl.device", fromlist=["DeviceState"]).DeviceState.IDLE)
-        assert timing.compute_warm_s > t_free.compute_warm_s
-
-    def test_invalid_load_rejected(self):
-        device = get_all_devices()[0]
-        with pytest.raises(ValueError):
-            device.set_background_load(1.0)
-        with pytest.raises(ValueError):
-            device.set_background_load(-0.1)
-
-    def test_preview_ignores_contention(self):
-        """Previews model the offline characterization, which contention
-        invalidates — that gap is what the adaptive layer closes."""
-        device = get_all_devices()[0]
-        before, _ = device.preview(MNIST_SMALL, 256)
-        device.set_background_load(0.8)
-        after, _ = device.preview(MNIST_SMALL, 256)
-        assert after.total_s == pytest.approx(before.total_s)
+        backlog = BacklogAwareScheduler(base, max_rank=1)
+        drain(backlog, MNIST_SMALL, 64, 5)
+        stats = backlog.cache_stats()
+        assert stats["hits"] + stats["misses"] == 5
+        assert stats["feedback_invalidations"] == 5
+        assert backlog.n_spills == 0

@@ -1,10 +1,11 @@
-"""TTL dynamics of the adaptive layer: re-probing and its tuning.
+"""TTL dynamics of learned service times: re-probing and its tuning.
 
-When the outcome-table TTL is shorter than the workload's inter-request
+When the service-time TTL is shorter than the workload's inter-request
 gap on the fallback devices, the bad estimate of a contended device
-expires and the scheduler (correctly) re-probes it — periodic oscillation.
-A TTL sized above the change timescale keeps traffic off the contended
-device.  Both behaviours are intended; these tests pin them.
+expires, the device looks unmeasured again (zero-service optimism) and
+the scheduler (correctly) re-probes it — periodic oscillation.  A TTL
+sized above the change timescale keeps traffic off the contended device.
+Both behaviours are intended; these tests pin them.
 """
 
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from repro.nn.zoo import MNIST_DEEP
 from repro.ocl.context import Context
 from repro.ocl.platform import get_all_devices
-from repro.sched.adaptive import AdaptiveScheduler
+from repro.sched.backlog import BacklogAwareScheduler
 from repro.sched.dispatcher import Dispatcher
 from repro.sched.scheduler import OnlineScheduler
 
@@ -25,11 +26,11 @@ def base(trained_predictors):
     return OnlineScheduler(ctx, dispatcher, trained_predictors)
 
 
-def run_contended(base, ada, n):
+def run_contended(base, backlog, n):
     base.context.get_device("dgpu").set_background_load(0.95)
     devices, t = [], 0.0
     for _ in range(n):
-        d, ev = ada.submit_virtual(MNIST_DEEP, 1 << 14, "throughput", t)
+        d, ev = backlog.submit_virtual(MNIST_DEEP, 1 << 14, t)
         devices.append(d.device)
         t = ev.time_ended + 0.01
     return devices
@@ -37,28 +38,28 @@ def run_contended(base, ada, n):
 
 class TestTTLTuning:
     def test_long_ttl_keeps_traffic_off_contended_device(self, base):
-        ada = AdaptiveScheduler(base, explore_rate=0.15, ttl_s=300.0, rng=1)
-        devices = run_contended(base, ada, 60)
+        backlog = BacklogAwareScheduler(base, service_ttl_s=300.0)
+        devices = run_contended(base, backlog, 60)
         assert devices[-20:].count("dgpu") <= 4
 
     def test_short_ttl_reprobes_periodically(self, base):
         """With TTL below the fallback service time the contended device
         keeps being re-tried — visible as repeated dGPU visits late in the
         stream (the price of fast recovery detection)."""
-        ada = AdaptiveScheduler(base, explore_rate=0.15, ttl_s=5.0, rng=1)
-        devices = run_contended(base, ada, 60)
+        backlog = BacklogAwareScheduler(base, service_ttl_s=5.0)
+        devices = run_contended(base, backlog, 60)
         late_dgpu = devices[30:].count("dgpu")
         assert late_dgpu >= 3  # periodic re-probes happen
 
     def test_reprobes_enable_fast_recovery(self, base):
         """The flip side of oscillation: when contention clears, a short
         TTL notices within a handful of requests."""
-        ada = AdaptiveScheduler(base, explore_rate=0.15, ttl_s=5.0, rng=2)
-        run_contended(base, ada, 30)
+        backlog = BacklogAwareScheduler(base, service_ttl_s=5.0)
+        run_contended(base, backlog, 30)
         base.context.get_device("dgpu").set_background_load(0.0)
         devices, t = [], 1e6  # long gap: everything stale
         for _ in range(20):
-            d, ev = ada.submit_virtual(MNIST_DEEP, 1 << 14, "throughput", t)
+            d, ev = backlog.submit_virtual(MNIST_DEEP, 1 << 14, t)
             devices.append(d.device)
             t = ev.time_ended + 0.01
         assert devices[-10:].count("dgpu") >= 7

@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.errors import SchedulerError
+from repro.nn.zoo import MNIST_SMALL
+from repro.ocl.context import Context
+from repro.ocl.platform import get_all_devices
+from repro.sched.backlog import BacklogAwareScheduler
+from repro.sched.dispatcher import Dispatcher
 from repro.sched.feedback import CellKey, OutcomeTable, batch_bucket
-from repro.sched.policies import Policy
+from repro.sched.scheduler import OnlineScheduler
 from repro.telemetry.serving import BatchHistogram
 
 #: (batch, floor(log2(batch))) where a float log2 rounds up a bucket.
@@ -44,7 +50,7 @@ class TestBatchBucket:
 
 @pytest.fixture()
 def table():
-    return OutcomeTable(policy=Policy.THROUGHPUT, alpha=0.5, ttl_s=10.0)
+    return OutcomeTable(alpha=0.5, ttl_s=10.0)
 
 
 CELL = CellKey.of("mnist-small", 1024, "warm")
@@ -80,53 +86,55 @@ class TestFreshness:
     def test_fresh_devices(self, table):
         table.observe(CELL, "cpu", 1.0, now=0.0)
         table.observe(CELL, "dgpu", 2.0, now=9.0)
-        fresh = table.fresh_devices(CELL, now=10.5)
-        assert set(fresh) == {"dgpu"}
+        assert table.estimate(CELL, "cpu", now=10.5) is None
+        assert table.estimate(CELL, "dgpu", now=10.5).value == 2.0
 
 
-class TestBestDevice:
-    def test_requires_two_devices(self, table):
-        table.observe(CELL, "cpu", 100.0, now=0.0)
-        assert table.best_device(CELL, now=1.0) is None
+@pytest.fixture()
+def backlog(trained_predictors):
+    """All three devices eligible, 10 s service-time TTL."""
+    ctx = Context(get_all_devices())
+    dispatcher = Dispatcher(ctx)
+    dispatcher.deploy_fresh(MNIST_SMALL, rng=0)
+    base = OnlineScheduler(ctx, dispatcher, trained_predictors)
+    return BacklogAwareScheduler(base, max_rank=3, service_ttl_s=10.0)
 
-    def test_throughput_maximizes(self, table):
-        table.observe(CELL, "cpu", 100.0, now=0.0)
-        table.observe(CELL, "dgpu", 300.0, now=0.0)
-        assert table.best_device(CELL, now=1.0) == "dgpu"
 
-    def test_energy_minimizes(self):
-        t = OutcomeTable(policy=Policy.ENERGY, ttl_s=10.0)
-        t.observe(CELL, "igpu", 0.5, now=0.0)
-        t.observe(CELL, "dgpu", 2.0, now=0.0)
-        assert t.best_device(CELL, now=1.0) == "igpu"
+def observe(backlog, device, now):
+    state = backlog.scheduler.probe_gpu_state(now=now)
+    backlog.record_service("mnist-small", 1024, state, device, 1.0, now=now)
 
 
 class TestExplorationTarget:
-    def test_unmeasured_device_preferred(self, table):
-        table.observe(CELL, "cpu", 1.0, now=0.0)
-        table.observe(CELL, "dgpu", 1.0, now=5.0)
-        assert table.least_recently_measured(
-            CELL, ["cpu", "dgpu", "igpu"], now=6.0
-        ) == "igpu"
+    """The table's freshness drives exploration: a device without a fresh
+    estimate is costed at zero service, so placement probes it."""
 
-    def test_oldest_measured_next(self, table):
-        table.observe(CELL, "cpu", 1.0, now=0.0)
-        table.observe(CELL, "dgpu", 1.0, now=5.0)
-        assert table.least_recently_measured(CELL, ["cpu", "dgpu"], now=6.0) == "cpu"
+    def test_unmeasured_device_preferred(self, backlog):
+        observe(backlog, "cpu", 0.0)
+        observe(backlog, "dgpu", 5.0)
+        device, _ = backlog.estimate_completion(MNIST_SMALL, 1024, 6.0)
+        assert device == "igpu"
 
-    def test_empty_devices_rejected(self, table):
-        with pytest.raises(ValueError):
-            table.least_recently_measured(CELL, [], now=0.0)
+    def test_oldest_measured_next(self, backlog):
+        observe(backlog, "cpu", 0.0)
+        observe(backlog, "dgpu", 5.0)
+        observe(backlog, "igpu", 5.0)
+        device, _ = backlog.estimate_completion(MNIST_SMALL, 1024, 10.5)
+        assert device == "cpu"   # its estimate aged out first
+
+    def test_empty_devices_rejected(self, backlog):
+        with pytest.raises(SchedulerError, match="no device"):
+            backlog.set_device_mask(set())
 
 
 class TestValidation:
     def test_bad_alpha(self):
         with pytest.raises(ValueError):
-            OutcomeTable(policy=Policy.ENERGY, alpha=0.0)
+            OutcomeTable(alpha=0.0)
 
     def test_bad_ttl(self):
         with pytest.raises(ValueError):
-            OutcomeTable(policy=Policy.ENERGY, ttl_s=-1.0)
+            OutcomeTable(ttl_s=-1.0)
 
     def test_counters(self, table):
         table.observe(CELL, "cpu", 1.0, now=0.0)

@@ -407,6 +407,6 @@ class TestFeedbackGuards:
         "bad", [float("nan"), float("inf"), float("-inf"), -1.0]
     )
     def test_outcome_table_rejects_non_finite(self, bad):
-        table = OutcomeTable(Policy.THROUGHPUT)
+        table = OutcomeTable()
         with pytest.raises(ValueError):
             table.observe(CellKey.of("simple", 64, "warm"), "cpu", bad, now=0.0)

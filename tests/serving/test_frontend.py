@@ -1,13 +1,14 @@
 """The serving frontend end to end: SLOs, coalescing, shedding, overload."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tests.serving.conftest import SERVING_SPECS, build_scheduler
 from repro.errors import SchedulerError
-from repro.sched.runtime import StreamRunner
-from repro.serving import ServingFrontend, SLOConfig
-from repro.workloads.requests import make_trace
+from repro.serving import IMMEDIATE_DISPATCH, ServingFrontend, SLOConfig
+from repro.workloads.requests import RequestTrace, make_trace
 from repro.workloads.streams import OverloadStream
 
 
@@ -28,6 +29,36 @@ class TestSubmit:
         assert response.end_s > response.request.arrival_s
         assert response.energy_j > 0.0
         assert fe.n_pending == 0
+
+    def test_policy_defaults_to_the_placement_policy(self, trained_predictors):
+        fe = ServingFrontend(
+            build_scheduler(trained_predictors), SERVING_SPECS, policy="energy"
+        )
+        assert fe.submit("mnist-small", 1024).request.policy == "energy"
+        assert fe.submit("mnist-small", 1024, policy="energy").request.policy == "energy"
+
+    def test_foreign_policy_rejected(self, trained_predictors):
+        """One frontend places under one predictor: a request may not ask
+        for another policy, even one the scheduler has a predictor for."""
+        fe = ServingFrontend(build_scheduler(trained_predictors), SERVING_SPECS)
+        with pytest.raises(SchedulerError, match="policy"):
+            fe.submit("mnist-small", 1024, policy="energy")
+        assert fe.n_pending == 0
+
+    def test_gpu_state_idle_after_long_gap(self, scheduler):
+        """The placement's probed dGPU state rides on the response: a
+        back-to-back pair warms the dGPU, a request after a long idle gap
+        finds it cooled."""
+        fe = ServingFrontend(
+            scheduler, SERVING_SPECS, default_slo=IMMEDIATE_DISPATCH, max_rank=1
+        )
+        first = fe.submit("mnist-small", 1 << 16, arrival_s=0.0)
+        second = fe.submit("mnist-small", 1 << 16, arrival_s=0.001)
+        late = fe.submit("mnist-small", 1 << 16, arrival_s=100.0)
+        fe.run()
+        assert first.device == second.device == late.device == "dgpu"
+        assert second.gpu_state == "warm"
+        assert late.gpu_state == "idle"
 
     def test_real_scores_split_across_coalesced_requests(self, scheduler):
         fe = make_frontend(scheduler, max_batch=8, max_wait_s=0.5)
@@ -217,9 +248,15 @@ class TestOverloadAcceptance:
         )
         assert len(trace) > 2000  # genuinely a flood
 
-        naive = StreamRunner(build_scheduler(serving_predictors), SERVING_SPECS)
-        naive_result = naive.run(trace)
-        naive_p99 = naive_result.latency_percentile(99)
+        # Naive: each request alone, at arrival, on the predictor's pick.
+        naive = ServingFrontend(
+            build_scheduler(serving_predictors), SERVING_SPECS,
+            default_slo=IMMEDIATE_DISPATCH, max_rank=1,
+        )
+        best_effort = RequestTrace(
+            tuple(replace(r, deadline_s=None) for r in trace)
+        )
+        naive_p99 = naive.serve_trace(best_effort).latency_percentile(99)
 
         frontend = ServingFrontend(
             build_scheduler(serving_predictors),

@@ -60,8 +60,8 @@ class TestStreamDeterminism:
         from repro.ocl.context import Context
         from repro.ocl.platform import get_all_devices
         from repro.sched.dispatcher import Dispatcher
-        from repro.sched.runtime import StreamRunner
         from repro.sched.scheduler import OnlineScheduler
+        from repro.serving import IMMEDIATE_DISPATCH, ServingFrontend
         from repro.workloads.requests import make_trace
         from repro.workloads.streams import BurstStream
 
@@ -70,12 +70,15 @@ class TestStreamDeterminism:
             dispatcher = Dispatcher(ctx)
             dispatcher.deploy_fresh(MNIST_SMALL, rng=0)
             scheduler = OnlineScheduler(ctx, dispatcher, trained_predictors)
-            runner = StreamRunner(scheduler, {"mnist-small": MNIST_SMALL})
+            frontend = ServingFrontend(
+                scheduler, {"mnist-small": MNIST_SMALL},
+                default_slo=IMMEDIATE_DISPATCH, max_rank=1,
+            )
             trace = make_trace(
                 BurstStream(horizon_s=5.0), [MNIST_SMALL], rng=4
             )
-            result = runner.run(trace)
-            return [(r.device, r.end_s, r.energy_j) for r in result.records]
+            result = frontend.serve_trace(trace)
+            return [(r.device, r.end_s, r.energy_j) for r in result.responses]
 
         assert run_once() == run_once()
 

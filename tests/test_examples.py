@@ -20,7 +20,7 @@ LANDMARKS = {
     "energy_aware_overnight.py": ["scheduler saves", "iGPU share at night"],
     "train_workload_models.py": ["offline training phase", "portability check"],
     "custom_device.py": ["4-device energy-label distribution", "npu"],
-    "system_changes.py": ["dGPU contended", "feedback overrides"],
+    "system_changes.py": ["dGPU contended", "spills off the predictor's pick"],
     "power_timeline.py": ["mean power per", "window energies"],
     "cooperative_batch.py": ["one batch, all devices", "speedup"],
     "serving_frontend.py": ["SLO-aware serving", "max queue depth", "coalesced batches"],

@@ -1,6 +1,10 @@
 """Top-level public API surface."""
 
+from pathlib import Path
+
 import repro
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 class TestSurface:
@@ -32,3 +36,29 @@ class TestSurface:
         decision, event = scheduler.submit(spec, x, "throughput")
         assert event.meta["scores"].shape == (64, 3)
         assert decision.device in ("cpu", "dgpu", "igpu")
+
+    def test_readme_quickstart_block(self, monkeypatch, capsys):
+        """The README's quickstart block runs as written (reduced grid)."""
+        from repro.nn.zoo import MNIST_SMALL
+
+        section = README.read_text().split("## Quickstart", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        assert "ServingFrontend" in block and ".submit(" in block
+
+        full = repro.generate_dataset
+        monkeypatch.setattr(
+            repro,
+            "generate_dataset",
+            lambda policy: full(
+                policy, specs=[MNIST_SMALL], batches=(1, 64, 4096, 65536)
+            ),
+        )
+        namespace: dict = {}
+        exec(compile(block, str(README), "exec"), namespace)
+
+        response = namespace["response"]
+        assert response.served
+        assert response.scores.shape == (8192, 10)
+        assert response.device in ("cpu", "dgpu", "igpu")
+        assert response.gpu_state in ("idle", "warm")
+        assert response.device in capsys.readouterr().out

@@ -53,8 +53,8 @@ class TestJsonRoundtrip:
         from repro.ocl.context import Context
         from repro.ocl.platform import get_all_devices
         from repro.sched.dispatcher import Dispatcher
-        from repro.sched.runtime import StreamRunner
         from repro.sched.scheduler import OnlineScheduler
+        from repro.serving import IMMEDIATE_DISPATCH, ServingFrontend
 
         path = tmp_path / "trace.json"
         trace.save(path)
@@ -64,12 +64,13 @@ class TestJsonRoundtrip:
         dispatcher = Dispatcher(ctx)
         for spec in (SIMPLE, MNIST_SMALL):
             dispatcher.deploy_fresh(spec, rng=0)
-        runner = StreamRunner(
+        frontend = ServingFrontend(
             OnlineScheduler(ctx, dispatcher, trained_predictors),
             {"simple": SIMPLE, "mnist-small": MNIST_SMALL},
+            default_slo=IMMEDIATE_DISPATCH, max_rank=1,
         )
-        result = runner.run(loaded)
-        assert len(result) == len(trace)
+        result = frontend.serve_trace(loaded)
+        assert len(result.served) == len(trace)
 
 
 def test_deadlines_survive_roundtrip():
