@@ -1,7 +1,7 @@
 """Bench: raw inference-kernel performance (real numpy compute).
 
 Not a paper artifact — these time *our* substrate's forward passes, the
-compute that ``execute_kernels=True`` launches actually run.  Useful for
+compute that launches given a host batch actually run.  Useful for
 tracking regressions in the vectorized layer implementations.
 """
 

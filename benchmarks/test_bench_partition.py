@@ -35,9 +35,7 @@ def test_bench_partitioning(benchmark):
                 queues = {}
                 for d in ctx.devices:
                     d.force_state(DeviceState.WARM)
-                    queues[d.device_class.value] = CommandQueue(
-                        ctx, d, execute_kernels=False
-                    )
+                    queues[d.device_class.value] = CommandQueue(ctx, d)
                 result = part.submit_virtual(spec, batch, queues)
                 rows.append(
                     (

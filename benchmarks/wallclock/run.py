@@ -15,7 +15,9 @@ gates each section's claims whenever it is present.
 
 Run from the repo root with ``PYTHONPATH=src``; ``--tiny`` shrinks every
 workload for CI smoke runs (same schema, different ``mode`` field, so the
-regression check only ever compares like against like).
+regression check only ever compares like against like).  The script puts
+the repo root on ``sys.path`` itself: the ``forest`` section times the
+recursive reference walk from ``tests/placement_oracle.py``.
 """
 
 from __future__ import annotations
@@ -25,8 +27,11 @@ import json
 import platform
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2]))
 
 SCHEMA_VERSION = 1
 
@@ -45,6 +50,7 @@ def bench_forest(tiny: bool) -> dict:
     """Recursive vs flattened 50-tree forest ``predict_proba``."""
     from repro.ml.forest import RandomForestClassifier
     from repro.sched.dataset import generate_dataset
+    from tests.placement_oracle import forest_proba_recursive
 
     dataset = generate_dataset("throughput")
     forest = RandomForestClassifier(
@@ -65,10 +71,10 @@ def bench_forest(tiny: bool) -> dict:
     for batch in batches:
         x = np.resize(dataset.x, (batch, dataset.x.shape[1]))
         if not np.array_equal(
-            forest.predict_proba(x), forest.predict_proba_recursive(x)
+            forest.predict_proba(x), forest_proba_recursive(forest, x)
         ):
             out["equivalent"] = False
-        recursive_s = _best_of(lambda: forest.predict_proba_recursive(x), repeats)
+        recursive_s = _best_of(lambda: forest_proba_recursive(forest, x), repeats)
         flat_s = _best_of(lambda: forest.predict_proba(x), repeats)
         out["batches"][str(batch)] = {
             "recursive_s": recursive_s,

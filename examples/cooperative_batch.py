@@ -36,7 +36,7 @@ def main() -> None:
             queues = {}
             for d in ctx.devices:
                 d.force_state(DeviceState.WARM)
-                queues[d.device_class.value] = CommandQueue(ctx, d, execute_kernels=False)
+                queues[d.device_class.value] = CommandQueue(ctx, d)
             result = partitioner.submit_virtual(spec, batch, queues)
             rows.append(
                 (

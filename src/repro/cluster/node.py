@@ -245,7 +245,6 @@ def build_node(
     max_rank: int = 2,
     rng: int = 0,
     start_state: DeviceState = DeviceState.IDLE,
-    decision_cache: bool = True,
 ) -> ClusterNode:
     """Stand up one node: fresh devices -> dispatcher -> scheduler -> frontend.
 
@@ -271,7 +270,6 @@ def build_node(
         policy=policy,
         max_rank=max_rank,
         loop=loop,
-        decision_cache=decision_cache,
     )
     state = NodeState.ACTIVE if spec.active else NodeState.STANDBY
     return ClusterNode(
@@ -288,8 +286,8 @@ def make_fleet(
 ) -> "list[ClusterNode]":
     """Build a fleet of nodes on one shared event loop.
 
-    ``node_kwargs`` (slo, default_slo, policy, max_rank, rng, start_state,
-    decision_cache) are forwarded to every :func:`build_node` call.  Returns the nodes in
+    ``node_kwargs`` (slo, default_slo, policy, max_rank, rng, start_state)
+    are forwarded to every :func:`build_node` call.  Returns the nodes in
     spec order; the shared loop is reachable as ``fleet[0].frontend.loop``.
     """
     if not node_specs:

@@ -899,33 +899,13 @@ class ClusterRouter:
         return len(self._responses) - self._n_resolved
 
     def decision_cache_stats(self) -> dict:
-        """Fleet-wide rollup of the nodes' decision-cache counters."""
-        enabled = False
-        hits = misses = entries = refit_clears = feedback_invalidations = 0
-        drift_invalidations = 0
-        for node in self.nodes:
-            cache_stats = getattr(node.frontend.backlog, "cache_stats", None)
-            if cache_stats is None:  # duck-typed backlog (tests, adapters)
-                continue
-            s = cache_stats()
-            enabled = enabled or s["enabled"]
-            hits += s["hits"]
-            misses += s["misses"]
-            entries += s["entries"]
-            refit_clears += s["refit_clears"]
-            feedback_invalidations += s["feedback_invalidations"]
-            drift_invalidations += s.get("drift_invalidations", 0)
-        total = hits + misses
-        return {
-            "enabled": enabled,
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": (hits / total) if total else 0.0,
-            "entries": entries,
-            "refit_clears": refit_clears,
-            "feedback_invalidations": feedback_invalidations,
-            "drift_invalidations": drift_invalidations,
-        }
+        """Fleet-wide rollup of the nodes' decision-cache counters: each
+        counter summed over the nodes, the hit rate taken from the sums."""
+        per_node = [node.frontend.backlog.cache_stats() for node in self.nodes]
+        rollup = {key: sum(s[key] for s in per_node) for key in per_node[0]}
+        lookups = rollup["hits"] + rollup["misses"]
+        rollup["hit_rate"] = rollup["hits"] / lookups if lookups else 0.0
+        return rollup
 
     def stats(self) -> dict:
         """Fleet snapshot: telemetry rollup plus per-node load/state."""

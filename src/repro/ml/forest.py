@@ -110,8 +110,9 @@ class RandomForestClassifier(BaseEstimator):
         """Soft-voted distributions via the flat-arena fast path.
 
         Every tree routes the whole batch simultaneously; accumulation
-        runs in tree order so the result is bit-identical to
-        :meth:`predict_proba_recursive`.
+        runs in tree order so the result is bit-identical to averaging
+        per-tree walks of the node graphs (the reference in
+        ``tests/placement_oracle.py``).
         """
         check_fitted(self, "trees_")
         x = np.asarray(x, dtype=np.float64)
@@ -121,14 +122,6 @@ class RandomForestClassifier(BaseEstimator):
                 f"expected (n, {flat.n_features}) input, got shape {x.shape}"
             )
         return flat.predict_proba(x)
-
-    def predict_proba_recursive(self, x: np.ndarray) -> np.ndarray:
-        """Reference path: average per-tree node-graph walks (slow)."""
-        check_fitted(self, "trees_")
-        proba = self.trees_[0].predict_proba_recursive(x)
-        for tree in self.trees_[1:]:
-            proba = proba + tree.predict_proba_recursive(x)
-        return proba / len(self.trees_)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(x), axis=1)

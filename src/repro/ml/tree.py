@@ -226,35 +226,12 @@ class DecisionTreeClassifier(BaseEstimator):
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Batched class distributions via the flat-array fast path.
 
-        Bit-identical to :meth:`predict_proba_recursive` (asserted by
+        Bit-identical to a recursive walk of the ``_Node`` graph (the
+        reference in ``tests/placement_oracle.py``, asserted by
         ``tests/property``): the same comparisons route every sample to
         the same leaf, whose stored distribution is copied out.
         """
         return self.flatten().predict_proba(self._check_x(x))
-
-    def predict_proba_recursive(self, x: np.ndarray) -> np.ndarray:
-        """Reference path: walk the Python ``_Node`` graph.
-
-        Kept for equivalence testing against the flat path — one
-        interpreter iteration per node makes it the slow baseline the
-        wall-clock harness measures against.
-        """
-        x = self._check_x(x)
-        out = np.empty((x.shape[0], self.n_classes_))
-        # Iterative routing: partition index sets level by level (no Python
-        # loop over individual samples).
-        stack = [(self.root_, np.arange(x.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if node.is_leaf:
-                out[idx] = node.proba
-                continue
-            mask = x[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
-        return out
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(x), axis=1)

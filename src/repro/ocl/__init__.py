@@ -10,10 +10,11 @@ profiling timestamps.  Two things differ from a real OpenCL runtime:
   hardware, so a 256K-sample Cifar-10 characterization point costs
   microseconds of host time to *simulate* while reporting the seconds it
   would take to *execute*.
-* **Compute is optionally real.**  With ``execute_kernels=True`` (the
-  default) kernels run the actual numpy forward pass and produce correct
-  classifications; characterization sweeps can disable execution to get
-  timing/energy only.  Timing is identical in both modes by construction.
+* **Compute is optionally real.**  A launch given a host batch runs the
+  actual numpy forward pass and produces correct classifications; a
+  virtual launch (batch size only) gives characterization sweeps
+  timing/energy without compute.  Timing is identical in both by
+  construction.
 
 The scheduler (:mod:`repro.sched`) talks only to this layer, which is what
 makes it device-agnostic: anything that exposes the same Device interface

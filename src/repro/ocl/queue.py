@@ -9,10 +9,12 @@ power/latency instrumentation of §III-A1.
 Inference launches account the paper's full pipeline (§II-A): input
 staging (PCIe DMA or zero-copy map), per-layer kernel launches, compute at
 the achieved occupancy (stretched by the dGPU clock ramp when cold), and
-result transfer back.  With ``execute_kernels=True`` the launch also runs
-the real numpy forward pass and deposits class scores in the output
-buffer; timing is byte-for-byte identical with execution off, which is how
-large characterization sweeps stay cheap.
+result transfer back.  :meth:`CommandQueue.enqueue_inference` takes a
+host batch and also runs the real numpy forward pass, depositing class
+scores in the output buffer; :meth:`CommandQueue.enqueue_inference_virtual`
+takes only a batch size and runs no compute.  Timing is byte-for-byte
+identical between the two, which is how large characterization sweeps
+stay cheap.
 """
 
 from __future__ import annotations
@@ -33,17 +35,11 @@ __all__ = ["CommandQueue"]
 class CommandQueue:
     """An in-order command queue bound to one device."""
 
-    def __init__(
-        self,
-        context: Context,
-        device: Device,
-        execute_kernels: bool = True,
-    ):
+    def __init__(self, context: Context, device: Device):
         if device not in context:
             raise DeviceError(f"device {device.name!r} is not in the context")
         self.context = context
         self.device = device
-        self.execute_kernels = execute_kernels
         self._now: float = 0.0
         self.events: list[Event] = []
         self._meters: list = []
@@ -206,11 +202,10 @@ class CommandQueue:
             spec, batch, now=self._now, workgroup_eff=wg_eff, pinned=pinned
         )
 
-        if self.execute_kernels:
-            scores = kernel.run(x)
-            if out_buffer is not None:
-                out_buffer.write_host(scores)
-            event.meta["scores"] = scores
+        scores = kernel.run(x)
+        if out_buffer is not None:
+            out_buffer.write_host(scores)
+        event.meta["scores"] = scores
 
         started = self._now + timing.transfer_in_s + timing.launch_s
         ended = self._now + timing.total_s

@@ -17,14 +17,17 @@ re-tried once its stale estimate expires.
 
 The request path through :meth:`BacklogAwareScheduler.decide` /
 :meth:`~BacklogAwareScheduler.estimate_completion` is serving-hot (a
-cluster balancer probes it once per node per arrival), so decisions are
-served through a cache (see :class:`_DecisionEntry`): the predictor's
+cluster balancer probes it once per node per arrival), so every decision
+is served through a cache (see :class:`_DecisionEntry`): the predictor's
 ranking and the eligible (device, queue, estimate) bindings are resolved
 once per (model, batch interval, log2 batch bucket, dGPU-state) cell,
-while backlog waits and learned service values are always read live —
-cached decisions are bit-identical to uncached ones by construction.  A
-batch interval lies between two consecutive thresholds the predictor's
-trees split the batch column at (:meth:`DevicePredictor.batch_cuts
+while backlog waits and learned service values are always read live.
+Cached decisions are bit-identical by construction to a walk that
+re-resolves every candidate from scratch; that uncached walk is the
+reference the test suite holds the cache to
+(``tests/placement_oracle.py``), not a mode of this class.  A batch
+interval lies between two consecutive thresholds the predictor's trees
+split the batch column at (:meth:`DevicePredictor.batch_cuts
 <repro.sched.predictor.DevicePredictor.batch_cuts>`), so the ranking is
 fixed within it; the log2 bucket fixes the outcome-table cell and the
 drift-fallback plan, which are all an entry reads of the batch.
@@ -71,7 +74,8 @@ class _DecisionEntry:
     its name, command queue and current outcome-table estimate binding
     (fixed per log2 bucket, as is the drift-fallback plan).  Queue backlog
     (``current_time``) and estimate freshness are evaluated live at every
-    use, so a hit runs the exact float expressions the uncached path runs.
+    use, so a hit runs the exact float expressions the test oracle's
+    uncached walk runs.
     ``version`` pins the cell's feedback version at build time: any
     ``record_service`` / ``submit_virtual`` observation for the cell bumps
     that version and the entry rebuilds, so a replaced/aged estimate
@@ -110,7 +114,6 @@ class BacklogAwareScheduler:
         max_rank: int = 2,
         service_alpha: float = 0.5,
         service_ttl_s: float = 60.0,
-        cache_decisions: bool = True,
     ):
         if max_rank < 1:
             raise ValueError(f"max_rank must be >= 1, got {max_rank}")
@@ -126,7 +129,6 @@ class BacklogAwareScheduler:
         # set_device_mask.
         self._device_mask: "frozenset[str] | None" = None
         # Decision cache (see module docstring for the invalidation rules).
-        self.cache_decisions = bool(cache_decisions)
         self._entries: "dict[tuple, _DecisionEntry]" = {}
         self._feedback_versions: "dict[CellKey, int]" = {}
         self._cache_hits = 0
@@ -291,11 +293,6 @@ class BacklogAwareScheduler:
 
     # -- per-model device pins (partition placement) -----------------------
 
-    def model_device_pin(self, model: str) -> "tuple[str, ...] | None":
-        """The device names a model is pinned to, if any."""
-        pin = self._model_pins.get(model)
-        return pin[0] if pin is not None else None
-
     def set_model_device_pin(
         self, model: str, names: "tuple[str, ...] | list[str] | None"
     ) -> None:
@@ -334,11 +331,6 @@ class BacklogAwareScheduler:
             return
         self._model_pins[model] = pin
         self.invalidate_model(model)
-
-    def clear_device_pins(self) -> None:
-        """Drop every model's device pin (e.g. before a full teardown)."""
-        for model in list(self._model_pins):
-            self.set_model_device_pin(model, None)
 
     # -- ranking -----------------------------------------------------------
 
@@ -532,7 +524,6 @@ class BacklogAwareScheduler:
         """Decision-cache effectiveness counters (for telemetry surfaces)."""
         total = self._cache_hits + self._cache_misses
         return {
-            "enabled": self.cache_decisions,
             "hits": self._cache_hits,
             "misses": self._cache_misses,
             "hit_rate": (self._cache_hits / total) if total else 0.0,
@@ -574,9 +565,9 @@ class BacklogAwareScheduler:
         in the classic one-device-per-class context this is exactly the
         old single-candidate-per-class walk; with partitioned contexts
         every unmasked (and pin-allowed) device of each top-ranked class
-        competes.  Both the cached entry build and the uncached
-        :meth:`_earliest_finisher` use this enumeration, so cache-on and
-        cache-off placements stay bit-identical.
+        competes.  Both the cached entry build and the test oracle's
+        uncached walk use this enumeration, so cached placements stay
+        bit-identical to the reference's.
         """
         pin = self._model_pins.get(model)
         devices = self.scheduler.context.devices
@@ -650,12 +641,12 @@ class BacklogAwareScheduler:
     def _finisher_from(
         self, entry: _DecisionEntry, arrival_s: float
     ) -> "tuple[str, float, str, object]":
-        """Hit-path argmin: the exact float expressions of the cold path.
+        """Cached-path argmin: the exact float expressions of an uncached walk.
 
         Backlog (``queue.current_time``) and estimate freshness are read
         live; only the bindings come from the cache, so the returned
-        (device, completion) is bit-identical to
-        :meth:`_earliest_finisher`'s.
+        (device, completion) is bit-identical to the test oracle's
+        uncached walk.
         """
         ttl = self._service.ttl_s
         best = None
@@ -677,32 +668,6 @@ class BacklogAwareScheduler:
             return None, best_completion, None, None
         return best[0], best_completion, best[1], best[2]
 
-    def _earliest_finisher(
-        self, model: str, cell: CellKey, ranked: "tuple[str, ...]",
-        limit: int, arrival_s: float,
-    ) -> "tuple[str, float, str, object]":
-        """Earliest estimated completion among eligible devices (uncached).
-
-        Walks the same candidate enumeration the cache binds
-        (:meth:`_eligible_devices`) with the same strict ``<`` tie-break,
-        so the uncached reference path and the hit path agree bit for bit.
-        """
-        best, best_completion = None, float("inf")
-        for device_class, device in self._eligible_devices(model, ranked, limit):
-            queue = self.scheduler.queue_for(device.name)
-            wait = max(0.0, queue.current_time - arrival_s)
-            est = self._service.estimate(cell, device_class, arrival_s)
-            # Unmeasured candidates assume zero service: optimistic start
-            # that self-corrects after the first dispatch.
-            service = est.value if est is not None else 0.0
-            completion = wait + service
-            if completion < best_completion:
-                best = (device_class, device.name, queue)
-                best_completion = completion
-        if best is None:
-            return None, best_completion, None, None
-        return best[0], best_completion, best[1], best[2]
-
     def estimate_completion(
         self, spec: ModelSpec, batch: int, arrival_s: float
     ) -> tuple[str, float]:
@@ -713,15 +678,8 @@ class BacklogAwareScheduler:
         controller compares against a request's deadline budget.
         """
         gpu_state = self.scheduler.probe_gpu_state(now=arrival_s)
-        if self.cache_decisions:
-            entry = self._entry_for(spec, batch, gpu_state)
-            best_device, best_completion, _, _ = self._finisher_from(entry, arrival_s)
-            return best_device, best_completion
-        ranked, limit, _ = self._routing_plan(spec, batch, gpu_state)
-        cell = CellKey.of(spec.name, batch, gpu_state)
-        best_device, best_completion, _, _ = self._earliest_finisher(
-            spec.name, cell, ranked, limit, arrival_s
-        )
+        entry = self._entry_for(spec, batch, gpu_state)
+        best_device, best_completion, _, _ = self._finisher_from(entry, arrival_s)
         return best_device, best_completion
 
     # -- placement ---------------------------------------------------------
@@ -730,21 +688,11 @@ class BacklogAwareScheduler:
         """Pick the earliest-finishing device among the top-ranked ones."""
         gpu_state = self.scheduler.probe_gpu_state(now=arrival_s)
         self._n_decisions += 1
-        if self.cache_decisions:
-            entry = self._entry_for(spec, batch, gpu_state)
-            best_device, _, device_name, queue = self._finisher_from(entry, arrival_s)
-            ranked = entry.ranked
-            if entry.fallback:
-                self._n_fallback_decisions += 1
-        else:
-            ranked, limit, fallback = self._routing_plan(spec, batch, gpu_state)
-            cell = CellKey.of(spec.name, batch, gpu_state)
-            best_device, _, device_name, queue = self._earliest_finisher(
-                spec.name, cell, ranked, limit, arrival_s
-            )
-            if fallback:
-                self._n_fallback_decisions += 1
-
+        entry = self._entry_for(spec, batch, gpu_state)
+        best_device, _, device_name, queue = self._finisher_from(entry, arrival_s)
+        ranked = entry.ranked
+        if entry.fallback:
+            self._n_fallback_decisions += 1
         spilled = best_device != ranked[0]
         if spilled:
             self.n_spills += 1

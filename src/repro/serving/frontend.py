@@ -35,6 +35,7 @@ shed/violation counters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -100,20 +101,33 @@ class SLOConfig:
     ect_margin: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.deadline_s is not None and self.deadline_s <= 0.0:
-            raise ValueError(f"deadline_s must be positive, got {self.deadline_s}")
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
+        # Comparisons are written so NaN fails them: every one is False.
+        if self.deadline_s is not None and not 0.0 < self.deadline_s < math.inf:
             raise ValueError(
-                f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
+                f"deadline_s must be positive and finite, got {self.deadline_s}"
             )
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_s < 0.0:
-            raise ValueError(f"max_wait_s must be >= 0, got {self.max_wait_s}")
+        if self.max_queue_depth is not None and not (
+            isinstance(self.max_queue_depth, (int, np.integer))
+            and self.max_queue_depth >= 1
+        ):
+            raise ValueError(
+                "max_queue_depth must be an integer >= 1, "
+                f"got {self.max_queue_depth!r}"
+            )
+        if not isinstance(self.max_batch, (int, np.integer)) or self.max_batch < 1:
+            raise ValueError(
+                f"max_batch must be an integer >= 1, got {self.max_batch!r}"
+            )
+        if not 0.0 <= self.max_wait_s < math.inf:
+            raise ValueError(
+                f"max_wait_s must be finite and >= 0, got {self.max_wait_s}"
+            )
         if self.discipline not in ("fifo", "edf"):
             raise ValueError(f"unknown discipline {self.discipline!r}")
-        if self.ect_margin <= 0.0:
-            raise ValueError(f"ect_margin must be positive, got {self.ect_margin}")
+        if not 0.0 < self.ect_margin < math.inf:
+            raise ValueError(
+                f"ect_margin must be positive and finite, got {self.ect_margin}"
+            )
 
 
 #: One request per launch, dispatched at arrival, never refused: no
@@ -325,10 +339,6 @@ class ServingFrontend:
         Devices eligible for backlog spilling (see BacklogAwareScheduler).
     loop:
         Bring-your-own event loop (e.g. to co-simulate other actors).
-    decision_cache:
-        Serve placement decisions through the backlog scheduler's decision
-        cache (bit-identical results; disable for the uncached reference
-        path in equivalence tests).
     tenants:
         Optional :class:`~repro.partition.tenants.TenantSet` attributing
         requests to tenants by model ownership.  With one installed the
@@ -346,7 +356,6 @@ class ServingFrontend:
         policy: "Policy | str" = Policy.THROUGHPUT,
         max_rank: int = 2,
         loop: "EventLoop | None" = None,
-        decision_cache: bool = True,
         tenants: "TenantSet | None" = None,
     ):
         if not specs:
@@ -354,7 +363,7 @@ class ServingFrontend:
         self.specs = dict(specs)
         self.loop = loop if loop is not None else EventLoop()
         self.backlog = BacklogAwareScheduler(
-            scheduler, policy=policy, max_rank=max_rank, cache_decisions=decision_cache
+            scheduler, policy=policy, max_rank=max_rank
         )
         self.telemetry = ServingTelemetry()
         # Online-predictor telemetry: the callable answers None with a

@@ -98,7 +98,7 @@ class DeviceWorker:
             cq.advance_to(now)
         kernel = self.dispatcher.kernel_for(self.device_name, batch.model)
         merged = self._merged_input(batch)
-        if merged is not None and cq.execute_kernels:
+        if merged is not None:
             event = cq.enqueue_inference(kernel, merged)
         else:
             event = cq.enqueue_inference_virtual(kernel, batch.total_samples)

@@ -11,6 +11,7 @@ store, and the callback: events are plain tuples (no dataclass
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, NamedTuple
 
 from repro.sim.clock import VirtualClock
@@ -113,11 +114,9 @@ class EventLoop:
     def schedule(
         self, time: float, action: Callable[["EventLoop"], Any], label: str = ""
     ) -> ScheduledEvent:
-        """Enqueue ``action`` to fire at virtual ``time`` (>= now)."""
-        if time < self.clock.now:
-            raise ValueError(
-                f"cannot schedule into the past: {time} < now={self.clock.now}"
-            )
+        """Enqueue ``action`` to fire at virtual ``time`` (finite, >= now)."""
+        if not self.clock.now <= time < math.inf:  # NaN fails it too
+            _reject_time(time, self.clock.now)
         seq = self._seq
         self._seq = seq + 1
         ev = ScheduledEvent(time=float(time), seq=seq, action=action, label=label)
@@ -152,10 +151,8 @@ class EventLoop:
         label: str = "",
     ) -> ScheduledEvent:
         """Enqueue ``action`` under a seq claimed via :meth:`reserve_sequences`."""
-        if time < self.clock.now:
-            raise ValueError(
-                f"cannot schedule into the past: {time} < now={self.clock.now}"
-            )
+        if not self.clock.now <= time < math.inf:
+            _reject_time(time, self.clock.now)
         if not 0 <= seq < self._seq:
             raise ValueError(f"seq {seq} was never reserved (next is {self._seq})")
         if seq in self._live or seq in self._dead:
@@ -283,17 +280,28 @@ class EventLoop:
         return clock.now
 
 
+def _reject_time(time: float, now: float) -> None:
+    """Raise the error for an event time :meth:`EventLoop.schedule` refuses."""
+    if not math.isfinite(time):
+        raise ValueError(f"time must be finite, got {time}")
+    raise ValueError(f"cannot schedule into the past: {time} < now={now}")
+
+
 def check_arrival_order(times, now: float) -> None:
     """Raise ``ValueError`` unless ``times`` can feed a :class:`TraceCursor`.
 
-    The arrivals must be non-decreasing and start at or after ``now``.
-    Trace ingestion calls this before it ledgers a single request, so an
-    out-of-order input fails whole instead of dying half-replayed inside
-    the event loop.
+    The arrivals must be finite, non-decreasing and start at or after
+    ``now``.  Trace ingestion calls this before it ledgers a single
+    request, so an out-of-order input fails whole instead of dying
+    half-replayed inside the event loop.  A NaN fails the order check
+    itself: past one, every later comparison would be False and no
+    disorder after it could show.
     """
-    prev = now
+    prev, inf = now, math.inf
     for i, t in enumerate(times):
-        if t < prev:
+        if not prev <= t < inf:
+            if not math.isfinite(t):
+                raise ValueError(f"arrival_s[{i}]={t} must be finite")
             before = f"arrival_s[{i - 1}]" if i else "now"
             raise ValueError(
                 f"arrival_s[{i}]={t} precedes {before}={prev}: arrivals "

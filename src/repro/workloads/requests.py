@@ -8,6 +8,7 @@ a benchmark artifact.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -40,18 +41,28 @@ class InferenceRequest:
     origin_arrival_s: "float | None" = None   # chain's first arrival (follow-ups)
 
     def __post_init__(self) -> None:
-        if self.batch <= 0:
-            raise ValueError(f"batch must be positive, got {self.batch}")
-        if self.arrival_s < 0.0:
-            raise ValueError(f"arrival must be >= 0, got {self.arrival_s}")
-        if self.deadline_s is not None and self.deadline_s <= self.arrival_s:
+        # Comparisons are written so NaN fails them: every one is False.
+        if not isinstance(self.batch, (int, np.integer)) or self.batch <= 0:
             raise ValueError(
-                f"deadline {self.deadline_s} must fall after arrival {self.arrival_s}"
+                f"batch must be a positive integer, got {self.batch!r}"
             )
-        if self.origin_arrival_s is not None and self.origin_arrival_s > self.arrival_s:
+        if not 0.0 <= self.arrival_s < math.inf:
             raise ValueError(
-                f"origin arrival {self.origin_arrival_s} must not fall after "
-                f"re-enqueue arrival {self.arrival_s}"
+                f"arrival_s must be finite and >= 0, got {self.arrival_s}"
+            )
+        if self.deadline_s is not None and not (
+            self.arrival_s < self.deadline_s < math.inf
+        ):
+            raise ValueError(
+                f"deadline_s {self.deadline_s} must be finite and fall after "
+                f"arrival {self.arrival_s}"
+            )
+        if self.origin_arrival_s is not None and not (
+            0.0 <= self.origin_arrival_s <= self.arrival_s
+        ):
+            raise ValueError(
+                f"origin_arrival_s {self.origin_arrival_s} must be >= 0 and not "
+                f"fall after re-enqueue arrival {self.arrival_s}"
             )
 
     @property

@@ -3,8 +3,9 @@
 The per-node cache equivalence is pinned in tests/sched; here the claim is
 end-to-end: a least-ECT fleet riding out an overload must produce the
 *same simulated-time story* — per-request statuses, nodes, devices,
-latencies, tail percentiles, shed rate — with the cache on as with it
-off, while the telemetry rollup actually surfaces the hit counters.  The
+latencies, tail percentiles, shed rate — as the same fleet placing
+through the uncached reference walk (``tests/placement_oracle.py``),
+while the telemetry rollup actually surfaces the hit counters.  The
 router must also tell its balancer about membership changes, and a drain
 mid-trace must leave least-ECT's decisions equal to the no-prime oracle's.
 """
@@ -17,6 +18,7 @@ from repro.cluster import (
     NodeSpec,
     RoundRobinBalancer,
 )
+from repro.faults import FaultInjector
 from repro.nn.zoo import MNIST_SMALL
 from repro.sched.policies import Policy
 from repro.sched.predictor import DevicePredictor
@@ -24,6 +26,7 @@ from repro.shard.digest import digest_responses
 from repro.workloads.requests import make_trace
 from repro.workloads.streams import OverloadStream
 from tests.cluster.conftest import NoPrimeLeastECT, build_fleet
+from tests.placement_oracle import use_uncached
 
 
 @pytest.fixture(scope="module")
@@ -41,20 +44,45 @@ def flood_trace():
     return make_trace(stream, [MNIST_SMALL], rng=7)
 
 
-def run_fleet(serving_predictors, trace, **fleet_kwargs):
-    router = ClusterRouter(
-        build_fleet(serving_predictors, **fleet_kwargs),
-        balancer="least-ect",
-        rng=123,
-    )
+def run_fleet(serving_predictors, trace, uncached=False, script=None):
+    """Replay ``trace`` over a fresh least-ECT fleet; ``script(router)``
+    arms mid-flood events first."""
+    fleet = build_fleet(serving_predictors)
+    if uncached:
+        use_uncached(fleet)
+    router = ClusterRouter(fleet, balancer="least-ect", rng=123)
+    if script is not None:
+        script(router)
     return router, router.serve_trace(trace)
+
+
+def outcomes(result):
+    """Per-response outcome tuples (latency exact, not approx)."""
+    return [
+        (
+            r.request.request_id, r.status, r.node_name, r.device,
+            r.shed_reason, r.latency_s if r.served else None,
+        )
+        for r in result.responses
+    ]
+
+
+def assert_rollup_sums_nodes(router):
+    """Every fleet counter is the sum of the nodes' own."""
+    rollup = router.decision_cache_stats()
+    per_node = [n.frontend.backlog.cache_stats() for n in router.nodes]
+    assert set(rollup) == set(per_node[0])
+    for key in rollup:
+        if key != "hit_rate":
+            assert rollup[key] == sum(s[key] for s in per_node), key
+    return rollup
 
 
 class TestClusterEquivalence:
     def test_cache_changes_no_simulated_result(self, serving_predictors, flood_trace):
         cached_router, cached = run_fleet(serving_predictors, flood_trace)
         plain_router, plain = run_fleet(
-            serving_predictors, flood_trace, decision_cache=False
+            serving_predictors, flood_trace, uncached=True
         )
         assert cached_router.decision_cache_stats()["hits"] > 0
         assert plain_router.decision_cache_stats()["hits"] == 0
@@ -78,34 +106,64 @@ class TestClusterEquivalence:
     def test_hit_rate_surfaced_in_fleet_stats(self, serving_predictors, flood_trace):
         router, _ = run_fleet(serving_predictors, flood_trace)
         rollup = router.stats()["decision_cache"]
-        assert rollup["enabled"]
         assert rollup["hits"] > rollup["misses"]
         assert rollup["hit_rate"] > 0.5
         assert rollup["feedback_invalidations"] > 0
         # The rollup is the sum over the nodes' own counters.
-        per_node = [n.frontend.backlog.cache_stats() for n in router.nodes]
-        assert rollup["hits"] == sum(s["hits"] for s in per_node)
-        assert rollup["misses"] == sum(s["misses"] for s in per_node)
-
-    def test_disabled_fleet_reports_disabled(self, serving_predictors):
-        router = ClusterRouter(
-            build_fleet(serving_predictors, decision_cache=False)
+        assert assert_rollup_sums_nodes(router) == rollup
+        assert rollup["hit_rate"] == rollup["hits"] / (
+            rollup["hits"] + rollup["misses"]
         )
-        rollup = router.decision_cache_stats()
-        assert not rollup["enabled"]
-        assert rollup["hit_rate"] == 0.0
+
+
+class TestInvalidationPathsMatchUncached:
+    """The two invalidation paths a fault or a cascade drives mid-flood —
+    the device mask and a per-model stage preference — must leave every
+    outcome equal to the uncached reference fleet's."""
+
+    def compare(self, serving_predictors, flood_trace, script):
+        router, cached = run_fleet(serving_predictors, flood_trace, script=script)
+        _, plain = run_fleet(
+            serving_predictors, flood_trace, uncached=True, script=script
+        )
+        assert outcomes(cached) == outcomes(plain)
+        return assert_rollup_sums_nodes(router)
+
+    def test_device_drop_and_restore(self, serving_predictors, flood_trace):
+        def script(router):
+            injector = FaultInjector(router)
+            injector.drop_device(0.6, "node-a", "dgpu")
+            injector.restore_device(0.8, "node-a", "dgpu")
+
+        rollup = self.compare(serving_predictors, flood_trace, script)
+        assert rollup["mask_invalidations"] > 0
+
+    def test_stage_preference_set_and_cleared(
+        self, serving_predictors, flood_trace
+    ):
+        def script(router):
+            fe = router.node("node-b").frontend
+            for t, classes in ((0.6, ("cpu", "igpu")), (0.8, None)):
+                router.loop.schedule(
+                    t,
+                    lambda _l, c=classes: fe.backlog.set_model_preference(
+                        MNIST_SMALL.name, c
+                    ),
+                )
+
+        rollup = self.compare(serving_predictors, flood_trace, script)
+        assert rollup["preference_invalidations"] > 0
 
 
 class TestOnlineClusterEquivalence:
     """The fleet-level cache guarantee must survive the online refresh
     loop.  A silent mid-flood thermal throttle drives real drift flags,
     fallback routing, and live refits across the fleet's shared
-    OnlinePredictor — and cache-on / cache-off runs (each with its own
-    identically-built predictor) must still tell the same simulated-time
-    story, response for response."""
+    OnlinePredictor — and cached / uncached-reference runs (each with its
+    own identically-built predictor) must still tell the same
+    simulated-time story, response for response."""
 
-    def run_online_fleet(self, online_dataset, trace, cache: bool):
-        from repro.faults import FaultInjector
+    def run_online_fleet(self, online_dataset, trace, uncached=False):
         from repro.sched.online import OnlineConfig, OnlinePredictor
         from repro.sched.policies import Policy
         from repro.sched.predictor import DevicePredictor
@@ -115,11 +173,10 @@ class TestOnlineClusterEquivalence:
         online = OnlinePredictor(
             base, SERVING_SPECS, online_dataset, OnlineConfig(refit_interval=32)
         )
-        router = ClusterRouter(
-            build_fleet({Policy.THROUGHPUT: online}, decision_cache=cache),
-            balancer="least-ect",
-            rng=123,
-        )
+        fleet = build_fleet({Policy.THROUGHPUT: online})
+        if uncached:
+            use_uncached(fleet)
+        router = ClusterRouter(fleet, balancer="least-ect", rng=123)
         injector = FaultInjector(router)
         # Both full nodes lose dGPU speed silently: the frozen forest
         # would keep ranking dGPU first, the online layer must notice.
@@ -131,10 +188,10 @@ class TestOnlineClusterEquivalence:
         self, online_dataset, flood_trace
     ):
         cached_router, cached_online, cached = self.run_online_fleet(
-            online_dataset, flood_trace, cache=True
+            online_dataset, flood_trace
         )
         plain_router, plain_online, plain = self.run_online_fleet(
-            online_dataset, flood_trace, cache=False
+            online_dataset, flood_trace, uncached=True
         )
 
         # The campaign actually exercised the online path...

@@ -6,6 +6,7 @@ import pytest
 from repro.ml.flatten import FlatForest, FlatTree
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import DecisionTreeClassifier
+from tests.placement_oracle import forest_proba_recursive, tree_proba_recursive
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +52,7 @@ class TestFlatTree:
     def test_equivalent_to_recursive(self, tree, data):
         xq = np.random.default_rng(3).normal(size=(257, 4))
         assert np.array_equal(
-            tree.predict_proba(xq), tree.predict_proba_recursive(xq)
+            tree.predict_proba(xq), tree_proba_recursive(tree, xq)
         )
 
     def test_apply_lands_on_leaves(self, tree):
@@ -95,7 +96,7 @@ class TestFlatForest:
         # Spans the chunk boundary (_CHUNK = 1024) and the compaction path.
         xq = np.random.default_rng(5).normal(size=(1100, 4))
         assert np.array_equal(
-            forest.predict_proba(xq), forest.predict_proba_recursive(xq)
+            forest.predict_proba(xq), forest_proba_recursive(forest, xq)
         )
 
     def test_apply_shape(self, forest):

@@ -18,7 +18,7 @@ def ctx():
 
 class TestMetering:
     def test_meter_sees_launch_interval(self, ctx):
-        queue = CommandQueue(ctx, ctx.get_device("dgpu"), execute_kernels=False)
+        queue = CommandQueue(ctx, ctx.get_device("dgpu"))
         meter = EnergyMeter("gtx-1080ti", idle_watts=55.0)
         queue.attach_meter(meter)
         ev = queue.enqueue_inference_virtual(InferenceKernel(MNIST_SMALL), 4096)
@@ -27,7 +27,7 @@ class TestMetering:
         assert meter.sample(ev.time_ended + 1.0) == 55.0
 
     def test_window_energy_matches_event_energy(self, ctx):
-        queue = CommandQueue(ctx, ctx.get_device("igpu"), execute_kernels=False)
+        queue = CommandQueue(ctx, ctx.get_device("igpu"))
         meter = EnergyMeter("uhd-630", idle_watts=0.0)
         queue.attach_meter(meter)
         ev = queue.enqueue_inference_virtual(InferenceKernel(MNIST_SMALL), 1024)
@@ -36,7 +36,7 @@ class TestMetering:
         )
 
     def test_consecutive_launches_non_overlapping(self, ctx):
-        queue = CommandQueue(ctx, ctx.get_device("cpu"), execute_kernels=False)
+        queue = CommandQueue(ctx, ctx.get_device("cpu"))
         meter = EnergyMeter("i7-8700", idle_watts=8.0)
         queue.attach_meter(meter)
         k = InferenceKernel(SIMPLE)
@@ -45,7 +45,7 @@ class TestMetering:
         assert meter.n_samples == 5  # record() rejects overlaps, so 5 proves it
 
     def test_multiple_meters(self, ctx):
-        queue = CommandQueue(ctx, ctx.get_device("cpu"), execute_kernels=False)
+        queue = CommandQueue(ctx, ctx.get_device("cpu"))
         a = EnergyMeter("a")
         b = EnergyMeter("b")
         queue.attach_meter(a)

@@ -17,8 +17,8 @@ def ctx():
     return Context(get_all_devices())
 
 
-def queue_for(ctx, name, execute=True):
-    return CommandQueue(ctx, ctx.get_device(name), execute_kernels=execute)
+def queue_for(ctx, name):
+    return CommandQueue(ctx, ctx.get_device(name))
 
 
 class TestConstruction:
@@ -68,10 +68,12 @@ class TestInference:
         np.testing.assert_array_equal(out.read_host(), k.run(x))
 
     def test_execution_off_skips_compute_same_timing(self, ctx, rng):
+        """Without a host batch nothing executes; the timing is the same."""
         x = rng.standard_normal((64, 4)).astype(np.float32)
         k = InferenceKernel(SIMPLE)
-        ev_on = queue_for(ctx, "cpu", execute=True).enqueue_inference(k, x)
-        ev_off = queue_for(ctx, "cpu", execute=False).enqueue_inference(k, x)
+        ev_on = queue_for(ctx, "cpu").enqueue_inference(k, x)
+        ev_off = queue_for(ctx, "cpu").enqueue_inference_virtual(k, 64)
+        assert "scores" in ev_on.meta
         assert "scores" not in ev_off.meta
         assert ev_off.latency_s == pytest.approx(ev_on.latency_s)
 
@@ -98,7 +100,7 @@ class TestInference:
             )
 
     def test_dgpu_warms_across_launches(self, ctx):
-        q = queue_for(ctx, "dgpu", execute=False)
+        q = queue_for(ctx, "dgpu")
         k = InferenceKernel(MNIST_SMALL)
         first = q.enqueue_inference_virtual(k, 4096)
         second = q.enqueue_inference_virtual(k, 4096)

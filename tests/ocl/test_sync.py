@@ -17,7 +17,7 @@ def ctx():
 
 
 def q(ctx, name):
-    return CommandQueue(ctx, ctx.get_device(name), execute_kernels=False)
+    return CommandQueue(ctx, ctx.get_device(name))
 
 
 class TestMarkersAndBarriers:

@@ -2,23 +2,23 @@
 
 The decision cache's contract is bit-identity: with repartitions tearing
 queues down and replacing the device set mid-flood, a cached frontend must
-still resolve every request exactly like its uncached twin — same status,
-same device, same virtual end time, digit for digit.
+still resolve every request exactly like its uncached twin (the reference
+walk in ``tests/placement_oracle.py``) — same status, same device, same
+virtual end time, digit for digit.
 """
 
 from repro.nn.zoo import MNIST_SMALL, SIMPLE
 from repro.partition import PartitionedAccelerator
 
 from tests.partition.conftest import build_frontend, make_tenants
+from tests.placement_oracle import use_uncached
 
 
-def run_scripted(serving_predictors, pspec, decision_cache: bool):
+def run_scripted(serving_predictors, pspec, uncached: bool = False):
     """Serve a fixed workload over a scripted repartition schedule."""
-    fe = build_frontend(
-        serving_predictors,
-        tenants=make_tenants(),
-        decision_cache=decision_cache,
-    )
+    fe = build_frontend(serving_predictors, tenants=make_tenants())
+    if uncached:
+        use_uncached(fe)
     accel = PartitionedAccelerator(fe, pspec)
     responses = []
     for i in range(60):
@@ -42,8 +42,8 @@ def run_scripted(serving_predictors, pspec, decision_cache: bool):
 
 class TestScriptedEquivalence:
     def test_cache_on_and_off_are_bit_identical(self, serving_predictors, pspec):
-        cached, fe_on = run_scripted(serving_predictors, pspec, True)
-        plain, fe_off = run_scripted(serving_predictors, pspec, False)
+        cached, fe_on = run_scripted(serving_predictors, pspec)
+        plain, fe_off = run_scripted(serving_predictors, pspec, uncached=True)
         assert cached == plain  # exact float equality, not approx
         stats = fe_on.backlog.cache_stats()
         assert stats["hits"] > 0
@@ -53,7 +53,7 @@ class TestScriptedEquivalence:
     def test_repartition_invalidations_are_counted(
         self, serving_predictors, pspec
     ):
-        _, fe = run_scripted(serving_predictors, pspec, True)
+        _, fe = run_scripted(serving_predictors, pspec)
         stats = fe.backlog.cache_stats()
         # Three reconfigurations, each clearing the live entry set (the
         # attach/detach plumbing and the manager both notify).

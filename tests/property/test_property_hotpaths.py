@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.tree import DecisionTreeClassifier
 from repro.telemetry.streaming import P2Quantile
+from tests.placement_oracle import forest_proba_recursive, tree_proba_recursive
 
 
 def _random_classification(seed: int, n: int, d: int, classes: int):
@@ -44,7 +45,7 @@ class TestFlatEquivalence:
         tree = DecisionTreeClassifier(max_depth=depth, random_state=seed).fit(x, y)
         xq = np.random.default_rng(seed + 1).normal(size=(batch, d))
         assert np.array_equal(
-            tree.predict_proba(xq), tree.predict_proba_recursive(xq)
+            tree.predict_proba(xq), tree_proba_recursive(tree, xq)
         )
 
     @settings(deadline=None, max_examples=15)
@@ -61,11 +62,11 @@ class TestFlatEquivalence:
         ).fit(x, y)
         xq = np.random.default_rng(seed + 1).normal(size=(batch, 4))
         assert np.array_equal(
-            forest.predict_proba(xq), forest.predict_proba_recursive(xq)
+            forest.predict_proba(xq), forest_proba_recursive(forest, xq)
         )
         assert np.array_equal(
             forest.predict(xq),
-            np.argmax(forest.predict_proba_recursive(xq), axis=1),
+            np.argmax(forest_proba_recursive(forest, xq), axis=1),
         )
 
 

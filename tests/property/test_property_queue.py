@@ -26,7 +26,7 @@ class QueueMachine(RuleBasedStateMachine):
         super().__init__()
         self.ctx = Context(get_all_devices())
         self.queues = {
-            name: CommandQueue(self.ctx, self.ctx.get_device(name), execute_kernels=False)
+            name: CommandQueue(self.ctx, self.ctx.get_device(name))
             for name in ("cpu", "igpu", "dgpu")
         }
         self.meters = {}

@@ -2,9 +2,10 @@
 
 The cache is only allowed to make ``decide`` / ``estimate_completion``
 *faster*, never *different*: every test here pins either the bit-identical
-equivalence against a ``cache_decisions=False`` twin or one of the three
-documented invalidation paths (feedback version bumps, predictor
-refit/swap generation checks, wholesale ``invalidate``).
+equivalence against an uncached twin (the reference walk in
+``tests/placement_oracle.py``) or one of the three documented invalidation
+paths (feedback version bumps, predictor refit/swap generation checks,
+wholesale ``invalidate``).
 """
 
 import pytest
@@ -17,17 +18,18 @@ from repro.sched.dispatcher import Dispatcher
 from repro.sched.policies import Policy
 from repro.sched.predictor import DevicePredictor
 from repro.sched.scheduler import OnlineScheduler
+from tests.placement_oracle import UncachedBacklog
 
 
-def make_backlog(predictors, **kwargs) -> BacklogAwareScheduler:
+def make_backlog(
+    predictors, backlog=BacklogAwareScheduler, **kwargs
+) -> BacklogAwareScheduler:
     """A fresh backlog scheduler over fresh devices (zeroed clocks)."""
     ctx = Context(get_all_devices())
     dispatcher = Dispatcher(ctx)
     for spec in (SIMPLE, MNIST_SMALL):
         dispatcher.deploy_fresh(spec, rng=0)
-    return BacklogAwareScheduler(
-        OnlineScheduler(ctx, dispatcher, predictors), **kwargs
-    )
+    return backlog(OnlineScheduler(ctx, dispatcher, predictors), **kwargs)
 
 
 class TestAccounting:
@@ -36,7 +38,6 @@ class TestAccounting:
         for i in range(10):
             bl.estimate_completion(MNIST_SMALL, 64, arrival_s=i * 0.001)
         stats = bl.cache_stats()
-        assert stats["enabled"]
         assert stats["misses"] == 1
         assert stats["hits"] == 9
         assert stats["hit_rate"] == pytest.approx(0.9)
@@ -51,15 +52,6 @@ class TestAccounting:
         assert stats["misses"] == 3
         assert stats["entries"] == 3
 
-    def test_disabled_cache_counts_nothing(self, trained_predictors):
-        bl = make_backlog(trained_predictors, cache_decisions=False)
-        for i in range(5):
-            bl.estimate_completion(MNIST_SMALL, 64, arrival_s=i * 0.001)
-        stats = bl.cache_stats()
-        assert not stats["enabled"]
-        assert stats["hits"] == stats["misses"] == stats["entries"] == 0
-        assert stats["hit_rate"] == 0.0
-
 
 class TestEquivalence:
     def test_flood_is_bit_identical_to_uncached(self, trained_predictors):
@@ -67,9 +59,7 @@ class TestEquivalence:
         field and every simulated event time must match the uncached twin
         exactly — not approximately."""
         cached = make_backlog(trained_predictors, max_rank=2)
-        plain = make_backlog(
-            trained_predictors, max_rank=2, cache_decisions=False
-        )
+        plain = make_backlog(trained_predictors, UncachedBacklog, max_rank=2)
         for i in range(40):
             t = i * 0.001
             # Admission-style probe first (as the serving path does), then
@@ -89,7 +79,7 @@ class TestEquivalence:
         """Interleave probes with mixed-cell feedback: cached estimates must
         stay exactly equal to the uncached twin's at every step."""
         cached = make_backlog(trained_predictors)
-        plain = make_backlog(trained_predictors, cache_decisions=False)
+        plain = make_backlog(trained_predictors, UncachedBacklog)
         t = 0.0
         for i in range(20):
             t += 0.002
@@ -121,7 +111,7 @@ class TestOnlineEquivalence:
         )
         plain = make_backlog(
             {Policy.THROUGHPUT: make_online(online_dataset, FAST)},
-            cache_decisions=False,
+            UncachedBacklog,
         )
         twins = (cached, plain)
 

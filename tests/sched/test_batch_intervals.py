@@ -30,6 +30,7 @@ from repro.sched.policies import Policy
 from repro.sched.predictor import DevicePredictor, batch_interval
 from repro.serving import SLOConfig
 from repro.shard.digest import digest_responses
+from tests.placement_oracle import use_uncached
 
 SPECS = (SIMPLE, MNIST_SMALL)
 STATES = ("warm", "idle")
@@ -137,14 +138,14 @@ NODES = (
 )
 
 
-def replay(predictor, arrivals, decision_cache: bool) -> str:
-    router = ClusterRouter(
-        make_fleet(
-            NODES, {Policy.THROUGHPUT: predictor}, {s.name: s for s in SPECS},
-            default_slo=SLO, decision_cache=decision_cache,
-        ),
-        balancer=LeastECTBalancer(),
+def replay(predictor, arrivals, uncached: bool = False) -> str:
+    fleet = make_fleet(
+        NODES, {Policy.THROUGHPUT: predictor}, {s.name: s for s in SPECS},
+        default_slo=SLO,
     )
+    if uncached:
+        use_uncached(fleet)
+    router = ClusterRouter(fleet, balancer=LeastECTBalancer())
     for arrival_s, model, batch in arrivals:
         router.submit(model, batch, arrival_s=arrival_s)
     router.run()
@@ -182,9 +183,9 @@ class TestFleetReplay:
             arrivals.append((now, model, batch))
         raw = RawBatchPredictor(Policy.THROUGHPUT, estimator(kind, seed))
         raw.fit(dataset)
-        cached = replay(predictor, arrivals, decision_cache=True)
-        assert cached == replay(predictor, arrivals, decision_cache=False)
-        assert cached == replay(raw, arrivals, decision_cache=True)
+        cached = replay(predictor, arrivals)
+        assert cached == replay(predictor, arrivals, uncached=True)
+        assert cached == replay(raw, arrivals)
 
 
 def test_estimators_without_split_points_key_by_raw_batch():

@@ -26,7 +26,7 @@ def fresh_queues(ctx, warm=True):
     for d in ctx.devices:
         if warm:
             d.force_state(DeviceState.WARM)
-        queues[d.device_class.value] = CommandQueue(ctx, d, execute_kernels=False)
+        queues[d.device_class.value] = CommandQueue(ctx, d)
     return queues
 
 

@@ -1,5 +1,6 @@
 """The serving frontend end to end: SLOs, coalescing, shedding, overload."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -281,3 +282,21 @@ class TestOverloadAcceptance:
         # Anyone served met or violated a real deadline; violations stay
         # a small minority of served traffic under admission control.
         assert result.n_violations < 0.05 * len(result.served)
+
+
+class TestSLOConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("deadline_s", math.nan),
+            ("deadline_s", math.inf),
+            ("max_wait_s", math.nan),
+            ("max_wait_s", math.inf),
+            ("ect_margin", math.nan),
+            ("max_batch", 2.5),
+            ("max_queue_depth", 2.5),
+        ],
+    )
+    def test_non_finite_or_fractional_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SLOConfig(**{field: value})

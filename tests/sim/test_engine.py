@@ -1,5 +1,7 @@
 """Discrete-event loop."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,16 @@ from repro.sim.engine import EventLoop
 
 
 class TestScheduling:
+    @pytest.mark.parametrize("time", [math.nan, math.inf])
+    def test_non_finite_time_rejected(self, time):
+        loop = EventLoop()
+        with pytest.raises(ValueError, match="time must be finite"):
+            loop.schedule(time, lambda l: None)
+        start = loop.reserve_sequences(1)
+        with pytest.raises(ValueError, match="time must be finite"):
+            loop.schedule_reserved(time, start, lambda l: None)
+        assert loop.pending == 0
+
     def test_runs_in_time_order(self):
         loop = EventLoop()
         order = []
@@ -324,6 +336,21 @@ class TestTraceCursor:
             return log
 
         assert replay(cursor=False) == replay(cursor=True)
+
+    @pytest.mark.parametrize(
+        "times, message",
+        [
+            ([5.0, math.nan, 1.0], r"arrival_s\[1\]=nan must be finite"),
+            ([math.nan], r"arrival_s\[0\]=nan must be finite"),
+            ([1.0, math.inf], r"arrival_s\[1\]=inf must be finite"),
+        ],
+        ids=["nan-hides-disorder", "nan-first", "inf"],
+    )
+    def test_check_arrival_order_rejects_non_finite(self, times, message):
+        from repro.sim.engine import check_arrival_order
+
+        with pytest.raises(ValueError, match=message):
+            check_arrival_order(times, 0.0)
 
     def test_check_arrival_order_names_the_offending_index(self):
         from repro.sim.engine import check_arrival_order

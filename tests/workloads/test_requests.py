@@ -1,5 +1,7 @@
 """Requests and traces."""
 
+import math
+
 import pytest
 
 from repro.nn.zoo import MNIST_SMALL, SIMPLE
@@ -19,6 +21,22 @@ class TestRequest:
     def test_negative_arrival(self):
         with pytest.raises(ValueError):
             InferenceRequest(request_id=0, arrival_s=-1.0, model="m", batch=1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("arrival_s", math.nan),
+            ("arrival_s", math.inf),
+            ("deadline_s", math.nan),
+            ("deadline_s", math.inf),
+            ("batch", 8.5),
+            ("origin_arrival_s", math.nan),
+        ],
+    )
+    def test_non_finite_or_fractional_rejected(self, field, value):
+        args = {"request_id": 0, "arrival_s": 1.0, "model": "simple", "batch": 8}
+        with pytest.raises(ValueError, match=field):
+            InferenceRequest(**{**args, field: value})
 
 
 class TestTrace:
