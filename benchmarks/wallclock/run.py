@@ -422,7 +422,6 @@ def bench_million(tiny: bool, profile: "str | None" = None) -> dict:
     from repro.cluster import ClusterRouter, NodeSpec, make_fleet
     from repro.nn.zoo import MNIST_SMALL, SIMPLE
     from repro.serving import SLOConfig
-    from repro.telemetry.serving import LatencyDigest
 
     specs = {s.name: s for s in (SIMPLE, MNIST_SMALL)}
     predictors = _trained_predictors()
@@ -439,12 +438,6 @@ def bench_million(tiny: bool, profile: "str | None" = None) -> dict:
 
     def run_once():
         fleet = make_fleet(fleet_specs, predictors, specs, default_slo=slo)
-        for node in fleet:
-            # A million served samples would spill the per-node digests
-            # into their streaming estimators, a python-level cost on
-            # every add; percentiles are only read once at the end, so
-            # the unbounded exact digest is both faster and sharper here.
-            node.frontend.telemetry.latency = LatencyDigest(exact=True)
         router = ClusterRouter(fleet, balancer="least-ect", rng=123)
         result, wall_s = _timed_trace(router.serve_trace, trace, profile)
         return result, wall_s, _outcome_digest(result.responses), router
@@ -500,7 +493,7 @@ def bench_sharded(tiny: bool, profile: "str | None" = None) -> dict:
         plan = ShardPlan(
             groups=groups, n_workers=n_workers, lookahead_s=0.25,
             front_tier="least-loaded", balancer="least-ect",
-            seed=20220530, exact_latency=True,
+            seed=20220530,
         )
         return run_sharded(
             plan, trace, predictors, specs, default_slo=slo,

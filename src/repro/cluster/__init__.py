@@ -20,7 +20,7 @@ heterogeneous device set — shares one virtual clock, and:
   and drains idle ones, driven by fleet queue depth and rolling p99
   versus the SLO;
 * fleet telemetry lives in :class:`repro.telemetry.fleet.FleetTelemetry`
-  (cluster-level percentiles, shed rate, per-node depth series);
+  (exact cluster-level percentiles, shed rate, peak queue depth);
 * fault injection and the resilience stack (breakers, heartbeats,
   retries, exactly-once crash re-adoption) live in :mod:`repro.faults` —
   arm them with ``ClusterRouter(..., resilience=ResilienceConfig())``.

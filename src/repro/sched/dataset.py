@@ -120,47 +120,12 @@ class SchedulerDataset:
         )
 
 
-def _sweep_spec(
-    policy: Policy,
-    spec: ModelSpec,
-    batches: "tuple[int, ...]",
-    sess: MeasurementSession,
-) -> tuple:
-    """Label every (batch, dGPU state) cell of one architecture."""
-    rows: list[np.ndarray] = []
-    labels: list[int] = []
-    row_batches: list[int] = []
-    states: list[str] = []
-    for state in GPU_STATES:
-        for batch in batches:
-            winner = sess.best_device(spec, batch, state, policy.metric)
-            rows.append(encode_point(spec, batch, state))
-            labels.append(device_class_index(winner))
-            row_batches.append(batch)
-            states.append(state)
-    return rows, labels, row_batches, states
-
-
-def _sweep_spec_task(args: tuple) -> tuple:
-    """Process-pool entry point: sweep one spec in a fresh session.
-
-    Workers rebuild the simulated testbed from scratch — the oracle is a
-    pure analytic function of its inputs, so the labels are identical to
-    the serial path's whichever process computes them.
-    """
-    policy_value, spec, batches = args
-    policy = Policy.parse(policy_value)
-    sess = MeasurementSession()
-    return _sweep_spec(policy, spec, batches, sess)
-
-
 def generate_dataset(
     policy: "Policy | str",
     specs: "list[ModelSpec] | None" = None,
     batches: "tuple[int, ...]" = DEFAULT_BATCHES,
     session: MeasurementSession | None = None,
     cache=None,
-    workers: "int | None" = None,
 ) -> SchedulerDataset:
     """Sweep + label: the data-generation pass of §V-B.
 
@@ -170,45 +135,27 @@ def generate_dataset(
     ``cache`` (a :class:`~repro.sched.persistence.MeasurementCache`) makes
     repeated sweeps skip redundant characterizations — labels are
     *byte-identical* cold vs cached because the cache keys everything the
-    measurement depends on.  ``workers`` > 1 opt-in fans the per-spec
-    sweeps over a process pool; results merge in spec submission order, so
-    the dataset rows come back in exactly the serial order.  The two knobs
-    are exclusive per call: the fan-out path builds one fresh session per
-    worker and ignores ``session``/``cache``.
+    measurement depends on.
     """
     policy = Policy.parse(policy)
     if specs is None:
         specs = list(list_model_specs("training"))
 
-    parts: list[tuple]
-    if workers is not None and workers > 1 and len(specs) > 1 and session is None:
-        from concurrent.futures import ProcessPoolExecutor
-
-        tasks = [(policy.value, spec, tuple(batches)) for spec in specs]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # pool.map yields in submission order: deterministic merge.
-            parts = list(pool.map(_sweep_spec_task, tasks))
-    else:
-        sess = (
-            session
-            if session is not None
-            else MeasurementSession(cache=cache)
-        )
-        parts = [_sweep_spec(policy, spec, tuple(batches), sess) for spec in specs]
-
+    sess = session if session is not None else MeasurementSession(cache=cache)
     rows: list[np.ndarray] = []
     labels: list[int] = []
     names: list[str] = []
     row_batches: list[int] = []
     states: list[str] = []
-    for spec, (spec_rows, spec_labels, spec_batches, spec_states) in zip(
-        specs, parts
-    ):
-        rows.extend(spec_rows)
-        labels.extend(spec_labels)
-        names.extend([spec.name] * len(spec_labels))
-        row_batches.extend(spec_batches)
-        states.extend(spec_states)
+    for spec in specs:
+        for state in GPU_STATES:
+            for batch in batches:
+                winner = sess.best_device(spec, batch, state, policy.metric)
+                rows.append(encode_point(spec, batch, state))
+                labels.append(device_class_index(winner))
+                names.append(spec.name)
+                row_batches.append(batch)
+                states.append(state)
     return SchedulerDataset(
         policy=policy,
         x=np.vstack(rows),

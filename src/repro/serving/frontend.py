@@ -686,7 +686,7 @@ class ServingFrontend:
             return
 
         queue.push(entry)
-        self.telemetry.record_depth(model, now, len(queue))
+        self.telemetry.record_depth(model, len(queue))
         coalescer = self._coalescers[model]
         if coalescer.ready(now) == "full":
             self._flush(model, "full")
@@ -733,7 +733,6 @@ class ServingFrontend:
             # the current arrival run are stale from here on.
             self._est_memo.clear()
         coalescer = self._coalescers[model]
-        queue = self._queues[model]
         spec = self.specs[model]
         while True:
             batch = coalescer.take(now, trigger)
@@ -747,7 +746,6 @@ class ServingFrontend:
             if coalescer.ready(now) != "full":
                 break
             trigger = "full"
-        self.telemetry.record_depth(model, now, len(queue))
         self._timer_at[model] = None
         self._arm_timer(model)
 
@@ -990,11 +988,10 @@ class ServingFrontend:
         complete normally — cancelling would risk double execution) or not
         here at all.  The caller owns a returned entry exclusively.
         """
-        for model, queue in self._queues.items():
+        for queue in self._queues.values():
             entry = queue.remove(request_id)
             if entry is not None:
                 self._pending.pop(entry.seq, None)
-                self.telemetry.record_depth(model, self.loop.now, len(queue))
                 return entry
         for seq, entry in self._lost.items():
             if entry.request.request_id == request_id:
@@ -1117,7 +1114,6 @@ class ServingFrontend:
         pending); the caller re-binds each request to another frontend via
         :meth:`adopt`, preserving exactly-once delivery one layer up.
         """
-        now = self.loop.now
         drained: list[QueueEntry] = []
         for model, queue in self._queues.items():
             if not len(queue):
@@ -1127,7 +1123,6 @@ class ServingFrontend:
                 self._pending.pop(entry.seq, None)
                 drained.append(entry)
             self._timer_at[model] = None   # armed timers become stale no-ops
-            self.telemetry.record_depth(model, now, 0)
         drained.sort(key=lambda e: e.seq)  # original submission order
         return drained
 

@@ -83,6 +83,9 @@ class ShardPlan:
     ``lookahead_s`` is the conservative window width: the front tier's
     routing/network delay bound, and therefore both the summary staleness
     and the maximum any shard may run ahead of its peers.
+
+    ``exact_latency`` is accepted for compatibility and must stay True:
+    every latency digest is exact.
     """
 
     groups: tuple[tuple[NodeSpec, ...], ...]
@@ -91,9 +94,14 @@ class ShardPlan:
     front_tier: str = "least-loaded"
     balancer: str = "least-ect"
     seed: int = DEFAULT_SEED
-    exact_latency: bool = False
+    exact_latency: bool = True
 
     def __post_init__(self) -> None:
+        if not self.exact_latency:
+            raise ValueError(
+                "ShardPlan(exact_latency=False) was removed: every latency "
+                "digest keeps all samples, so shards are always exact"
+            )
         if not self.groups:
             raise SchedulerError("a shard plan needs at least one group")
         names: list[str] = []
@@ -143,7 +151,6 @@ class ShardPlan:
                 node_specs=tuple(specs),
                 balancer=self.balancer,
                 seed_seq=children[g],
-                exact_latency=self.exact_latency,
             )
             for g, specs in enumerate(self.groups)
         )

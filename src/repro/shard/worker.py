@@ -62,7 +62,6 @@ class GroupConfig:
     node_specs: tuple[NodeSpec, ...]
     balancer: str
     seed_seq: np.random.SeedSequence
-    exact_latency: bool = False
 
 
 @dataclass(frozen=True)
@@ -101,14 +100,6 @@ class GroupRuntime:
             slo=shared.slo,
             default_slo=shared.default_slo,
         )
-        if cfg.exact_latency:
-            # Same reasoning as the million bench: percentiles are read
-            # once at the end, so the unbounded exact digest beats paying
-            # the streaming estimator on every completion.
-            from repro.telemetry.serving import LatencyDigest
-
-            for node in fleet:
-                node.frontend.telemetry.latency = LatencyDigest(exact=True)
         self.router = ClusterRouter(
             fleet, balancer=cfg.balancer, rng=np.random.default_rng(cfg.seed_seq)
         )

@@ -13,7 +13,6 @@ from repro.telemetry.meters import EnergyMeter, PowerSample
 from repro.telemetry.recorder import SweepRecorder
 from repro.telemetry.serving import (
     BatchHistogram,
-    DepthSeries,
     LatencyDigest,
     RollingLatencyWindow,
     ServingTelemetry,
@@ -30,7 +29,6 @@ __all__ = [
     "MeasurementSession",
     "LatencyDigest",
     "RollingLatencyWindow",
-    "DepthSeries",
     "BatchHistogram",
     "ServingTelemetry",
     "FleetTelemetry",

@@ -3,8 +3,8 @@
 Each cluster node owns a :class:`~repro.telemetry.serving.ServingTelemetry`
 that its serving frontend deposits into.  :class:`FleetTelemetry` holds a
 read-through reference to every node's sink and answers cluster-level
-questions — merged latency percentiles, total shed rate, the fleet's
-recent tail, per-node queue-depth series — without copying anything until
+questions — exact merged latency percentiles, total shed rate, the
+fleet's recent tail, peak queue depth — without copying anything until
 asked.  Attach once at node registration; the aggregates always reflect
 the nodes' live state.
 """
@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from repro.telemetry.serving import DepthSeries, ServingTelemetry
+from repro.telemetry.serving import ServingTelemetry
 
 __all__ = ["ResilienceCounters", "FleetTelemetry"]
 
@@ -174,36 +174,19 @@ class FleetTelemetry:
     # -- cluster latency ---------------------------------------------------
 
     def latency_samples(self) -> list[float]:
-        """Every node's exactly-retained latencies, concatenated.
-
-        Digests that have spilled to streaming contribute no raw samples
-        (see :class:`~repro.telemetry.serving.LatencyDigest`).
-        """
+        """Every node's recorded latencies, concatenated in node order."""
         out: list[float] = []
         for name in sorted(self._nodes):
             out.extend(self._nodes[name].latency.samples)
         return out
 
     def percentile(self, q: float) -> float:
-        """q-th percentile latency across the whole fleet, in seconds.
-
-        Exact (merged-sample :func:`np.percentile`) while every node's
-        digest is still exact; once any digest has spilled to streaming,
-        falls back to the sample-count-weighted mean of per-node P²
-        estimates — an approximation, but one whose cost stays constant
-        over an arbitrarily long flood.
-        """
-        digests = [
-            t.latency for t in self._nodes.values() if len(t.latency)
-        ]
-        if not digests:
+        """q-th percentile latency across the whole fleet, in seconds:
+        :func:`np.percentile` over every node's merged samples."""
+        samples = self.latency_samples()
+        if not samples:
             raise ValueError("no latency samples recorded fleet-wide")
-        if all(d.is_exact for d in digests):
-            return float(np.percentile(self.latency_samples(), q))
-        total = sum(len(d) for d in digests)
-        return float(
-            sum(len(d) * d.percentile(q) for d in digests) / total
-        )
+        return float(np.percentile(samples, q))
 
     @property
     def p50_s(self) -> float:
@@ -237,10 +220,6 @@ class FleetTelemetry:
     def max_queue_depth(self) -> int:
         """Peak per-model queue depth observed anywhere in the fleet."""
         return max((t.max_queue_depth for t in self._nodes.values()), default=0)
-
-    def depth_series(self, node: str, model: str) -> DepthSeries:
-        """One node's depth-over-time series for one model queue."""
-        return self.node(node).depth_series(model)
 
     # -- tenant isolation --------------------------------------------------
 

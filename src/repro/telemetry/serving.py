@@ -2,8 +2,8 @@
 
 The characterization half of this package measures *one launch at a time*
 (:class:`~repro.telemetry.metrics.Measurement`); a serving frontend needs
-the complementary aggregate view — latency percentiles over thousands of
-requests, queue depth as a function of virtual time, the distribution of
+the complementary aggregate view — exact latency percentiles over every
+served request, each model queue's peak depth, the distribution of
 coalesced batch sizes, and counters for shed / SLO-violating requests.
 These collectors are deliberately dependency-free so every layer (queues,
 coalescer, workers, frontend) can deposit into one shared
@@ -12,119 +12,54 @@ coalescer, workers, frontend) can deposit into one shared
 
 from __future__ import annotations
 
+import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.telemetry.streaming import P2Quantile
-
 __all__ = [
     "LatencyDigest",
     "RollingLatencyWindow",
-    "DepthSeries",
     "BatchHistogram",
     "TenantStats",
     "ServingTelemetry",
 ]
 
-#: Samples a digest keeps exactly before spilling to streaming estimators.
-DIGEST_EXACT_BOUND = 65536
 
-#: Quantiles every digest can still answer after the spill.
-_DEFAULT_QUANTILES = (50.0, 95.0, 99.0)
+def _check_latency(latency_s: float) -> float:
+    """``latency_s`` as a float, or ValueError unless finite and >= 0."""
+    latency_s = float(latency_s)
+    if not (math.isfinite(latency_s) and latency_s >= 0.0):
+        raise ValueError(f"latency_s must be finite and >= 0, got {latency_s}")
+    return latency_s
 
 
 class LatencyDigest:
-    """Collects latency samples and reports percentiles (p50/p95/p99).
+    """Collects latency samples and reports exact percentiles (p50/p95/p99).
 
-    Memory is bounded: the first ``bound`` samples are kept and queried
-    exactly (sort-based :func:`np.percentile`); at the bound the digest
-    *spills* — every tracked quantile is seeded by replaying the exact
-    history into a :class:`~repro.telemetry.streaming.P2Quantile` and the
-    sample list is dropped, so a node serving a week-long flood holds
-    O(bound) floats, not O(requests).  Tracked quantiles are p50/p95/p99
-    plus anything queried (or :meth:`track`-ed) before the spill; the mean
-    is a running sum and stays exact forever.
-
-    ``exact=True`` opts back into the unbounded keep-everything digest —
-    the reference path, used by tests and small experiments that compare
-    against :func:`np.percentile` literally.
+    Every sample is kept as a raw double (8 B each) and every percentile
+    is :func:`np.percentile` over all of them, so a node's tail and the
+    fleet's merged tail are exact at any uptime.
     """
 
-    def __init__(self, exact: bool = False, bound: int = DIGEST_EXACT_BOUND):
-        if bound < 5:
-            raise ValueError(f"bound must be >= 5, got {bound}")
-        self.exact = bool(exact)
-        self.bound = int(bound)
-        self._samples: list[float] = []
-        self._streams: dict[float, P2Quantile] = {}
-        self._tracked: set[float] = set(_DEFAULT_QUANTILES)
-        self._n = 0
-        self._sum = 0.0
-        self._spilled = False
+    def __init__(self) -> None:
+        self._samples = array("d")
 
     def add(self, latency_s: float) -> None:
         """Record one request's arrival-to-completion latency."""
-        if latency_s < 0.0:
-            raise ValueError(f"latency must be >= 0, got {latency_s}")
-        latency_s = float(latency_s)
-        self._n += 1
-        self._sum += latency_s
-        if self._spilled:
-            for stream in self._streams.values():
-                stream.add(latency_s)
-            return
+        latency_s = _check_latency(latency_s)
         self._samples.append(latency_s)
-        if not self.exact and len(self._samples) >= self.bound:
-            self._spill()
-
-    def _spill(self) -> None:
-        for q in sorted(self._tracked):
-            stream = P2Quantile(q)
-            stream.extend(self._samples)
-            self._streams[q] = stream
-        self._samples = []
-        self._spilled = True
-
-    def track(self, q: float) -> None:
-        """Keep quantile ``q`` answerable after the exact bound is passed."""
-        q = float(q)
-        if self._spilled and q not in self._streams:
-            raise ValueError(
-                f"cannot start tracking q={q} after the digest spilled; "
-                "track it before the exact bound or use exact=True"
-            )
-        self._tracked.add(q)
-
-    @property
-    def is_exact(self) -> bool:
-        """True while percentiles are still computed from raw samples."""
-        return not self._spilled
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._samples)
 
     def percentile(self, q: float) -> float:
-        """q-th percentile of recorded latency in seconds.
-
-        Exact while under the bound (every queried quantile is
-        auto-tracked for the streaming phase); a P² estimate afterwards.
-        """
-        if self._n == 0:
+        """q-th percentile of recorded latency in seconds."""
+        if not self._samples:
             raise ValueError("no latency samples recorded")
-        q = float(q)
-        if not self._spilled:
-            self._tracked.add(q)
-            return float(np.percentile(self._samples, q))
-        try:
-            return self._streams[q].estimate()
-        except KeyError:
-            raise ValueError(
-                f"quantile {q} was not tracked before the digest spilled "
-                f"(tracked: {sorted(self._streams)}); use exact=True or "
-                "track() it early"
-            ) from None
+        return float(np.percentile(self._samples, q))
 
     @property
     def p50_s(self) -> float:
@@ -140,15 +75,13 @@ class LatencyDigest:
 
     @property
     def mean_s(self) -> float:
-        if self._n == 0:
+        if not self._samples:
             raise ValueError("no latency samples recorded")
-        return self._sum / self._n
+        return float(np.mean(self._samples))
 
     @property
     def samples(self) -> tuple[float, ...]:
-        """The exactly-retained samples, in arrival order (empty after the
-        digest spills to streaming — fleet merges fall back to combining
-        per-node estimates then)."""
+        """Every recorded sample, in arrival order."""
         return tuple(self._samples)
 
 
@@ -174,9 +107,7 @@ class RollingLatencyWindow:
 
     def add(self, latency_s: float) -> None:
         """Record one latency sample (oldest samples roll off)."""
-        if latency_s < 0.0:
-            raise ValueError(f"latency must be >= 0, got {latency_s}")
-        self._window.append(float(latency_s))
+        self._window.append(_check_latency(latency_s))
         if self._memo:
             self._memo.clear()
 
@@ -204,44 +135,6 @@ class RollingLatencyWindow:
     def samples(self) -> tuple[float, ...]:
         """The windowed samples, oldest first."""
         return tuple(self._window)
-
-
-class DepthSeries:
-    """A step function of queue depth over virtual time."""
-
-    def __init__(self) -> None:
-        self._points: list[tuple[float, int]] = []
-
-    def record(self, t: float, depth: int) -> None:
-        """Record the depth observed at virtual time ``t`` (monotone t)."""
-        if depth < 0:
-            raise ValueError(f"depth must be >= 0, got {depth}")
-        if self._points and t < self._points[-1][0]:
-            raise ValueError(
-                f"depth series must advance in time: {t} < {self._points[-1][0]}"
-            )
-        self._points.append((float(t), int(depth)))
-
-    def __len__(self) -> int:
-        return len(self._points)
-
-    @property
-    def points(self) -> list[tuple[float, int]]:
-        return list(self._points)
-
-    @property
-    def max_depth(self) -> int:
-        """Peak observed depth (0 for an empty series)."""
-        return max((d for _, d in self._points), default=0)
-
-    def depth_at(self, t: float) -> int:
-        """Step-function value at time ``t`` (0 before the first point)."""
-        depth = 0
-        for ts, d in self._points:
-            if ts > t:
-                break
-            depth = d
-        return depth
 
 
 class BatchHistogram:
@@ -298,11 +191,11 @@ class TenantStats:
 
     def record_served(self, latency_s: float, violated: bool = False) -> None:
         """Record one served request attributed to this tenant."""
+        self.latency.add(latency_s)
+        self.recent.add(latency_s)
         self.n_served += 1
         if violated:
             self.n_violations += 1
-        self.latency.add(latency_s)
-        self.recent.add(latency_s)
 
     def record_shed(self) -> None:
         self.n_shed += 1
@@ -335,14 +228,14 @@ class ServingTelemetry:
 
     * ``latency`` — per-request arrival→completion digest (served only).
     * ``recent`` — rolling window of the latest latencies (cheap tail).
-    * ``queue_depth`` — per-model depth-over-time step series.
+    * ``peak_depth`` — per-model peak queue depth.
     * ``batch_sizes`` — histogram of coalesced batch sizes.
     * counters — served / shed / degraded / SLO-violation totals.
     """
 
     latency: LatencyDigest = field(default_factory=LatencyDigest)
     recent: RollingLatencyWindow = field(default_factory=RollingLatencyWindow)
-    queue_depth: dict[str, DepthSeries] = field(default_factory=dict)
+    peak_depth: dict[str, int] = field(default_factory=dict)
     batch_sizes: BatchHistogram = field(default_factory=BatchHistogram)
     n_served: int = 0
     n_shed: int = 0
@@ -376,19 +269,17 @@ class ServingTelemetry:
             self.tenants[name] = TenantStats()
         return self.tenants[name]
 
-    def depth_series(self, model: str) -> DepthSeries:
-        """The (auto-created) depth series for one model's queue."""
-        if model not in self.queue_depth:
-            self.queue_depth[model] = DepthSeries()
-        return self.queue_depth[model]
-
-    def record_depth(self, model: str, t: float, depth: int) -> None:
-        self.depth_series(model).record(t, depth)
+    def record_depth(self, model: str, depth: int) -> None:
+        """Record one model queue's current depth (keeps the peak)."""
+        if depth < 0:
+            raise ValueError(f"depth must be >= 0, got {depth}")
+        if depth > self.peak_depth.get(model, 0):
+            self.peak_depth[model] = int(depth)
 
     @property
     def max_queue_depth(self) -> int:
         """Peak depth across every model queue."""
-        return max((s.max_depth for s in self.queue_depth.values()), default=0)
+        return max(self.peak_depth.values(), default=0)
 
     @property
     def shed_rate(self) -> float:

@@ -1,20 +1,18 @@
 """Streaming quantile estimation: the P² algorithm (Jain & Chlamtac 1985).
 
 Sort-based percentiles over an ever-growing sample list cost O(n log n)
-per query and O(n) memory — fine for a figure, fatal for a serving node
-asked for its p99 every few virtual milliseconds of a multi-hour flood.
-:class:`P2Quantile` tracks one quantile with *five* markers updated in
-O(1) per observation: the classic piecewise-parabolic (P²) interpolation
-of the empirical quantile curve, no samples retained.
+per query and O(n) memory.  :class:`P2Quantile` tracks one quantile with
+*five* markers updated in O(1) per observation: the classic
+piecewise-parabolic (P²) interpolation of the empirical quantile curve,
+no samples retained.  The online predictor tracks per-cell residual
+quantiles with it; serving latency tails stay exact
+(:class:`~repro.telemetry.serving.LatencyDigest`).
 
 Accuracy is excellent on smooth distributions and within a few percent of
 exact even on adversarial ones (constant, sorted-ascending, heavy-tailed,
 bimodal — see the property tests).  The documented blind spot, shared by
 every fixed-marker streaming estimator, is a *monotonically decreasing*
 stream: a high quantile's markers anchor low early and cannot recover.
-:class:`~repro.telemetry.serving.LatencyDigest` mitigates this by keeping
-a large exact prefix (its estimators are seeded from real history) and
-anything needing exactness keeps the exact path (``exact=True``).
 """
 
 from __future__ import annotations

@@ -47,6 +47,18 @@ def test_percentiles_merge_all_samples(fleet):
     )
 
 
+def test_long_run_fleet_percentile_merges_every_sample():
+    """70,000 samples per node: the fleet tail is still the merged one,
+    not an average of per-node tails (which would read 50.5 ms)."""
+    fast, slow = [0.001] * 70_000, [0.100] * 70_000
+    ft = FleetTelemetry()
+    ft.attach("fast", node_sink(fast))
+    ft.attach("slow", node_sink(slow))
+    assert ft.p99_s == float(np.percentile(fast + slow, 99.0))
+    assert ft.p99_s == pytest.approx(0.100)
+    assert ft.p50_s == float(np.percentile(fast + slow, 50.0))
+
+
 def test_empty_fleet_degenerates_cleanly():
     ft = FleetTelemetry()
     assert ft.n_served == 0
@@ -81,12 +93,13 @@ def test_recent_window_is_bounded_per_node():
 
 
 def test_depth_series_and_snapshot(fleet):
-    fleet.node("a").record_depth("simple", 0.0, 3)
-    fleet.node("a").record_depth("simple", 1.0, 7)
-    fleet.node("b").record_depth("simple", 0.5, 2)
+    fleet.node("a").record_depth("simple", 3)
+    fleet.node("a").record_depth("simple", 7)
+    fleet.node("a").record_depth("simple", 1)
+    fleet.node("b").record_depth("simple", 2)
     assert fleet.max_queue_depth == 7
-    assert fleet.depth_series("a", "simple").max_depth == 7
-    assert fleet.depth_series("b", "simple").points == [(0.5, 2)]
+    assert fleet.node("a").peak_depth == {"simple": 7}
+    assert fleet.node("b").peak_depth == {"simple": 2}
 
     snap = fleet.snapshot()
     assert snap["served"] == 5 and snap["shed"] == 2

@@ -128,14 +128,3 @@ class TestSweepIntegration:
         again = generate_dataset("throughput", [SIMPLE], self.BATCHES, cache=cache)
         assert cache.hits > 0
         assert first.y.tobytes() == again.y.tobytes()
-
-    def test_parallel_matches_serial(self):
-        serial = generate_dataset("throughput", [SIMPLE, MNIST_SMALL], self.BATCHES)
-        fanned = generate_dataset(
-            "throughput", [SIMPLE, MNIST_SMALL], self.BATCHES, workers=2
-        )
-        assert serial.x.tobytes() == fanned.x.tobytes()
-        assert serial.y.tobytes() == fanned.y.tobytes()
-        assert serial.specs == fanned.specs
-        assert serial.gpu_states == fanned.gpu_states
-        np.testing.assert_array_equal(serial.batches, fanned.batches)

@@ -222,9 +222,8 @@ class TestTelemetry:
         fe.submit("simple", 8, arrival_s=0.0)
         fe.submit("simple", 8, arrival_s=0.0)   # fills the 16-sample batch
         fe.run()
-        series = fe.telemetry.depth_series("simple")
-        assert series.max_depth == 2
-        assert series.depth_at(10.0) == 0       # drained by the flush
+        assert fe.telemetry.peak_depth == {"simple": 2}
+        assert fe.queue_depth("simple") == 0    # drained by the flush
         assert fe.telemetry.batch_sizes.counts == {4: 1}  # one 16-sample batch
 
 

@@ -45,6 +45,12 @@ def test_invalid_plans_fail_loudly(kwargs, fragment):
         ShardPlan(**kwargs)
 
 
+def test_inexact_latency_is_rejected():
+    assert ShardPlan(groups=G2).exact_latency is True
+    with pytest.raises(ValueError, match="exact_latency"):
+        ShardPlan(groups=G2, exact_latency=False)
+
+
 def test_unknown_front_tier_error_lists_known_names():
     with pytest.raises(SchedulerError, match="least-loaded"):
         ShardPlan(groups=G2, front_tier="typo")

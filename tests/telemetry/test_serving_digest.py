@@ -1,18 +1,22 @@
-"""Bounded-memory behaviour of the serving LatencyDigest."""
+"""The serving LatencyDigest keeps every sample and answers exactly."""
 
 import numpy as np
 import pytest
 
-from repro.telemetry.serving import DIGEST_EXACT_BOUND, LatencyDigest
+from repro.telemetry.serving import (
+    LatencyDigest,
+    RollingLatencyWindow,
+    ServingTelemetry,
+    TenantStats,
+)
 
 
 class TestExactPhase:
     def test_percentiles_exact_under_bound(self):
-        digest = LatencyDigest(bound=100)
+        digest = LatencyDigest()
         xs = np.random.default_rng(0).uniform(0.001, 0.2, 60)
         for x in xs:
             digest.add(float(x))
-        assert digest.is_exact
         assert digest.p99_s == float(np.percentile(xs, 99.0))
         assert digest.percentile(12.5) == float(np.percentile(xs, 12.5))
         assert digest.samples == tuple(xs)
@@ -28,64 +32,35 @@ class TestExactPhase:
         with pytest.raises(ValueError, match="no latency samples"):
             digest.mean_s
 
-    def test_bound_too_small_raises(self):
-        with pytest.raises(ValueError, match="bound"):
-            LatencyDigest(bound=4)
 
-    def test_default_bound(self):
-        assert LatencyDigest().bound == DIGEST_EXACT_BOUND
+def test_long_run_percentiles_stay_exact():
+    """Past 2**16 samples every tail is still np.percentile over all."""
+    xs = np.random.default_rng(1).exponential(0.05, 70_000)
+    digest = LatencyDigest()
+    for x in xs:
+        digest.add(float(x))
+    assert len(digest) == 70_000
+    assert digest.p99_s == float(np.percentile(xs, 99.0))
+    assert digest.p50_s == float(np.percentile(xs, 50.0))
+    assert digest.mean_s == pytest.approx(float(xs.mean()), rel=1e-12)
 
 
-class TestSpill:
-    def _filled(self, n, bound=200, exact=False, rng_seed=1):
-        digest = LatencyDigest(exact=exact, bound=bound)
-        xs = np.random.default_rng(rng_seed).exponential(0.05, n)
-        for x in xs:
-            digest.add(float(x))
-        return digest, xs
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "record",
+    [
+        lambda x: LatencyDigest().add(x),
+        lambda x: RollingLatencyWindow().add(x),
+        lambda x: ServingTelemetry().record_latency(x),
+        lambda x: TenantStats().record_served(x),
+    ],
+    ids=["digest", "window", "serving", "tenant"],
+)
+def test_non_finite_latency_raises(record, bad):
+    with pytest.raises(ValueError, match="latency_s"):
+        record(bad)
 
-    def test_memory_is_bounded(self):
-        digest, xs = self._filled(5000, bound=200)
-        assert not digest.is_exact
-        assert digest.samples == ()          # raw history dropped
-        assert len(digest) == 5000           # count still exact
 
-    def test_mean_stays_exact_after_spill(self):
-        digest, xs = self._filled(5000, bound=200)
-        assert digest.mean_s == pytest.approx(xs.mean(), rel=1e-12)
-
-    def test_spilled_percentiles_approximate_exact(self):
-        digest, xs = self._filled(20_000, bound=4096)
-        for q in (50.0, 95.0, 99.0):
-            exact = float(np.percentile(xs, q))
-            assert digest.percentile(q) == pytest.approx(exact, rel=0.15)
-
-    def test_queried_quantile_survives_spill(self):
-        digest = LatencyDigest(bound=100)
-        for x in np.random.default_rng(2).uniform(0.0, 1.0, 50):
-            digest.add(float(x))
-        digest.percentile(75.0)              # auto-tracks q=75 pre-spill
-        for x in np.random.default_rng(3).uniform(0.0, 1.0, 100):
-            digest.add(float(x))
-        assert not digest.is_exact
-        assert 0.5 < digest.percentile(75.0) < 1.0
-
-    def test_tracked_quantile_survives_spill(self):
-        digest = LatencyDigest(bound=100)
-        digest.track(10.0)
-        for x in np.random.default_rng(4).uniform(0.0, 1.0, 150):
-            digest.add(float(x))
-        assert 0.0 <= digest.percentile(10.0) < 0.5
-
-    def test_untracked_quantile_raises_after_spill(self):
-        digest, _ = self._filled(300, bound=100)
-        with pytest.raises(ValueError, match="not tracked"):
-            digest.percentile(42.0)
-        with pytest.raises(ValueError, match="after the digest spilled"):
-            digest.track(42.0)
-
-    def test_exact_flag_never_spills(self):
-        digest, xs = self._filled(500, bound=100, exact=True)
-        assert digest.is_exact
-        assert len(digest.samples) == 500
-        assert digest.p50_s == float(np.percentile(xs, 50.0))
+def test_negative_depth_raises():
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        ServingTelemetry().record_depth("simple", -1)
