@@ -408,15 +408,14 @@ class CascadeExecutor:
         now = self.loop.now
         entry_model = self.cascade.entry.spec.name
         for key, frontend in self._frontends():
-            stats = frontend.node_stats()
             shed_now = frontend.telemetry.n_shed
             shed_delta = shed_now - self._last_shed[key]
             self._last_shed[key] = shed_now
             _theta, changed = self.controller.tick(
                 key,
                 now,
-                depth=stats.queued,
-                recent_p99_s=stats.recent_p99_s,
+                depth=frontend.queued,
+                recent_p99_s=frontend.telemetry.recent.p99_s,
                 slo_s=self.slo_s,
                 shed_delta=shed_delta,
             )

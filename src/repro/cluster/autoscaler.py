@@ -19,8 +19,10 @@ whole standby pool in, and every decision lands in the router's event log.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+from repro.checks import require_count, require_finite
 from repro.cluster.node import ClusterNode
 from repro.cluster.router import ClusterRouter
 from repro.sim.engine import ScheduledEvent
@@ -60,29 +62,20 @@ class AutoscalerConfig:
     max_nodes: "int | None" = None
 
     def __post_init__(self) -> None:
-        if self.high_depth <= self.low_depth:
+        require_finite("low_depth", self.low_depth, positive=False)
+        if not self.low_depth < self.high_depth < math.inf:
             raise ValueError(
-                f"high_depth must exceed low_depth, got "
-                f"{self.high_depth} <= {self.low_depth}"
+                "high_depth must be finite and exceed low_depth "
+                f"{self.low_depth}, got {self.high_depth}"
             )
-        if self.low_depth < 0.0:
-            raise ValueError(f"low_depth must be >= 0, got {self.low_depth}")
-        if self.slo_s is not None and self.slo_s <= 0.0:
-            raise ValueError(f"slo_s must be positive, got {self.slo_s}")
-        if self.p99_factor <= 0.0:
-            raise ValueError(f"p99_factor must be positive, got {self.p99_factor}")
-        if self.check_every_s <= 0.0:
-            raise ValueError(
-                f"check_every_s must be positive, got {self.check_every_s}"
-            )
-        if self.cooldown_s < 0.0:
-            raise ValueError(f"cooldown_s must be >= 0, got {self.cooldown_s}")
-        if self.min_nodes < 1:
-            raise ValueError(f"min_nodes must be >= 1, got {self.min_nodes}")
-        if self.max_nodes is not None and self.max_nodes < self.min_nodes:
-            raise ValueError(
-                f"max_nodes {self.max_nodes} < min_nodes {self.min_nodes}"
-            )
+        if self.slo_s is not None:
+            require_finite("slo_s", self.slo_s)
+        require_finite("p99_factor", self.p99_factor)
+        require_finite("check_every_s", self.check_every_s)
+        require_finite("cooldown_s", self.cooldown_s, positive=False)
+        require_count("min_nodes", self.min_nodes)
+        if self.max_nodes is not None:
+            require_count("max_nodes", self.max_nodes, low=self.min_nodes)
 
 
 class Autoscaler:
@@ -118,7 +111,7 @@ class Autoscaler:
         active = self.router.active_nodes
         if not active:
             return 0.0
-        return sum(n.stats().outstanding for n in active) / len(active)
+        return sum(n.frontend.outstanding for n in active) / len(active)
 
     def _p99_breached(self) -> bool:
         if self.config.slo_s is None:
@@ -191,4 +184,4 @@ class Autoscaler:
     @staticmethod
     def _drain_candidate(active: "list[ClusterNode]") -> ClusterNode:
         """Cheapest node to retire: least outstanding work, ties by name."""
-        return min(active, key=lambda n: (n.stats().outstanding, n.name))
+        return min(active, key=lambda n: (n.frontend.outstanding, n.name))

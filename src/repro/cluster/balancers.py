@@ -16,9 +16,9 @@ request?*  They differ in what they look at —
   earliest finisher — the cluster-level analogue of the paper's
   earliest-finisher spilling across devices.
 
-Every policy reads nodes only through :meth:`ClusterNode.stats` (the
-cheap :class:`~repro.serving.frontend.NodeStats` snapshot) or the public
-``estimate_completion`` — never private frontend state — and only ever
+Every policy reads nodes only through the frontend's running load
+counters (``queued``, ``outstanding``, ``outstanding_samples``) or the
+public ``estimate_completion`` — never private frontend state — and only ever
 returns an *active* node: draining and standby nodes are filtered before
 any sampling, so a drain can never receive new traffic.
 
@@ -151,7 +151,7 @@ class LeastOutstandingBalancer(LoadBalancer):
     stateless_choice = True
 
     def _pick(self, nodes, request, spec, now):
-        return min(nodes, key=lambda n: (n.stats().outstanding, n.name))
+        return min(nodes, key=lambda n: (n.frontend.outstanding, n.name))
 
 
 class JoinShortestQueueBalancer(LoadBalancer):
@@ -162,8 +162,8 @@ class JoinShortestQueueBalancer(LoadBalancer):
 
     @staticmethod
     def _load(node: ClusterNode) -> tuple:
-        stats = node.stats()
-        return (stats.outstanding_samples, stats.outstanding, node.name)
+        frontend = node.frontend
+        return (frontend.outstanding_samples, frontend.outstanding, node.name)
 
     def _pick(self, nodes, request, spec, now):
         return min(nodes, key=self._load)
@@ -218,10 +218,7 @@ class LeastECTBalancer(LoadBalancer):
         primed = set()
         for node in routable:
             backlog = node.frontend.backlog
-            scheduler = getattr(backlog, "scheduler", None)
-            if scheduler is None:  # duck-typed backlog (tests, adapters)
-                continue
-            predictor = scheduler.predictors.get(backlog.policy)
+            predictor = backlog.scheduler.predictors.get(backlog.policy)
             if predictor is None or not predictor.fitted or id(predictor) in primed:
                 continue
             primed.add(id(predictor))
@@ -244,11 +241,8 @@ class LeastECTBalancer(LoadBalancer):
 
 
 def _samples_then_name(node: ClusterNode) -> tuple:
-    """Least-ECT's tiebreak; the O(1) counter if exposed, else ``stats()``."""
-    samples = getattr(node, "outstanding_samples", None)
-    if samples is None:
-        samples = node.stats().outstanding_samples
-    return (samples, node.name)
+    """Least-ECT's tiebreak: outstanding samples, then name."""
+    return (node.frontend.outstanding_samples, node.name)
 
 
 BALANCERS = {

@@ -30,7 +30,7 @@ from repro.sched.dispatcher import Dispatcher
 from repro.sched.policies import Policy
 from repro.sched.predictor import DevicePredictor
 from repro.sched.scheduler import OnlineScheduler
-from repro.serving.frontend import NodeStats, ServingFrontend, SLOConfig
+from repro.serving.frontend import ServingFrontend, SLOConfig
 from repro.serving.queues import QueueEntry
 from repro.sim.engine import EventLoop
 
@@ -104,7 +104,7 @@ class ClusterNode:
                 for d in frontend.backlog.scheduler.context.devices
             )
         )
-        # Fault bookkeeping: monotone crash counter (the health monitor
+        # Fault bookkeeping: monotone crash counter (the router's heartbeat
         # detects crashes by comparing it against what it last handled)
         # and the membership state to restore once a probe passes.
         self.crash_count = 0
@@ -117,21 +117,6 @@ class ClusterNode:
         """Whether the router may send this node new traffic."""
         return self.state is NodeState.ACTIVE
 
-    @property
-    def outstanding(self) -> int:
-        """Requests accepted and not yet resolved (queued or in flight)."""
-        return self.frontend.n_pending
-
-    @property
-    def outstanding_samples(self) -> int:
-        """Unresolved samples (same value as ``stats().outstanding_samples``,
-        without building the snapshot)."""
-        return self.frontend.outstanding_samples
-
-    def stats(self) -> NodeStats:
-        """The frontend's cheap load snapshot (see ``NodeStats``)."""
-        return self.frontend.node_stats()
-
     def activate(self) -> None:
         """Join (or re-join) the serving set."""
         if self.state is NodeState.DOWN:
@@ -139,10 +124,10 @@ class ClusterNode:
                 f"node {self.name!r} is down; it must recover and pass a "
                 "health probe before rejoining"
             )
-        if self.state is NodeState.DRAINING and self.outstanding:
+        pending = self.frontend.n_pending
+        if self.state is NodeState.DRAINING and pending:
             raise SchedulerError(
-                f"node {self.name!r} is still draining "
-                f"({self.outstanding} outstanding)"
+                f"node {self.name!r} is still draining ({pending} outstanding)"
             )
         self.state = NodeState.ACTIVE
 
@@ -222,7 +207,7 @@ class ClusterNode:
 
     def finish_drain_if_idle(self) -> bool:
         """Flip draining -> standby once nothing is left in flight."""
-        if self.state is NodeState.DRAINING and self.outstanding == 0:
+        if self.state is NodeState.DRAINING and self.frontend.n_pending == 0:
             self.state = NodeState.STANDBY
             return True
         return False

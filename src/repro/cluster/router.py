@@ -407,7 +407,7 @@ class ClusterRouter:
         response = self._register(request)
         self.loop.schedule(
             request.arrival_s,
-            partial(self._route, response, x),
+            partial(self._place, response, None, x, None),
             label="route",
         )
         return response
@@ -435,19 +435,41 @@ class ClusterRouter:
         self._seq = max(self._seq, request.request_id + 1)
         return response
 
-    def _route(
-        self, response: ClusterResponse, x: "np.ndarray | None", _loop=None
-    ) -> None:
+    def _place(
+        self,
+        response: ClusterResponse,
+        entry: "QueueEntry | None",
+        x: "np.ndarray | None",
+        why: "str | None",
+        _loop=None,
+    ) -> "ClusterNode | None":
+        """The one placement step: choose a node, hand over, bind, watch.
+
+        ``entry`` None is a first route (the node's ``submit_request``);
+        otherwise a re-entry (drain, retry, re-adoption) through the
+        node's ``readmit``.  With no routable node the request resolves
+        as shed (``no_active_node``), logged with ``why`` as context.
+        Returns the chosen node, or None when shed.
+        """
+        request = response.request
         active = self.routable_nodes()
         if not active:
             response.mark_shed("no_active_node")
-            self._log("route_failed", "-", f"request {response.request.request_id}")
-            return
-        spec = self.specs[response.request.model]
-        node = self.balancer.choose(active, response.request, spec, self.loop.now)
-        inner = node.frontend.submit_request(response.request, x)
+            detail = f"request {request.request_id}"
+            if why is not None:
+                detail += f" ({why}, no target)"
+            self._log("route_failed", "-", detail)
+            return None
+        spec = self.specs[request.model]
+        node = self.balancer.choose(active, request, spec, self.loop.now)
+        frontend = node.frontend
+        if entry is None:
+            inner = frontend.submit_request(request, x)
+        else:
+            inner = frontend.readmit(entry)
         response.bind(node.name, inner)
         self._arm_timeout(response)
+        return node
 
     # -- membership (used by the autoscaler, or directly) ------------------
 
@@ -483,23 +505,12 @@ class ClusterRouter:
                 f"drained request {entry.request.request_id} was never "
                 "routed through this router"
             )
-        active = self.routable_nodes()
-        if not active:
-            response.mark_shed("no_active_node")
+        node = self._place(response, entry, None, "drain")
+        if node is not None:
+            self.n_rerouted += 1
             self._log(
-                "route_failed", "-",
-                f"request {entry.request.request_id} (drain, no target)",
+                "reroute", node.name, f"request {entry.request.request_id}"
             )
-            return
-        spec = self.specs[entry.request.model]
-        node = self.balancer.choose(active, entry.request, spec, self.loop.now)
-        inner = node.frontend.adopt(entry)
-        response.bind(node.name, inner)
-        self._arm_timeout(response)
-        self.n_rerouted += 1
-        self._log(
-            "reroute", node.name, f"request {entry.request.request_id}"
-        )
 
     def sweep_drains(self) -> int:
         """Flip any fully-landed draining nodes to standby."""
@@ -587,18 +598,10 @@ class ClusterRouter:
             self.telemetry.resilience.n_shed_deadline += 1
             self._log("shed", "-", f"request {rid} past deadline (backoff)")
             return
-        active = self.routable_nodes()
-        if not active:
-            response.mark_shed("no_active_node")
-            self._log("route_failed", "-", f"request {rid} (retry, no target)")
-            return
-        spec = self.specs[entry.request.model]
-        node = self.balancer.choose(active, entry.request, spec, now)
-        inner = node.frontend.adopt(entry)
-        response.bind(node.name, inner)
-        self.telemetry.resilience.n_redelivered += 1
-        self._log("redeliver", node.name, f"request {rid}")
-        self._arm_timeout(response)
+        node = self._place(response, entry, None, "retry")
+        if node is not None:
+            self.telemetry.resilience.n_redelivered += 1
+            self._log("redeliver", node.name, f"request {rid}")
 
     def _on_node_failure(
         self,
@@ -688,7 +691,13 @@ class ClusterRouter:
         self._log("breaker", name, f"{old.value} -> {new.value}")
 
     def schedule_health(self, until: float):
-        """Heartbeat every ``heartbeat_every_s`` through ``until``."""
+        """Heartbeat every ``heartbeat_every_s`` through ``until``.
+
+        The fleet's only heartbeat schedule: each tick is one
+        :meth:`health_check` sweep.  Ticks stop past the horizon so the
+        event loop can drain; schedule again (e.g. per trace) to keep
+        monitoring across phases.
+        """
         if self.resilience is None:
             raise SchedulerError("router was built without a ResilienceConfig")
         return self.loop.schedule_repeating(
@@ -738,9 +747,9 @@ class ClusterRouter:
         partitions armed, and compare results digit for digit.
 
         With a resilience config, heartbeats are scheduled automatically
-        through ``heartbeat_tail_s`` past the last arrival, so crashes
-        during (or just after) the trace are detected without the caller
-        wiring a :class:`~repro.faults.health.HealthMonitor` by hand.
+        (:meth:`schedule_health`) through ``heartbeat_tail_s`` past the
+        last arrival, so crashes during (or just after) the trace are
+        detected without the caller scheduling them.
 
         ``vectorized`` is accepted for compatibility and must stay True;
         per-event ingestion is :meth:`submit_request` in a loop.
@@ -793,10 +802,10 @@ class ClusterRouter:
         """
         queued = outstanding = outstanding_samples = 0
         for node in self.nodes:
-            stats = node.stats()
-            queued += stats.queued
-            outstanding += stats.outstanding
-            outstanding_samples += stats.outstanding_samples
+            frontend = node.frontend
+            queued += frontend.queued
+            outstanding += frontend.outstanding
+            outstanding_samples += frontend.outstanding_samples
         return ShardSummary(
             group=group,
             virtual_time_s=self.loop.now,
@@ -825,7 +834,7 @@ class ClusterRouter:
         routed exactly as :meth:`submit_request` would route it.
         """
         if j - i == 1:
-            self._route(responses[i], None)
+            self._place(responses[i], None, None, None)
             return
         now = self.loop.now
         active = self.routable_nodes()
@@ -918,7 +927,7 @@ class ClusterRouter:
             "virtual_time_s": self.loop.now,
             "states": {n.name: n.state.value for n in self.nodes},
             "load": {
-                n.name: n.stats().outstanding for n in sorted(
+                n.name: n.frontend.outstanding for n in sorted(
                     self.nodes, key=lambda n: n.name
                 )
             },

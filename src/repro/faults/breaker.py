@@ -13,7 +13,10 @@ hammered every heartbeat.
 from __future__ import annotations
 
 import enum
+import math
 from typing import Callable
+
+from repro.checks import require_count, require_finite
 
 __all__ = ["BreakerState", "CircuitBreaker"]
 
@@ -52,13 +55,12 @@ class CircuitBreaker:
         max_cooldown_s: float = 2.0,
         on_transition: "Callable[[float, BreakerState, BreakerState], None] | None" = None,
     ):
-        if failure_threshold < 1:
-            raise ValueError(f"failure_threshold must be >= 1, got {failure_threshold}")
-        if cooldown_s <= 0.0:
-            raise ValueError(f"cooldown_s must be positive, got {cooldown_s}")
-        if max_cooldown_s < cooldown_s:
+        require_count("failure_threshold", failure_threshold)
+        require_finite("cooldown_s", cooldown_s)
+        if not cooldown_s <= max_cooldown_s < math.inf:
             raise ValueError(
-                f"max_cooldown_s {max_cooldown_s} < cooldown_s {cooldown_s}"
+                f"max_cooldown_s must be finite and >= cooldown_s {cooldown_s}, "
+                f"got {max_cooldown_s}"
             )
         self.failure_threshold = failure_threshold
         self.cooldown_s = float(cooldown_s)

@@ -10,8 +10,10 @@ digit-identical to the pre-resilience code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
+from repro.checks import require_count, require_finite
 from repro.faults.retry import RetryPolicy
 
 __all__ = ["ResilienceConfig"]
@@ -58,26 +60,15 @@ class ResilienceConfig:
     seed: "int | None" = None
 
     def __post_init__(self) -> None:
-        if self.timeout_s is not None and self.timeout_s <= 0.0:
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-        if self.heartbeat_every_s <= 0.0:
+        if self.timeout_s is not None:
+            require_finite("timeout_s", self.timeout_s)
+        require_finite("heartbeat_every_s", self.heartbeat_every_s)
+        require_finite("heartbeat_tail_s", self.heartbeat_tail_s, positive=False)
+        require_count("failure_threshold", self.failure_threshold)
+        require_finite("breaker_cooldown_s", self.breaker_cooldown_s)
+        if not self.breaker_cooldown_s <= self.breaker_max_cooldown_s < math.inf:
             raise ValueError(
-                f"heartbeat_every_s must be positive, got {self.heartbeat_every_s}"
-            )
-        if self.heartbeat_tail_s < 0.0:
-            raise ValueError(
-                f"heartbeat_tail_s must be >= 0, got {self.heartbeat_tail_s}"
-            )
-        if self.failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {self.failure_threshold}"
-            )
-        if self.breaker_cooldown_s <= 0.0:
-            raise ValueError(
-                f"breaker_cooldown_s must be positive, got {self.breaker_cooldown_s}"
-            )
-        if self.breaker_max_cooldown_s < self.breaker_cooldown_s:
-            raise ValueError(
-                f"breaker_max_cooldown_s {self.breaker_max_cooldown_s} < "
-                f"breaker_cooldown_s {self.breaker_cooldown_s}"
+                "breaker_max_cooldown_s must be finite and >= "
+                f"breaker_cooldown_s {self.breaker_cooldown_s}, "
+                f"got {self.breaker_max_cooldown_s}"
             )

@@ -11,9 +11,12 @@ burn belongs to requests that can still make it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.checks import require_count, require_finite
 
 __all__ = ["RetryPolicy"]
 
@@ -45,19 +48,17 @@ class RetryPolicy:
     jitter_frac: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.backoff_base_s < 0.0:
+        require_count("max_attempts", self.max_attempts)
+        require_finite("backoff_base_s", self.backoff_base_s, positive=False)
+        if not 1.0 <= self.backoff_multiplier < math.inf:
             raise ValueError(
-                f"backoff_base_s must be >= 0, got {self.backoff_base_s}"
+                "backoff_multiplier must be finite and >= 1, "
+                f"got {self.backoff_multiplier}"
             )
-        if self.backoff_multiplier < 1.0:
+        if not self.backoff_base_s <= self.backoff_cap_s < math.inf:
             raise ValueError(
-                f"backoff_multiplier must be >= 1, got {self.backoff_multiplier}"
-            )
-        if self.backoff_cap_s < self.backoff_base_s:
-            raise ValueError(
-                f"backoff_cap_s {self.backoff_cap_s} < base {self.backoff_base_s}"
+                "backoff_cap_s must be finite and >= backoff_base_s "
+                f"{self.backoff_base_s}, got {self.backoff_cap_s}"
             )
         if not (0.0 <= self.jitter_frac <= 1.0):
             raise ValueError(

@@ -29,7 +29,6 @@ from repro.serving.admission import AdmissionController, AdmissionDecision
 from repro.serving.coalescer import BatchCoalescer, CoalescedBatch
 from repro.serving.frontend import (
     IMMEDIATE_DISPATCH,
-    NodeStats,
     ServingFrontend,
     ServingResponse,
     ServingResult,
@@ -57,7 +56,6 @@ __all__ = [
     "DeviceWorker",
     "SLOConfig",
     "IMMEDIATE_DISPATCH",
-    "NodeStats",
     "ServingFrontend",
     "ServingResponse",
     "ServingResult",

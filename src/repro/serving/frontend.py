@@ -35,12 +35,12 @@ shed/violation counters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
+from repro.checks import require_count, require_finite
 from repro.errors import SchedulerError
 from repro.nn.builders import ModelSpec
 from repro.ocl.event import Event
@@ -58,7 +58,6 @@ from repro.workloads.requests import InferenceRequest, RequestTrace
 __all__ = [
     "SLOConfig",
     "IMMEDIATE_DISPATCH",
-    "NodeStats",
     "ServingResponse",
     "ServingResult",
     "ServingFrontend",
@@ -101,33 +100,15 @@ class SLOConfig:
     ect_margin: float = 1.0
 
     def __post_init__(self) -> None:
-        # Comparisons are written so NaN fails them: every one is False.
-        if self.deadline_s is not None and not 0.0 < self.deadline_s < math.inf:
-            raise ValueError(
-                f"deadline_s must be positive and finite, got {self.deadline_s}"
-            )
-        if self.max_queue_depth is not None and not (
-            isinstance(self.max_queue_depth, (int, np.integer))
-            and self.max_queue_depth >= 1
-        ):
-            raise ValueError(
-                "max_queue_depth must be an integer >= 1, "
-                f"got {self.max_queue_depth!r}"
-            )
-        if not isinstance(self.max_batch, (int, np.integer)) or self.max_batch < 1:
-            raise ValueError(
-                f"max_batch must be an integer >= 1, got {self.max_batch!r}"
-            )
-        if not 0.0 <= self.max_wait_s < math.inf:
-            raise ValueError(
-                f"max_wait_s must be finite and >= 0, got {self.max_wait_s}"
-            )
+        if self.deadline_s is not None:
+            require_finite("deadline_s", self.deadline_s)
+        if self.max_queue_depth is not None:
+            require_count("max_queue_depth", self.max_queue_depth)
+        require_count("max_batch", self.max_batch)
+        require_finite("max_wait_s", self.max_wait_s, positive=False)
         if self.discipline not in ("fifo", "edf"):
             raise ValueError(f"unknown discipline {self.discipline!r}")
-        if not 0.0 < self.ect_margin < math.inf:
-            raise ValueError(
-                f"ect_margin must be positive and finite, got {self.ect_margin}"
-            )
+        require_finite("ect_margin", self.ect_margin)
 
 
 #: One request per launch, dispatched at arrival, never refused: no
@@ -135,46 +116,6 @@ class SLOConfig:
 IMMEDIATE_DISPATCH = SLOConfig(
     deadline_s=None, max_queue_depth=None, max_batch=1, max_wait_s=0.0
 )
-
-
-@dataclass(frozen=True, slots=True)
-class NodeStats:
-    """A cheap load snapshot of one frontend, for cluster-level polling.
-
-    Every field is O(#models) to produce — counters, queue lengths and a
-    bounded rolling-window tail, never a full-history percentile — so a
-    router may take one per node per routing decision.
-
-    * ``queued`` / ``queued_samples`` — requests (samples) sitting in the
-      per-model serving queues, not yet dispatched.
-    * ``in_flight`` / ``in_flight_samples`` — dispatched to a device worker
-      but not yet completed (the device command-queue backlog).
-    * ``outstanding`` / ``outstanding_samples`` — the sum of both: work this
-      node has accepted and not yet resolved.
-    * ``recent_p99_s`` — p99 over the telemetry's rolling latency window
-      (None before any request completes).
-    * ``backlog_s`` — the largest per-device backlog (seconds of committed
-      work ahead of virtual now).
-    """
-
-    queued: int
-    queued_samples: int
-    in_flight: int
-    in_flight_samples: int
-    served: int
-    shed: int
-    recent_p99_s: "float | None"
-    backlog_s: float
-    virtual_time_s: float
-    queue_depths: "dict[str, int]"
-
-    @property
-    def outstanding(self) -> int:
-        return self.queued + self.in_flight
-
-    @property
-    def outstanding_samples(self) -> int:
-        return self.queued_samples + self.in_flight_samples
 
 
 class ServingResponse:
@@ -944,7 +885,7 @@ class ServingFrontend:
             if worker.device_class != device_class:
                 continue
             for entry, response in self.abort_device(name):
-                self._readmit(entry, response)
+                self.readmit(entry, response)
                 readmitted += 1
         return readmitted
 
@@ -1006,30 +947,6 @@ class ServingFrontend:
             if d.device_class.value not in self._dropped
         ]
         self._cheapest = min(candidates, key=lambda d: d.spec.busy_watts)
-
-    def _readmit(self, entry: QueueEntry, response: ServingResponse) -> None:
-        """Re-run arrival for a rescued entry, keeping its response.
-
-        The original request (arrival time, absolute deadline) is
-        preserved; admission re-runs, so a rescued request can still be
-        shed — resolved on its original handle, never lost.
-        """
-        readmitted = QueueEntry(
-            request=entry.request, enqueued_s=self.loop.now, seq=self._seq, x=entry.x
-        )
-        self._seq += 1
-        self._pending[readmitted.seq] = response
-        self._on_arrival(readmitted)
-
-    def readmit(self, entry: QueueEntry, response: ServingResponse) -> None:
-        """Re-admit an aborted request on its original response handle.
-
-        The partition manager pairs this with :meth:`abort_device`: abort
-        collects (entry, response) pairs off a retiring partition, the
-        topology changes, then each pair re-runs arrival here — exactly
-        once, on whatever devices now exist.
-        """
-        self._readmit(entry, response)
 
     # -- device topology (partition split/merge) ---------------------------
 
@@ -1112,7 +1029,7 @@ class ServingFrontend:
         graceful half of a node drain.  Returned entries are forgotten by
         this frontend (their original :class:`ServingResponse`s stay
         pending); the caller re-binds each request to another frontend via
-        :meth:`adopt`, preserving exactly-once delivery one layer up.
+        :meth:`readmit`, preserving exactly-once delivery one layer up.
         """
         drained: list[QueueEntry] = []
         for model, queue in self._queues.items():
@@ -1126,24 +1043,31 @@ class ServingFrontend:
         drained.sort(key=lambda e: e.seq)  # original submission order
         return drained
 
-    def adopt(self, entry: QueueEntry) -> ServingResponse:
-        """Admit a request drained from another frontend (transfer hook).
+    def readmit(
+        self, entry: QueueEntry, response: "ServingResponse | None" = None
+    ) -> ServingResponse:
+        """Re-run arrival here for a request taken off a queue or device.
 
-        The original request object — arrival time, absolute deadline —
-        is preserved, so end-to-end latency keeps counting from its first
-        arrival; only the enqueue time resets to now for coalescing.  The
-        transfer re-runs this node's admission, so a full queue here can
+        The one re-entry path: the router hands over drained, retried and
+        crash-orphaned entries (``response`` None: a fresh handle is made
+        and returned for it to bind), the partition manager and
+        :meth:`drop_device` re-admit aborted in-flight work on its
+        original handle.  The original request object — arrival time,
+        absolute deadline — is preserved, so end-to-end latency keeps
+        counting from its first arrival; only the enqueue time resets to
+        now for coalescing.  Admission re-runs, so a full queue here can
         still shed it (resolved, never lost).
         """
         request = entry.request
         self._require_spec(request.model)
-        adopted = QueueEntry(
+        readmitted = QueueEntry(
             request=request, enqueued_s=self.loop.now, seq=self._seq, x=entry.x
         )
         self._seq += 1
-        response = ServingResponse(request)
-        self._pending[adopted.seq] = response
-        self._on_arrival(adopted)
+        if response is None:
+            response = ServingResponse(request)
+        self._pending[readmitted.seq] = response
+        self._on_arrival(readmitted)
         return response
 
     # -- introspection -----------------------------------------------------
@@ -1154,46 +1078,29 @@ class ServingFrontend:
         return len(self._pending)
 
     @property
-    def queued_samples(self) -> int:
-        """Samples sitting in the serving queues (O(#models) counters)."""
-        return sum(q.total_samples for q in self._queues.values())
+    def queued(self) -> int:
+        """Requests sitting in the serving queues, not yet dispatched."""
+        return sum(len(q) for q in self._queues.values())
+
+    @property
+    def outstanding(self) -> int:
+        """Requests accepted and unresolved: queued plus in flight."""
+        return self._in_flight + self.queued
 
     @property
     def outstanding_samples(self) -> int:
         """Samples accepted and unresolved: queued plus in flight.
 
-        The same quantity as ``node_stats().outstanding_samples`` without
-        building the full snapshot — balancers tiebreak on this once per
-        node per routing decision.
+        Like :attr:`queued` and :attr:`outstanding`, a sum of running
+        counters (one per model queue plus the in-flight ledger), cheap
+        enough for a balancer to read per node per routing decision.
         """
-        return self._in_flight_samples + self.queued_samples
+        return self._in_flight_samples + sum(
+            q.total_samples for q in self._queues.values()
+        )
 
     def queue_depth(self, model: str) -> int:
         return len(self._queues[self._require_spec(model).name])
-
-    def node_stats(self) -> NodeStats:
-        """Cheap load snapshot for cluster-level polling.
-
-        Unlike :meth:`stats` (full telemetry, all-time percentiles), this
-        reads only counters, queue lengths and the bounded rolling latency
-        window — safe to call once per routing decision.
-        """
-        now = self.loop.now
-        depths = {m: len(q) for m, q in self._queues.items()}
-        return NodeStats(
-            queued=sum(depths.values()),
-            queued_samples=sum(q.total_samples for q in self._queues.values()),
-            in_flight=self._in_flight,
-            in_flight_samples=self._in_flight_samples,
-            served=self.telemetry.n_served,
-            shed=self.telemetry.n_shed,
-            recent_p99_s=self.telemetry.recent.p99_s,
-            backlog_s=max(
-                (w.backlog_s(now) for w in self._workers.values()), default=0.0
-            ),
-            virtual_time_s=now,
-            queue_depths=depths,
-        )
 
     def stats(self) -> dict:
         """Telemetry snapshot plus per-layer counters."""

@@ -38,6 +38,7 @@ from __future__ import annotations
 import bisect
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -113,10 +114,13 @@ class ShardPlan:
             raise SchedulerError(
                 f"node names must be unique across all shard groups: {names}"
             )
-        if not 1 <= self.n_workers <= len(self.groups):
+        n = self.n_workers
+        if isinstance(n, bool) or not isinstance(n, Integral) or not (
+            1 <= n <= len(self.groups)
+        ):
             raise SchedulerError(
-                f"n_workers must be in [1, n_groups={len(self.groups)}], "
-                f"got {self.n_workers}"
+                f"n_workers must be an integer in [1, n_groups="
+                f"{len(self.groups)}], got {self.n_workers!r}"
             )
         if not self.lookahead_s > 0.0:
             raise SchedulerError(

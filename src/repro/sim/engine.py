@@ -14,6 +14,7 @@ import heapq
 import math
 from typing import Any, Callable, NamedTuple
 
+from repro.checks import require_finite
 from repro.sim.clock import VirtualClock
 
 __all__ = ["ScheduledEvent", "EventLoop", "TraceCursor", "check_arrival_order"]
@@ -204,8 +205,10 @@ class EventLoop:
         health checks — never keep a simulation alive forever).  Returns the
         first scheduled event, or None when the horizon is already too close.
         """
-        if interval <= 0.0:
-            raise ValueError(f"interval must be positive, got {interval}")
+        # An infinite horizon would keep the actor (and the loop) alive.
+        require_finite("interval", interval)
+        if not math.isfinite(until):
+            raise ValueError(f"until must be finite, got {until}")
         if until < self.clock.now:
             raise ValueError(
                 f"until must be >= now: {until} < now={self.clock.now}"

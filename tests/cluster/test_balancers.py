@@ -1,8 +1,9 @@
 """Balancing policies over stub nodes: pure policy logic, no fleet needed.
 
 The stubs expose exactly the surface the policies are documented to read
-— :attr:`routable`, :meth:`stats` (a real :class:`NodeStats`), and the
-backlog's ``estimate_completion`` — so these tests also pin that contract.
+— :attr:`routable`, the frontend's load counters (``queued``,
+``outstanding``, ``outstanding_samples``) and the backlog's
+``estimate_completion`` — so these tests also pin that contract.
 """
 
 import pytest
@@ -19,7 +20,6 @@ from repro.cluster import (
     make_balancer,
 )
 from repro.nn.zoo import SIMPLE
-from repro.serving import NodeStats
 from repro.workloads.requests import InferenceRequest
 
 REQUEST = InferenceRequest(request_id=0, arrival_s=0.0, model="simple", batch=8)
@@ -34,8 +34,12 @@ class StubBacklog:
 
 
 class StubFrontend:
-    def __init__(self, delay_s):
+    """All outstanding work queued, none in flight."""
+
+    def __init__(self, delay_s, outstanding, samples):
         self.backlog = StubBacklog(delay_s)
+        self.queued = self.outstanding = outstanding
+        self.outstanding_samples = samples
 
 
 class StubNode:
@@ -44,27 +48,11 @@ class StubNode:
     ):
         self.name = name
         self.state = state
-        self.frontend = StubFrontend(ect_s)
-        self._outstanding = outstanding
-        self._samples = samples
+        self.frontend = StubFrontend(ect_s, outstanding, samples)
 
     @property
     def routable(self):
         return self.state is NodeState.ACTIVE
-
-    def stats(self):
-        return NodeStats(
-            queued=self._outstanding,
-            queued_samples=self._samples,
-            in_flight=0,
-            in_flight_samples=0,
-            served=0,
-            shed=0,
-            recent_p99_s=None,
-            backlog_s=0.0,
-            virtual_time_s=0.0,
-            queue_depths={},
-        )
 
 
 def choose(balancer, nodes):

@@ -17,7 +17,6 @@ from repro.faults import (
     CircuitBreaker,
     ErrorProfile,
     FaultInjector,
-    HealthMonitor,
     ResilienceConfig,
     RetryPolicy,
 )
@@ -459,14 +458,13 @@ class TestRouterResilience:
         self, serving_predictors
     ):
         router = make_router(serving_predictors)
-        monitor = HealthMonitor(router)
         responses = [
             router.submit("simple", 8, deadline_s=2.0, arrival_s=0.001 * i)
             for i in range(30)
         ]
         injector = FaultInjector(router)
         injector.crash_node(0.005, "node-a")
-        monitor.schedule(until=1.0)
+        router.schedule_health(1.0)
         router.run()
         assert all(r.done for r in responses)
         served = sum(r.served for r in responses)
@@ -596,10 +594,6 @@ class TestRouterResilience:
         assert make_router(serving_predictors, resilience=None).stats().get(
             "resilience"
         ) is None
-
-    def test_health_monitor_requires_resilience(self, serving_predictors):
-        with pytest.raises(ValueError, match="ResilienceConfig"):
-            HealthMonitor(make_router(serving_predictors, resilience=None))
 
 
 # -- injector ----------------------------------------------------------------

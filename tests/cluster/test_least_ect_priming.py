@@ -175,7 +175,7 @@ class OracleCheckedLeastECT(LeastECTBalancer):
             _, delay = node.frontend.backlog.estimate_completion(
                 spec, request.batch, now
             )
-            return (delay, node.outstanding_samples, node.name)
+            return (delay, node.frontend.outstanding_samples, node.name)
 
         keys = [key(node) for node in nodes]
         best = min(keys)
@@ -220,6 +220,8 @@ class TestDelayOnlyPick:
         ]
         expected = min(
             nodes,
-            key=lambda n: (n.frontend.backlog.delay_s, n._samples, n.name),
+            key=lambda n: (
+                n.frontend.backlog.delay_s, n.frontend.outstanding_samples, n.name
+            ),
         )
         assert LeastECTBalancer().choose(nodes, REQUEST, SIMPLE, 0.0) is expected

@@ -1,16 +1,21 @@
-"""The router's running ledger counters equal a recount of its responses.
+"""Running ledger and load counters equal a recount of what they count.
 
 ``goodput()`` and ``n_pending`` read counters updated once per response
 at its single resolution point (``ClusterResponse._fire_done``), not by
 scanning the ledger.  A recount after retries, crashes and drains — and
-mid-run, while work is still pending — must agree exactly.
+mid-run, while work is still pending — must agree exactly.  The same
+holds one layer down for each frontend's ``queued`` / ``outstanding`` /
+``outstanding_samples`` against its queues and in-flight ledgers.
 """
 
 from __future__ import annotations
 
-from repro.cluster import ClusterRouter
+from repro.cluster import ClusterRouter, NodeSpec, build_node
 from repro.faults import FaultInjector, ResilienceConfig
+from repro.serving import SLOConfig
+from repro.sim.engine import EventLoop
 from tests.cluster.conftest import build_fleet
+from tests.serving.conftest import SERVING_SPECS
 
 RESILIENCE = ResilienceConfig(
     timeout_s=0.05, heartbeat_every_s=0.01, breaker_cooldown_s=0.05,
@@ -76,3 +81,68 @@ def test_counters_match_after_a_drain(serving_predictors):
     router.run()
     assert router.n_rerouted > 0
     assert_counters_match(router)
+
+
+def recount_load(frontend) -> "tuple[int, int, int]":
+    """(queued, outstanding, outstanding samples) by walking the queues
+    and every worker's in-flight ledger."""
+    queued = [e for q in frontend._queues.values() for e in q]
+    in_flight = [
+        e
+        for device in frontend.backlog.scheduler.context.devices
+        for batch, *_ in frontend.worker_for(device.name)._inflight.values()
+        for e in batch.entries
+    ]
+    entries = queued + in_flight
+    return len(queued), len(entries), sum(e.batch for e in entries)
+
+
+def test_load_counters_match_a_recount_at_every_event(serving_predictors):
+    """The frontend's running load counters — the one load signal every
+    balancer, the autoscaler and the shard summary read — equal a recount
+    after every event of a run with a crash and recovery, a dGPU drop and
+    restore, a throttle and a degrading node."""
+    loop = EventLoop()
+    slo = dict(deadline_s=0.05, max_batch=4096, max_wait_s=0.005)
+    nodes = [
+        build_node(NodeSpec("full-a"), serving_predictors, SERVING_SPECS,
+                   loop=loop, default_slo=SLOConfig(**slo)),
+        build_node(NodeSpec("full-b"), serving_predictors, SERVING_SPECS,
+                   loop=loop, default_slo=SLOConfig(**slo)),
+        build_node(NodeSpec("degrader", device_classes=("cpu", "igpu")),
+                   serving_predictors, SERVING_SPECS, loop=loop,
+                   default_slo=SLOConfig(**slo, max_queue_depth=2,
+                                         degrade=True)),
+    ]
+    router = ClusterRouter(nodes, balancer="least-ect", resilience=RESILIENCE)
+    injector = FaultInjector(router)
+    injector.crash_node(0.01, "full-a")
+    injector.recover_node(0.06, "full-a")
+    injector.drop_device(0.03, "full-b", "dgpu")   # aborts a launch
+    injector.restore_device(0.05, "full-b", "dgpu")
+    injector.throttle_device(0.005, "degrader", "cpu", 4.0, duration_s=0.05)
+    for i in range(150):
+        router.submit(
+            "simple" if i % 3 else "mnist-small", 32 + 7 * i,
+            deadline_s=0.05, arrival_s=0.0005 * i,
+        )
+    router.schedule_health(0.3)
+    n_events = 0
+    while loop.pending:
+        loop.run(max_events=1)
+        n_events += 1
+        for node in nodes:
+            fe = node.frontend
+            assert (fe.queued, fe.outstanding, fe.outstanding_samples) == (
+                recount_load(fe)
+            ), (node.name, loop.now)
+    assert n_events > 500
+    assert router.n_pending == 0
+    assert router.telemetry.resilience.n_crashes_detected == 1
+    assert nodes[2].frontend.telemetry.n_degraded > 0
+    full_b = nodes[1].frontend
+    assert sum(
+        full_b.worker_for(d.name).n_aborted
+        for d in full_b.backlog.scheduler.context.devices
+    ) >= 1
+    assert all(fe.outstanding == 0 for fe in (n.frontend for n in nodes))

@@ -1,4 +1,4 @@
-"""Node layer: specs, heterogeneous builds, stats, and the drain machine."""
+"""Node layer: specs, heterogeneous builds, load counters, and the drain machine."""
 
 import pytest
 
@@ -93,9 +93,9 @@ def test_inactive_spec_starts_standby(serving_predictors):
     assert fleet[0].routable and not fleet[1].routable
 
 
-# -- NodeStats lifecycle -----------------------------------------------------
+# -- load counters lifecycle -------------------------------------------------
 
-def test_node_stats_tracks_queued_then_drains(serving_predictors):
+def test_load_counters_track_queued_then_drain(serving_predictors):
     (node,) = build_fleet(
         serving_predictors, node_specs=(NodeSpec("solo"),), default_slo=LONG_WAIT
     )
@@ -104,21 +104,17 @@ def test_node_stats_tracks_queued_then_drains(serving_predictors):
         fe.submit("simple", 8, arrival_s=0.0)
 
     fe.run(until=0.001)  # arrivals processed, nothing flushed yet
-    stats = fe.node_stats()
-    assert stats.queued == 3
-    assert stats.queued_samples == 24
-    assert stats.in_flight == 0
-    assert stats.outstanding == 3
-    assert stats.outstanding_samples == 24
-    assert stats.recent_p99_s is None
-    assert stats.queue_depths["simple"] == 3
+    assert fe.queued == 3
+    assert fe.outstanding == 3
+    assert fe.outstanding_samples == 24
+    assert fe.queue_depth("simple") == 3
+    assert fe.telemetry.recent.p99_s is None
 
     fe.run()
-    stats = fe.node_stats()
-    assert stats.outstanding == 0
-    assert stats.served == 3
-    assert stats.recent_p99_s is not None
-    assert node.outstanding == 0
+    assert fe.queued == fe.outstanding == fe.outstanding_samples == 0
+    assert fe.telemetry.n_served == 3
+    assert fe.telemetry.recent.p99_s is not None
+    assert fe.n_pending == 0
 
 
 # -- drain state machine -----------------------------------------------------
@@ -135,9 +131,9 @@ def test_drain_hands_back_queued_entries(serving_predictors):
     assert node.state is NodeState.DRAINING
     assert len(entries) == 3
     assert [e.seq for e in entries] == sorted(e.seq for e in entries)
-    assert fe.node_stats().queued == 0
+    assert fe.queued == 0
     # The drained frontend forgot them: its own handles stay pending.
-    assert node.outstanding == 0
+    assert fe.n_pending == 0
     assert all(r.status == "pending" for r in responses)
     assert node.finish_drain_if_idle()
     assert node.state is NodeState.STANDBY
@@ -154,7 +150,7 @@ def test_adopt_preserves_original_arrival(serving_predictors):
 
     entries = donor.start_drain()
     assert len(entries) == 1
-    response = adopter.frontend.adopt(entries[0])
+    response = adopter.frontend.readmit(entries[0])
     adopter.frontend.run()
     assert response.served
     # Latency spans the hop: it counts from the original t=0 arrival,
@@ -180,7 +176,7 @@ def test_activate_refuses_mid_drain_with_inflight(serving_predictors):
     )
     node.frontend.submit("simple", 8, arrival_s=0.0)
     node.frontend.run(until=1e-6)
-    assert node.frontend.node_stats().in_flight == 1
+    assert node.frontend.outstanding - node.frontend.queued == 1
 
     entries = node.start_drain()
     assert entries == []           # nothing queued: the batch is executing

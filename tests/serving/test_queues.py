@@ -79,8 +79,9 @@ class TestEDF:
 
 class TestCounters:
     """The O(1) load counters must track brute-force recomputation across
-    arbitrary push/pop interleavings (they feed ``NodeStats`` and every
-    balancing policy, so drift here silently skews routing)."""
+    arbitrary push/pop interleavings (they feed the frontend's load
+    counters and so every balancing policy; drift here silently skews
+    routing)."""
 
     @pytest.mark.parametrize("cls", [FIFOQueue, EDFQueue])
     def test_track_brute_force_under_interleaving(self, cls):

@@ -38,11 +38,18 @@ def test_defaults_and_n_groups():
         ({"groups": G2, "lookahead_s": -1.0}, "lookahead"),
         ({"groups": G2, "front_tier": "nope"}, "unknown front tier"),
         ({"groups": G2, "balancer": "nope"}, "unknown balancer"),
+        ({"groups": G2, "n_workers": 1.5}, "n_workers"),
+        ({"groups": G2, "n_workers": 2.0}, "n_workers"),
+        ({"groups": G2, "n_workers": True}, "n_workers"),
     ],
 )
 def test_invalid_plans_fail_loudly(kwargs, fragment):
     with pytest.raises(SchedulerError, match=fragment):
         ShardPlan(**kwargs)
+
+
+def test_numpy_integer_worker_count_is_accepted():
+    assert ShardPlan(groups=G2, n_workers=np.int64(2)).worker_groups(1) == (1,)
 
 
 def test_inexact_latency_is_rejected():
