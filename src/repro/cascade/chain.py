@@ -17,11 +17,9 @@ import numpy as np
 
 from repro.errors import SchedulerError
 from repro.cascade.telemetry import CascadeTelemetry
+from repro.serving.frontend import _DEADLINE_EPS
 
 __all__ = ["CascadeChain", "CascadeResult"]
-
-#: Completions landing within this of the deadline still meet it.
-_DEADLINE_EPS = 1e-9
 
 
 class CascadeChain:

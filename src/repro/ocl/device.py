@@ -33,6 +33,10 @@ class DeviceState(enum.Enum):
         return self.value
 
 
+# Aliases: reading a member off the Enum class is a descriptor call.
+_IDLE, _WARM = DeviceState.IDLE, DeviceState.WARM
+
+
 class Device:
     """One simulated computational device.
 
@@ -82,10 +86,10 @@ class Device:
         Cooling is applied lazily: probing at a later virtual time first
         relaxes the clock toward idle.
         """
-        self._cool_to(now)
-        if self._clock.clock_frac >= _WARM_THRESHOLD:
-            return DeviceState.WARM
-        return DeviceState.IDLE
+        clock = self._clock
+        if now > clock.timestamp:   # _cool_to, inlined: probes are hot
+            clock = self._clock = self.cost_model.clock.cool(clock, now)
+        return _WARM if clock.clock_frac >= _WARM_THRESHOLD else _IDLE
 
     def force_state(self, state: DeviceState, now: float = 0.0) -> None:
         """Pin the device to idle/warm (used by characterization sweeps)."""

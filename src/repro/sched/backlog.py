@@ -31,11 +31,14 @@ split the batch column at (:meth:`DevicePredictor.batch_cuts
 <repro.sched.predictor.DevicePredictor.batch_cuts>`), so the ranking is
 fixed within it; the log2 bucket fixes the outcome-table cell and the
 drift-fallback plan, which are all an entry reads of the batch.
-Invalidation is explicit: a predictor refit (or swap) clears the cache
-wholesale, and every feedback update
-(:meth:`~BacklogAwareScheduler.record_service` /
-:meth:`~BacklogAwareScheduler.submit_virtual`) bumps the touched cell's
-version so entries holding its estimate binding rebuild on next use.
+Validity is settled on write, as entries are probed far more often than
+their state changes: each write marks dead exactly the entries it stales
+(a feedback observation its cell's, through a cell -> entries index; a
+refit, swap or repartition all).  A per-request (model, batch, dGPU
+state) index fronts the cache, so a hit runs no bisect, bucket or cell
+hash.  The dGPU state probe and the argmin's float expressions stay per
+probe: lazy cooling depends on the probe path, and ``max(0.0, ...)`` maps
+a NaN backlog to zero where a conditional would not.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from repro.checks import require_count, require_finite
 from repro.errors import SchedulerError
 from repro.nn.builders import ModelSpec
 from repro.ocl.event import Event
@@ -76,20 +80,18 @@ class _DecisionEntry:
     (``current_time``) and estimate freshness are evaluated live at every
     use, so a hit runs the exact float expressions the test oracle's
     uncached walk runs.
-    ``version`` pins the cell's feedback version at build time: any
-    ``record_service`` / ``submit_virtual`` observation for the cell bumps
-    that version and the entry rebuilds, so a replaced/aged estimate
-    object can never be read stale.
+    ``live`` is cleared by the write that stales the entry: an observation
+    for its cell (which may replace the estimate object it binds), or the
+    mask, bias, drift or topology change that drops it.
     """
 
-    __slots__ = ("ranked", "cell", "eligible", "version", "fallback")
+    __slots__ = ("ranked", "eligible", "fallback", "live")
 
-    def __init__(self, ranked, cell, eligible, version, fallback=False):
+    def __init__(self, ranked, eligible, fallback=False):
         self.ranked = ranked        # full predictor ranking (for spill checks)
-        self.cell = cell            # CellKey of this decision cell
         self.eligible = eligible    # ((class, device_name, queue, estimate), ...)
-        self.version = version      # feedback version seen at build time
         self.fallback = fallback    # built in drift fallback mode (see online)
+        self.live = True
 
 
 class BacklogAwareScheduler:
@@ -115,8 +117,8 @@ class BacklogAwareScheduler:
         service_alpha: float = 0.5,
         service_ttl_s: float = 60.0,
     ):
-        if max_rank < 1:
-            raise ValueError(f"max_rank must be >= 1, got {max_rank}")
+        require_count("max_rank", max_rank)
+        require_finite("service_ttl_s", service_ttl_s)
         self.scheduler = scheduler
         self.policy = Policy.parse(policy)
         self.max_rank = max_rank
@@ -130,7 +132,8 @@ class BacklogAwareScheduler:
         self._device_mask: "frozenset[str] | None" = None
         # Decision cache (see module docstring for the invalidation rules).
         self._entries: "dict[tuple, _DecisionEntry]" = {}
-        self._feedback_versions: "dict[CellKey, int]" = {}
+        self._requests: "dict[tuple, _DecisionEntry]" = {}
+        self._cell_entries: "dict[CellKey, list[_DecisionEntry]]" = {}
         self._cache_hits = 0
         self._cache_misses = 0
         self._refit_clears = 0
@@ -229,17 +232,14 @@ class BacklogAwareScheduler:
         if not removed_names and not added_names:
             return
         if added_names:
-            stale = list(self._entries)
-        else:
-            removed_classes = before_classes - self.available_classes()
-            stale = [
-                key for key, entry in self._entries.items()
-                if any(c in entry.ranked for c in removed_classes)
-                or any(item[1] in removed_names for item in entry.eligible)
-            ]
-        for key in stale:
-            del self._entries[key]
-        self._mask_invalidations += len(stale)
+            self._mask_invalidations += self._drop(list(self._entries))
+            return
+        removed_classes = before_classes - self.available_classes()
+        self._mask_invalidations += self._drop([
+            key for key, entry in self._entries.items()
+            if any(c in entry.ranked for c in removed_classes)
+            or any(item[1] in removed_names for item in entry.eligible)
+        ])
 
     # -- per-model placement bias (cascade stage pinning) ------------------
 
@@ -285,11 +285,9 @@ class BacklogAwareScheduler:
         retuning the exit threshold that shapes its batch mix.  Returns the
         number of entries dropped.
         """
-        stale = [key for key in self._entries if key[0] == model]
-        for key in stale:
-            del self._entries[key]
-        self._preference_invalidations += len(stale)
-        return len(stale)
+        n = self._drop([key for key in self._entries if key[0] == model])
+        self._preference_invalidations += n
+        return n
 
     # -- per-model device pins (partition placement) -----------------------
 
@@ -445,10 +443,7 @@ class BacklogAwareScheduler:
         table) so callers get an error naming the argument: one NaN/inf
         folded into the EWMA would silently poison every later estimate.
         """
-        if not math.isfinite(service_s) or service_s < 0.0:
-            raise ValueError(
-                f"service_s must be finite and >= 0, got {service_s}"
-            )
+        require_finite("service_s", service_s, positive=False)
         cell = CellKey.of(model, batch, gpu_state)
         self._observe_service(cell, batch, device, service_s, now)
 
@@ -469,7 +464,9 @@ class BacklogAwareScheduler:
             prior = self._service.estimate(cell, device, now)
             predicted = prior.value if prior is not None else None
         self._service.observe(cell, device, service_s, now=now)
-        self._bump_cell(cell)
+        for entry in self._cell_entries.pop(cell, ()):   # the entries it stales
+            entry.live = False
+        self._feedback_invalidations += 1
         if online is not None:
             events = online.observe(
                 cell.model, batch, cell.gpu_state, device,
@@ -489,24 +486,22 @@ class BacklogAwareScheduler:
         the cache wholesale in ``_entry_for``.
         """
         for key in (*events.flagged, *events.recovered):
-            stale = [
+            self._drift_invalidations += self._drop([
                 k for k in self._entries
                 if k[0] == key.model and k[2] == key.batch_bucket
-            ]
-            for k in stale:
-                del self._entries[k]
-            self._drift_invalidations += len(stale)
+            ])
 
     # -- decision cache ----------------------------------------------------
 
-    def _bump_cell(self, cell: CellKey) -> None:
-        """A feedback observation touched ``cell``: age out its entries."""
-        self._feedback_versions[cell] = self._feedback_versions.get(cell, 0) + 1
-        self._feedback_invalidations += 1
+    def _drop(self, keys: list) -> int:
+        """Delete and kill the entries under ``keys``; returns how many."""
+        for key in keys:
+            self._entries.pop(key).live = False
+        return len(keys)
 
     def invalidate(self) -> None:
         """Drop every cached decision (device-set or topology changes)."""
-        self._entries.clear()
+        self._drop(list(self._entries))
         self._refit_clears += 1
 
     def notify_repartition(self) -> int:
@@ -515,8 +510,7 @@ class BacklogAwareScheduler:
         queues or rank classes whose device set changed, so every entry is
         dropped.  Returns the number of entries invalidated.
         """
-        n = len(self._entries)
-        self._entries.clear()
+        n = self._drop(list(self._entries))
         self._repartition_invalidations += n
         return n
 
@@ -605,8 +599,7 @@ class BacklogAwareScheduler:
         if predictor is not self._seen_predictor or generation != self._seen_generation:
             # A refit (or a predictor swap) may reorder every ranking.
             self._seen_cuts = predictor.batch_cuts()
-            if self._entries:
-                self._entries.clear()
+            if self._drop(list(self._entries)):
                 self._refit_clears += 1
             self._seen_predictor = predictor
             self._seen_generation = generation
@@ -619,23 +612,23 @@ class BacklogAwareScheduler:
             gpu_state,
         )
         entry = self._entries.get(key)
-        if entry is not None and entry.version == self._feedback_versions.get(entry.cell, 0):
+        if entry is not None and entry.live:
             self._cache_hits += 1
-            return entry
-        self._cache_misses += 1
-        ranked, limit, fallback = self._routing_plan(spec, batch, gpu_state)
-        cell = CellKey.of(spec.name, batch, gpu_state)
-        eligible = []
-        for device_class, device in self._eligible_devices(spec.name, ranked, limit):
-            queue = self.scheduler.queue_for(device.name)
-            eligible.append(
-                (device_class, device.name, queue, self._service.binding(cell, device_class))
-            )
-        entry = _DecisionEntry(
-            ranked, cell, tuple(eligible),
-            self._feedback_versions.get(cell, 0), fallback,
-        )
-        self._entries[key] = entry
+        else:
+            self._cache_misses += 1
+            ranked, limit, fallback = self._routing_plan(spec, batch, gpu_state)
+            cell = CellKey.of(spec.name, batch, gpu_state)
+            eligible = []
+            for device_class, device in self._eligible_devices(spec.name, ranked, limit):
+                queue = self.scheduler.queue_for(device.name)
+                eligible.append(
+                    (device_class, device.name, queue, self._service.binding(cell, device_class))
+                )
+            entry = _DecisionEntry(ranked, tuple(eligible), fallback)
+            self._entries[key] = entry
+            live = [e for e in self._cell_entries.get(cell, ()) if e.live]
+            self._cell_entries[cell] = [*live, entry]   # dead ones pruned: bounded
+        self._requests[spec.name, batch, gpu_state] = entry
         return entry
 
     def _finisher_from(
@@ -646,11 +639,11 @@ class BacklogAwareScheduler:
         Backlog (``queue.current_time``) and estimate freshness are read
         live; only the bindings come from the cache, so the returned
         (device, completion) is bit-identical to the test oracle's
-        uncached walk.
+        uncached walk.  :meth:`estimate_completion` inlines this loop.
         """
         ttl = self._service.ttl_s
         best = None
-        best_completion = float("inf")
+        best_completion = math.inf
         for candidate in entry.eligible:
             queue = candidate[2]
             est = candidate[3]
@@ -677,10 +670,29 @@ class BacklogAwareScheduler:
         earliest-finishing eligible device — the quantity an admission
         controller compares against a request's deadline budget.
         """
-        gpu_state = self.scheduler.probe_gpu_state(now=arrival_s)
-        entry = self._entry_for(spec, batch, gpu_state)
-        best_device, best_completion, _, _ = self._finisher_from(entry, arrival_s)
-        return best_device, best_completion
+        gpu_state = self.scheduler.probe_gpu_state(arrival_s)
+        # Inlined hit path: writes clear ``live``; only refits are checked.
+        entry = self._requests.get((spec.name, batch, gpu_state))
+        predictor = self.scheduler.predictors[self.policy]
+        if entry is not None and entry.live and predictor is self._seen_predictor and (
+            getattr(predictor, "fit_generation", None) == self._seen_generation
+        ):
+            self._cache_hits += 1
+        else:
+            entry = self._entry_for(spec, batch, gpu_state)
+        ttl = self._service.ttl_s
+        best = None
+        best_completion = math.inf
+        for device, _, queue, est in entry.eligible:
+            wait = max(0.0, queue.current_time - arrival_s)
+            if est is not None and not (arrival_s - est.updated_at > ttl):
+                service = est.value
+            else:
+                service = 0.0
+            completion = wait + service
+            if completion < best_completion:
+                best, best_completion = device, completion
+        return best, best_completion
 
     # -- placement ---------------------------------------------------------
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.checks import require_finite
 
 __all__ = ["CellKey", "Estimate", "OutcomeTable", "batch_bucket"]
 
@@ -76,8 +77,7 @@ class OutcomeTable:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.ttl_s <= 0.0:
-            raise ValueError(f"ttl must be positive, got {self.ttl_s}")
+        require_finite("ttl_s", self.ttl_s)
 
     def observe(self, cell: CellKey, device: str, value: float, now: float) -> None:
         """Fold a realized metric observation into the estimate.
@@ -85,8 +85,10 @@ class OutcomeTable:
         Non-finite and negative values are rejected: one NaN folded into
         the EWMA would poison the estimate (NaN propagates through every
         later update) and silently mis-rank the device forever, and a
-        negative service time or energy is always a caller bug.
+        negative service time or energy is always a caller bug; a NaN or
+        infinite ``now`` (or TTL) would stop the estimate ageing out.
         """
+        require_finite("now", now, positive=False)
         if not math.isfinite(value) or value < 0.0:
             raise ValueError(
                 f"invalid observation {value!r} for cell {cell} on "
@@ -107,7 +109,7 @@ class OutcomeTable:
         Decision caches hold this binding and apply the TTL themselves at
         read time.  :meth:`observe` may *replace* the object when an entry
         ages past TTL, so holders must also rebuild whenever the cell is
-        observed (see ``BacklogAwareScheduler``'s feedback versions).
+        observed (``BacklogAwareScheduler`` kills their entries on write).
         """
         return self._table.get((cell, device))
 

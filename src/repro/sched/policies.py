@@ -21,6 +21,9 @@ class Policy(enum.Enum):
     LATENCY = "latency"
     ENERGY = "energy"
 
+    # Identity hash (members compare by identity): Enum's is a Python call.
+    __hash__ = object.__hash__
+
     @classmethod
     def parse(cls, value: "str | Policy") -> "Policy":
         """Accept a Policy or its string value."""

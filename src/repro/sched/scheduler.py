@@ -21,7 +21,7 @@ from repro.errors import SchedulerError
 from repro.hw.specs import DeviceClass
 from repro.nn.builders import ModelSpec
 from repro.ocl.context import Context
-from repro.ocl.device import Device, DeviceState
+from repro.ocl.device import _WARM, Device
 from repro.ocl.event import Event
 from repro.ocl.queue import CommandQueue
 from repro.sched.dispatcher import Dispatcher
@@ -96,7 +96,7 @@ class OnlineScheduler:
         if now is None:
             now = self._queues[self._dgpu.name].current_time
         state = self._dgpu.probe_state(now)
-        return "warm" if state is DeviceState.WARM else "idle"
+        return "warm" if state is _WARM else "idle"
 
     def decide(
         self,

@@ -143,3 +143,36 @@ class TestValidation:
         table.observe(other, "cpu", 1.0, now=0.0)
         assert len(table) == 3
         assert table.n_cells == 2
+
+
+class TestFieldChecks:
+    """Each refused value would leave an estimate that never ages out (a
+    NaN or infinite TTL or ``updated_at``) or a rank span that is not a
+    count; every error names its field."""
+
+    @pytest.mark.parametrize("ttl_s", [float("nan"), float("inf")])
+    def test_table_ttl_must_be_finite(self, ttl_s):
+        with pytest.raises(ValueError, match="ttl_s"):
+            OutcomeTable(ttl_s=ttl_s)
+
+    @pytest.mark.parametrize("now", [float("nan"), float("inf")])
+    def test_observe_now_must_be_finite(self, table, now):
+        with pytest.raises(ValueError, match="now"):
+            table.observe(CELL, "cpu", 1.0, now=now)
+        assert table.estimate(CELL, "cpu", now=1e6) is None
+
+    @pytest.mark.parametrize("ttl_s", [float("nan"), float("inf")])
+    def test_backlog_service_ttl_must_be_finite(self, backlog, ttl_s):
+        with pytest.raises(ValueError, match="service_ttl_s"):
+            BacklogAwareScheduler(backlog.scheduler, service_ttl_s=ttl_s)
+
+    @pytest.mark.parametrize("now", [float("nan"), float("inf")])
+    def test_record_service_now_must_be_finite(self, backlog, now):
+        with pytest.raises(ValueError, match="now"):
+            backlog.record_service("mnist-small", 1024, "warm", "cpu", 1.0, now=now)
+        assert backlog.service_estimate("mnist-small", 1024, "warm", "cpu", 1e6) is None
+
+    @pytest.mark.parametrize("max_rank", [1.5, True])
+    def test_max_rank_must_be_a_count(self, backlog, max_rank):
+        with pytest.raises(ValueError, match="max_rank"):
+            BacklogAwareScheduler(backlog.scheduler, max_rank=max_rank)
