@@ -876,17 +876,23 @@ class ClusterRouter:
         deliveries: "list[tuple[ServingFrontend, QueueEntry]]",
         _loop=None,
     ) -> None:
-        """Deliver one run's routed entries, sharing estimate memos.
+        """Deliver one run's routed entries, per (frontend, model) segment.
 
-        Every distinct frontend in the run gets its completion-estimate
-        memo armed for the duration (cleared by the frontends themselves
-        whenever a dispatch moves a command queue), so simultaneous
-        arrivals of one (model, batch) cell cost one admission probe.
+        Every distinct frontend in the run opens a delivery run on one
+        shared segment list (see
+        :meth:`~repro.serving.frontend.ServingFrontend.begin_arrival_batch`):
+        simultaneous arrivals of one (model, batch) cell cost one
+        admission probe, admitted entries are pushed in bulk, and
+        whatever ends a segment early on one frontend (a flush, a
+        degrade, a shed's resolution hook) first pushes the pending
+        entries of all of them.
         """
-        armed = []
-        for frontend, _entry in deliveries:
-            if frontend.begin_arrival_batch():
-                armed.append(frontend)
+        run: list = []
+        armed = [
+            frontend
+            for frontend in dict.fromkeys(frontend for frontend, _ in deliveries)
+            if frontend.begin_arrival_batch(run)
+        ]
         try:
             for frontend, entry in deliveries:
                 frontend.deliver(entry)

@@ -13,17 +13,17 @@ scheduler's *learned* service times (no oracle previews).  Two shed modes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from repro.checks import require_finite
 from repro.serving.queues import RequestQueue
 from repro.workloads.requests import InferenceRequest
 
 __all__ = ["AdmissionDecision", "AdmissionController"]
 
 
-@dataclass(frozen=True, slots=True)
-class AdmissionDecision:
-    """Outcome of one admission check."""
+class AdmissionDecision(NamedTuple):
+    """Outcome of one admission check (a tuple: one is built per arrival)."""
 
     action: str                        # 'accept' | 'shed' | 'degrade'
     reason: str                        # 'ok' | 'queue_full' | 'deadline_unmeetable'
@@ -50,8 +50,7 @@ class AdmissionController:
     """
 
     def __init__(self, degrade: bool = False, ect_margin: float = 1.0):
-        if ect_margin <= 0.0:
-            raise ValueError(f"ect_margin must be positive, got {ect_margin}")
+        require_finite("ect_margin", ect_margin)
         self.degrade = degrade
         self.ect_margin = ect_margin
         self.n_accepted = 0
@@ -78,18 +77,39 @@ class AdmissionController:
         delay from ``now`` (see ``BacklogAwareScheduler.estimate_completion``);
         pass None to skip the ECT check (e.g. before any feedback exists).
         """
-        if queue.full:
-            return self._refuse("queue_full", None)
-        if request.deadline_s is not None and est_delay_s is not None:
-            est_completion = now + est_delay_s * self.ect_margin
-            if est_completion > request.deadline_s:
-                return self._refuse("deadline_unmeetable", est_completion)
-        self.n_accepted += 1
+        refused = self.check(
+            not queue.full, request.deadline_s, now, est_delay_s
+        )
+        if refused is not None:
+            return refused
         return AdmissionDecision(
             "accept",
             "ok",
             None if est_delay_s is None else now + est_delay_s,
         )
+
+    def check(
+        self,
+        has_room: bool,
+        deadline_s: "float | None",
+        now: float,
+        est_delay_s: "float | None",
+    ) -> "AdmissionDecision | None":
+        """The admission rule: None when accepted, else the refusal.
+
+        Counts the outcome either way.  :meth:`admit` applies it to one
+        request and its queue; the frontend's run delivery applies it
+        directly, with ``has_room`` read off its own count of the places
+        left in the queue.
+        """
+        if not has_room:
+            return self._refuse("queue_full", None)
+        if deadline_s is not None and est_delay_s is not None:
+            est_completion = now + est_delay_s * self.ect_margin
+            if est_completion > deadline_s:
+                return self._refuse("deadline_unmeetable", est_completion)
+        self.n_accepted += 1
+        return None
 
     def stats(self) -> dict:
         """Counters for the frontend's stats() rollup."""

@@ -17,8 +17,9 @@ trivially testable under property-based random traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.checks import require_count, require_finite
 from repro.serving.queues import QueueEntry, RequestQueue
 
 __all__ = ["CoalescedBatch", "BatchCoalescer"]
@@ -30,26 +31,32 @@ _EPS = 1e-9
 
 @dataclass(frozen=True, slots=True)
 class CoalescedBatch:
-    """One merged launch: a group of requests served as a single batch."""
+    """One merged launch: a group of requests served as a single batch.
+
+    ``total_samples`` (samples across all merged requests, the launch
+    batch size) is counted once, at construction.
+    """
 
     model: str
     entries: tuple[QueueEntry, ...]
     formed_s: float
     trigger: str               # 'full' | 'timeout' | 'flush'
+    total_samples: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.entries:
             raise ValueError("a coalesced batch needs at least one request")
-        if any(e.request.model != self.model for e in self.entries):
-            raise ValueError("coalesced batch mixes models")
+        model = self.model
+        samples = 0
+        for entry in self.entries:
+            request = entry.request
+            if request.model != model:
+                raise ValueError("coalesced batch mixes models")
+            samples += request.batch
+        object.__setattr__(self, "total_samples", samples)
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    @property
-    def total_samples(self) -> int:
-        """Samples across all merged requests — the launch batch size."""
-        return sum(e.batch for e in self.entries)
 
     @property
     def earliest_deadline_s(self) -> "float | None":
@@ -66,10 +73,8 @@ class BatchCoalescer:
     """Two-trigger batch former over one model's request queue."""
 
     def __init__(self, queue: RequestQueue, max_batch: int, max_wait_s: float):
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_wait_s < 0.0:
-            raise ValueError(f"max_wait_s must be >= 0, got {max_wait_s}")
+        require_count("max_batch", max_batch)
+        require_finite("max_wait_s", max_wait_s, positive=False)
         self.queue = queue
         self.max_batch = max_batch
         self.max_wait_s = max_wait_s
@@ -107,26 +112,19 @@ class BatchCoalescer:
     def take(self, now: float, trigger: str) -> CoalescedBatch:
         """Pop entries (queue discipline order) into one merged batch.
 
-        Greedy up to ``max_batch`` samples; always takes at least one entry,
-        so a single oversized request forms its own batch rather than
-        starving.  Entries that would overflow stay queued (their original
-        enqueue times keep anchoring the next timeout).
+        Greedy up to ``max_batch`` samples (one
+        :meth:`~repro.serving.queues.RequestQueue.pop_upto`); always takes
+        at least one entry, so a single oversized request forms its own
+        batch rather than starving.  Entries that would overflow stay
+        queued (their original enqueue times keep anchoring the next
+        timeout).
         """
-        if not len(self.queue):
+        queue = self.queue
+        if not len(queue):
             raise ValueError(f"nothing queued for {self.model!r}")
-        entries: list[QueueEntry] = []
-        samples = 0
-        while len(self.queue):
-            nxt = self.queue.peek()
-            if entries and samples + nxt.batch > self.max_batch:
-                break
-            entries.append(self.queue.pop())
-            samples += entries[-1].batch
-            if samples >= self.max_batch:
-                break
         return CoalescedBatch(
-            model=self.model,
-            entries=tuple(entries),
+            model=queue.model,
+            entries=tuple(queue.pop_upto(self.max_batch)),
             formed_s=now,
             trigger=trigger,
         )

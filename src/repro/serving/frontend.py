@@ -12,7 +12,8 @@ requests replay deterministically:
    backlog scheduler's learned completion estimates;
 3. accepted requests sit in a per-model FIFO/EDF queue until the
    :class:`~repro.serving.coalescer.BatchCoalescer` fires (full batch, or
-   the oldest request has waited ``max_wait_s``);
+   the oldest request has waited ``max_wait_s``), which takes one batch
+   off the queue in a single ``pop_upto``;
 4. the coalesced batch is placed by the paper's scheduler
    (:class:`~repro.sched.backlog.BacklogAwareScheduler`, which wraps the
    Fig. 5 predictor) and executed by that device's
@@ -20,6 +21,19 @@ requests replay deterministically:
 5. completion resolves every merged request's future-like
    :class:`ServingResponse` and feeds the realized service time back into
    the scheduler's outcome table.
+
+A run of same-instant arrivals (one trace-cursor event, or one cluster
+delivery event) is admitted per model *segment* rather than per request:
+each arrival costs the shared admission check against a running count
+of the places left in its queue, and the accepted ones are appended to
+the segment and pushed in bulk when the run ends, or just before
+anything else can look at the queue (a ``full`` flush, a degrade, a
+shed's resolution hook).  The first push into an empty queue takes the
+per-request path, so its flush timer is armed exactly where one arrival
+event per request would arm it; every later push needs no timer,
+because a non-empty queue always has one armed no later than its oldest
+entry's ``max_wait_s``.  Outcomes, counters and event order are those of
+one :meth:`ServingFrontend.submit_request` per arrival.
 
 With :data:`IMMEDIATE_DISPATCH` and ``max_rank=1`` the frontend places
 every request alone, at its arrival, on the predictor's top-ranked device:
@@ -35,6 +49,7 @@ shed/violation counters.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -47,9 +62,9 @@ from repro.ocl.event import Event
 from repro.sched.backlog import BacklogAwareScheduler, BacklogDecision
 from repro.sched.policies import Policy
 from repro.sched.scheduler import OnlineScheduler
-from repro.serving.admission import AdmissionController
+from repro.serving.admission import AdmissionController, AdmissionDecision
 from repro.serving.coalescer import BatchCoalescer, CoalescedBatch
-from repro.serving.queues import QueueEntry, make_queue
+from repro.serving.queues import QueueEntry, RequestQueue, make_queue
 from repro.serving.workers import DeviceWorker
 from repro.sim.engine import EventLoop, TraceCursor, check_arrival_order
 from repro.telemetry.serving import ServingTelemetry
@@ -116,6 +131,34 @@ class SLOConfig:
 IMMEDIATE_DISPATCH = SLOConfig(
     deadline_s=None, max_queue_depth=None, max_batch=1, max_wait_s=0.0
 )
+
+
+@dataclass(slots=True)
+class _Segment:
+    """One model's share of a same-instant delivery run on one frontend.
+
+    ``pending`` holds entries admitted in the run and not yet pushed;
+    ``room`` (places left in the queue) and ``samples`` (samples queued
+    plus pending) count them and are only meaningful while ``pending``
+    is non-empty — an empty segment reads both off the queue afresh.
+    """
+
+    model: str
+    queue: RequestQueue
+    admission: AdmissionController
+    telemetry: ServingTelemetry
+    capacity: int                 # max_queue_depth; sys.maxsize if unbounded
+    max_batch: int
+    pending: "list[QueueEntry]" = field(default_factory=list)
+    room: int = 0
+    samples: int = 0
+
+    def materialize(self) -> None:
+        """Push the pending entries in one go and record the new depth."""
+        queue = self.queue
+        queue.push_many(self.pending)
+        self.pending.clear()
+        self.telemetry.record_depth(self.model, len(queue))
 
 
 class ServingResponse:
@@ -330,6 +373,7 @@ class ServingFrontend:
         self._queues = {}
         self._coalescers = {}
         self._admission = {}
+        self._segments: "dict[str, _Segment]" = {}
         for name in self.specs:
             cfg = self.slo_for(name)
             queue = make_queue(cfg.discipline, name, cfg.max_queue_depth)
@@ -337,6 +381,10 @@ class ServingFrontend:
             self._coalescers[name] = BatchCoalescer(queue, cfg.max_batch, cfg.max_wait_s)
             self._admission[name] = AdmissionController(
                 degrade=cfg.degrade, ect_margin=cfg.ect_margin
+            )
+            self._segments[name] = _Segment(
+                name, queue, self._admission[name], self.telemetry,
+                cfg.max_queue_depth or sys.maxsize, cfg.max_batch,
             )
 
         context = scheduler.context
@@ -350,16 +398,18 @@ class ServingFrontend:
         self._timer_at: dict[str, "float | None"] = {name: None for name in self.specs}
         self._in_flight = 0          # requests dispatched, not yet completed
         self._in_flight_samples = 0
-        # Completion-estimate memo for a batched run of simultaneous
-        # arrivals.  Non-None only between begin_arrival_batch() and
-        # end_arrival_batch(), while a trace-cursor run is delivering
-        # same-timestamp entries: between dispatches nothing that
-        # estimate_completion reads can change at a fixed instant, so one
-        # (model, batch) probe serves the whole run.  Every dispatch path
-        # clears it (the dispatch moves command queues), which is what
-        # keeps admission decisions bit-identical to one submit_request
-        # per arrival.
+        # Delivery-run state, non-None only between begin_arrival_batch()
+        # and end_arrival_batch(), while a run of same-timestamp entries
+        # is delivered.  The completion-estimate memo: between dispatches
+        # nothing that estimate_completion reads can change at a fixed
+        # instant, so one (model, batch) probe serves the run; every
+        # dispatch path clears it (the dispatch moves command queues),
+        # which keeps admission decisions bit-identical to one
+        # submit_request per arrival.  The run list: segments holding
+        # admitted, not yet pushed entries (shared by every frontend of a
+        # cluster delivery run), pushed by _materialize_run.
         self._est_memo: "dict[tuple[str, int], float] | None" = None
+        self._run: "list[_Segment] | None" = None
 
         # -- resilience state (inert unless faults are injected) -----------
         # crashed: fail-stop flag; while set, arrivals fall into the lost
@@ -465,24 +515,82 @@ class ServingFrontend:
     def deliver(self, entry: QueueEntry) -> None:
         """Process a registered entry's arrival at the current instant.
 
-        Counterpart to :meth:`register_request` for batched delivery:
-        identical to the event the per-request path would have fired.
+        Counterpart to :meth:`register_request` for batched delivery.
+        Outside a run it is the event the per-request path would have
+        fired.  Inside one (between :meth:`begin_arrival_batch` and
+        :meth:`end_arrival_batch`) the entry joins its model's segment:
+        the shared admission check against the segment's running room
+        and sample counts, then an append, or a shed resolved in place.
+        Appended entries reach the queue at the latest when the run
+        ends; outcomes are those of the per-request path either way.
         """
-        self._on_arrival(entry)
+        run = self._run
+        if run is None or self.crashed:
+            self._on_arrival(entry)
+            return
+        now = self.loop.now
+        request = entry.request
+        model = request.model
+        batch = request.batch
+        est_delay = self._est_memo.get((model, batch))
+        if est_delay is None:
+            est_delay = self._estimate(model, batch, now)
+        segment = self._segments[model]
+        pending = segment.pending
+        if pending:
+            room, samples = segment.room, segment.samples
+            empty = False
+        else:
+            queue = segment.queue
+            depth = len(queue)
+            room = segment.capacity - depth
+            samples = queue.total_samples
+            empty = not depth
+        refused = segment.admission.check(
+            room > 0, request.deadline_s, now, est_delay
+        )
+        if refused is not None:
+            self._refuse(entry, refused)
+        elif empty:
+            # First push into an empty queue: the per-request path, so the
+            # flush timer it arms takes the same place in the event order.
+            self._enqueue(model, segment.queue, entry, now)
+        else:
+            # The queue is non-empty, so a timer no later than the oldest
+            # entry's max wait is already armed; only a full batch needs
+            # anything beyond the append.
+            if not pending:
+                run.append(segment)
+            pending.append(entry)
+            samples += batch
+            if samples >= segment.max_batch:
+                self._flush(model, "full")
+            else:
+                segment.room = room - 1
+                segment.samples = samples
 
-    def begin_arrival_batch(self) -> bool:
-        """Arm the completion-estimate memo for a batched delivery run.
+    def begin_arrival_batch(self, run: "list[_Segment] | None" = None) -> bool:
+        """Open a delivery run: arm the estimate memo and the segments.
 
-        Returns True when this call armed it (the caller must then call
-        :meth:`end_arrival_batch`), False when a run is already active.
+        ``run`` is the list of segments with entries still to push; a
+        cluster delivery run passes one list to all its frontends, so
+        that anything that ends a segment early (a flush, a degrade, a
+        shed's resolution hook) pushes every frontend's pending entries
+        first.  Returns True when this call opened the run (the caller
+        must then call :meth:`end_arrival_batch`), False when a run is
+        already open.
         """
-        if self._est_memo is None:
-            self._est_memo = {}
-            return True
-        return False
+        if self._run is not None:
+            return False
+        self._run = [] if run is None else run
+        self._est_memo = {}
+        return True
 
     def end_arrival_batch(self) -> None:
-        """Disarm the completion-estimate memo after a batched run."""
+        """Close a delivery run: push what is pending, disarm the memo."""
+        if self._run:
+            self._materialize_run()
+        self._run = None
         self._est_memo = None
 
     def serve_trace(self, trace: RequestTrace) -> ServingResult:
@@ -490,8 +598,9 @@ class ServingFrontend:
 
         Arrivals are checked for order and registered first, then a
         :class:`~repro.sim.engine.TraceCursor` fires one event per run
-        of equal timestamps and admits the run synchronously with a
-        shared completion-estimate memo: the heap holds only live
+        of equal timestamps and admits the run synchronously through
+        :meth:`deliver`, per model segment, with a shared
+        completion-estimate memo: the heap holds only live
         timers/completions, never the trace, and simultaneous arrivals
         cost one backlog probe per (model, batch) cell.  Outcomes are
         digit-identical to one :meth:`submit_request` per arrival
@@ -523,8 +632,9 @@ class ServingFrontend:
             return
         armed = self.begin_arrival_batch()
         try:
+            deliver = self.deliver
             for k in range(i, j):
-                self._on_arrival(entries[k])
+                deliver(entries[k])
         finally:
             if armed:
                 self.end_arrival_batch()
@@ -596,43 +706,63 @@ class ServingFrontend:
             return
         now = self.loop.now
         model = entry.request.model
-        spec = self.specs[model]
         queue = self._queues[model]
-        response = self._pending[entry.seq]
+        decision = self._admission[model].admit(
+            entry.request, queue, now,
+            est_delay_s=self._estimate(model, entry.batch, now),
+        )
+        if decision.admitted:
+            self._enqueue(model, queue, entry, now)
+        else:
+            self._refuse(entry, decision)
 
+    def _estimate(self, model: str, batch: int, now: float) -> "float | None":
+        """The admission estimate, through the run's memo when one is open."""
         memo = self._est_memo
         if memo is None:
-            _, est_delay = self.backlog.estimate_completion(spec, entry.batch, now)
-        else:
-            key = (model, entry.batch)
-            est_delay = memo.get(key)
-            if est_delay is None:
-                _, est_delay = self.backlog.estimate_completion(spec, entry.batch, now)
-                memo[key] = est_delay
-        decision = self._admission[model].admit(
-            entry.request, queue, now, est_delay_s=est_delay
-        )
+            return self.backlog.estimate_completion(self.specs[model], batch, now)[1]
+        key = (model, batch)
+        est_delay = memo.get(key)
+        if est_delay is None:
+            est_delay = self.backlog.estimate_completion(
+                self.specs[model], batch, now
+            )[1]
+            memo[key] = est_delay
+        return est_delay
 
-        if decision.action == "shed":
-            del self._pending[entry.seq]
-            response.status = "shed"
-            response.shed_reason = decision.reason
-            self.telemetry.n_shed += 1
-            self._record_tenant_shed(model)
-            response._fire_done()
-            return
+    def _enqueue(
+        self, model: str, queue: RequestQueue, entry: QueueEntry, now: float
+    ) -> None:
+        """Push one admitted entry; dispatch a full batch or arm its timer."""
+        queue.push(entry)
+        self.telemetry.record_depth(model, len(queue))
+        if self._coalescers[model].ready(now) == "full":
+            self._flush(model, "full")
+        else:
+            self._arm_timer(model)
+
+    def _refuse(self, entry: QueueEntry, decision: AdmissionDecision) -> None:
+        """Resolve a refused arrival: shed it, or degrade it."""
         if decision.action == "degrade":
             self.telemetry.n_degraded += 1
             self._run_degraded(entry)
             return
+        if self._run:
+            # The resolution hook may look at any queue of the run.
+            self._materialize_run()
+        response = self._pending.pop(entry.seq)
+        response.status = "shed"
+        response.shed_reason = decision.reason
+        self.telemetry.n_shed += 1
+        self._record_tenant_shed(entry.request.model)
+        response._fire_done()
 
-        queue.push(entry)
-        self.telemetry.record_depth(model, len(queue))
-        coalescer = self._coalescers[model]
-        if coalescer.ready(now) == "full":
-            self._flush(model, "full")
-        else:
-            self._arm_timer(model)
+    def _materialize_run(self) -> None:
+        """Push every pending entry of the open delivery run."""
+        run = self._run
+        for segment in run:
+            segment.materialize()
+        run.clear()
 
     # -- coalescing timers -------------------------------------------------
 
@@ -669,6 +799,8 @@ class ServingFrontend:
 
     def _flush(self, model: str, trigger: str) -> None:
         now = self.loop.now
+        if self._run:
+            self._materialize_run()
         if self._est_memo:
             # Dispatching moves command queues, so estimates memoized for
             # the current arrival run are stale from here on.
@@ -695,6 +827,8 @@ class ServingFrontend:
     def _run_degraded(self, entry: QueueEntry) -> None:
         """Execute immediately on the cheapest device (no queue, no merge)."""
         now = self.loop.now
+        if self._run:
+            self._materialize_run()
         if self._est_memo:
             self._est_memo.clear()
         device = self._cheapest

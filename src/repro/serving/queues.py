@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.checks import require_count
 from repro.errors import SchedulerError
 from repro.workloads.requests import InferenceRequest
 
@@ -55,14 +56,15 @@ class RequestQueue:
     discipline = "abstract"
 
     def __init__(self, model: str, capacity: "int | None" = None):
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        if capacity is not None:
+            require_count("capacity", capacity)
         self.model = model
         self.capacity = capacity
         # O(1) load accounting: the frontend reads total_samples and
         # oldest_enqueued_s once per routing probe / timer arm, so neither
-        # may walk the queue.  The arrival heap is lazy: pops mark their
-        # (enqueued_s, seq) key removed and the heap top is cleaned on read.
+        # may walk the queue.  The arrival heap is lazy: a dequeued entry's
+        # (enqueued_s, seq) key leaves at once when it is the top, and is
+        # otherwise marked removed and cleaned off the top on read.
         self._total_samples = 0
         self._arrival_heap: "list[tuple[float, int]]" = []
         self._arrival_removed: "dict[tuple[float, int], int]" = {}
@@ -72,13 +74,29 @@ class RequestQueue:
     def _append(self, entry: QueueEntry) -> None:
         raise NotImplementedError
 
+    def _extend(self, entries: "list[QueueEntry]") -> None:
+        for entry in entries:
+            self._append(entry)
+
     def _popleft(self) -> QueueEntry:
         raise NotImplementedError
+
+    def _pop_upto(self, max_samples: int) -> "tuple[list[QueueEntry], int]":
+        """Greedy discipline-order take; returns the entries and samples."""
+        taken = [self._popleft()]
+        samples = taken[0].request.batch
+        while samples < max_samples and len(self):
+            batch = self._peek().request.batch
+            if samples + batch > max_samples:
+                break
+            taken.append(self._popleft())
+            samples += batch
+        return taken, samples
 
     def _peek(self) -> QueueEntry:
         raise NotImplementedError
 
-    def _remove(self, request_id: str) -> "QueueEntry | None":
+    def _remove(self, request_id: int) -> "QueueEntry | None":
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -108,16 +126,49 @@ class RequestQueue:
         self._total_samples += entry.batch
         heapq.heappush(self._arrival_heap, (entry.enqueued_s, entry.seq))
 
+    def push_many(self, entries: "list[QueueEntry]") -> None:
+        """Enqueue ``entries`` in order, as one :meth:`push` each would.
+
+        The capacity check covers the whole list before anything moves,
+        so a list that would overflow raises with the queue unchanged.
+        """
+        if self.capacity is not None and len(self) + len(entries) > self.capacity:
+            raise SchedulerError(
+                f"queue for {self.model!r} cannot take {len(entries)} more "
+                f"entries (capacity {self.capacity})"
+            )
+        self._extend(entries)
+        heap = self._arrival_heap
+        samples = 0
+        for entry in entries:
+            samples += entry.request.batch
+            heapq.heappush(heap, (entry.enqueued_s, entry.seq))
+        self._total_samples += samples
+
     def pop(self) -> QueueEntry:
         """Dequeue the next entry under this queue's discipline."""
         if not len(self):
             raise SchedulerError(f"queue for {self.model!r} is empty")
         entry = self._popleft()
         self._total_samples -= entry.batch
-        key = (entry.enqueued_s, entry.seq)
-        removed = self._arrival_removed
-        removed[key] = removed.get(key, 0) + 1
+        self._forget_arrival(entry)
         return entry
+
+    def pop_upto(self, max_samples: int) -> "list[QueueEntry]":
+        """Pop entries in discipline order while they fit ``max_samples``.
+
+        Equal to calling :meth:`pop` until the next entry would overflow
+        ``max_samples`` or the popped samples reach it.  The first entry
+        is always taken, so one oversized request still leaves the queue.
+        """
+        if not len(self):
+            raise SchedulerError(f"queue for {self.model!r} is empty")
+        entries, samples = self._pop_upto(max_samples)
+        self._total_samples -= samples
+        forget = self._forget_arrival
+        for entry in entries:
+            forget(entry)
+        return entries
 
     def peek(self) -> QueueEntry:
         """The entry :meth:`pop` would return, without removing it."""
@@ -125,7 +176,7 @@ class RequestQueue:
             raise SchedulerError(f"queue for {self.model!r} is empty")
         return self._peek()
 
-    def remove(self, request_id: str) -> "QueueEntry | None":
+    def remove(self, request_id: int) -> "QueueEntry | None":
         """Remove one entry out of discipline order (None when absent).
 
         The rescue path for timeouts and device dropouts: a request that
@@ -138,10 +189,23 @@ class RequestQueue:
         if entry is None:
             return None
         self._total_samples -= entry.batch
-        key = (entry.enqueued_s, entry.seq)
-        removed = self._arrival_removed
-        removed[key] = removed.get(key, 0) + 1
+        self._forget_arrival(entry)
         return entry
+
+    def _forget_arrival(self, entry: QueueEntry) -> None:
+        """Drop a dequeued entry's key from the arrival heap.
+
+        At the top (the usual case: FIFO pops in arrival order) the key
+        is popped at once; anywhere else it is marked removed and
+        dropped lazily when it reaches the top.
+        """
+        key = (entry.enqueued_s, entry.seq)
+        heap = self._arrival_heap
+        if heap[0] == key:
+            heapq.heappop(heap)
+        else:
+            removed = self._arrival_removed
+            removed[key] = removed.get(key, 0) + 1
 
     @property
     def total_samples(self) -> int:
@@ -182,13 +246,29 @@ class FIFOQueue(RequestQueue):
     def _append(self, entry: QueueEntry) -> None:
         self._entries.append(entry)
 
+    def _extend(self, entries: "list[QueueEntry]") -> None:
+        self._entries.extend(entries)
+
     def _popleft(self) -> QueueEntry:
         return self._entries.popleft()
+
+    def _pop_upto(self, max_samples: int) -> "tuple[list[QueueEntry], int]":
+        # The base class's take, on the deque directly.
+        queued = self._entries
+        taken = [queued.popleft()]
+        samples = taken[0].request.batch
+        while samples < max_samples and queued:
+            batch = queued[0].request.batch
+            if samples + batch > max_samples:
+                break
+            taken.append(queued.popleft())
+            samples += batch
+        return taken, samples
 
     def _peek(self) -> QueueEntry:
         return self._entries[0]
 
-    def _remove(self, request_id: str) -> "QueueEntry | None":
+    def _remove(self, request_id: int) -> "QueueEntry | None":
         for i, entry in enumerate(self._entries):
             if entry.request.request_id == request_id:
                 del self._entries[i]
@@ -232,7 +312,7 @@ class EDFQueue(RequestQueue):
     def _peek(self) -> QueueEntry:
         return self._heap[0][2]
 
-    def _remove(self, request_id: str) -> "QueueEntry | None":
+    def _remove(self, request_id: int) -> "QueueEntry | None":
         heap = self._heap
         for i, (_, _, entry) in enumerate(heap):
             if entry.request.request_id == request_id:

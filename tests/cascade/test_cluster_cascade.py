@@ -17,9 +17,12 @@ from repro.cascade import (
 )
 from repro.cluster import ClusterRouter, NodeSpec
 from repro.faults import FaultInjector, ResilienceConfig
+from repro.serving import SLOConfig
+from repro.workloads.requests import InferenceRequest
 
 from tests.cascade.conftest import build_cascade_fleet
 from tests.cluster.test_ledger_counters import assert_counters_match
+from tests.replay_oracle import cluster_signature, recorded_resolutions
 
 #: The fast defensive stack used across fault tests (tests/cluster).
 RESILIENCE = ResilienceConfig(
@@ -221,3 +224,79 @@ class TestLedgerCounters:
         assert len(router.result().responses) > 16    # escalations routed
         assert router.n_pending == 0
         assert_counters_match(router)
+
+
+class TestMidRunResubmission:
+    """Shed hooks that fire inside a delivered run and resubmit.
+
+    Bursts of same-instant arrivals overrun queues capped far below the
+    burst, so admission sheds requests in the middle of a delivery run.
+    Each shed's hook reads every node's queue load and resubmits the
+    batch through the cascade at that instant.  Fed through the trace
+    cursor (``feed_requests``) or one ``submit_request`` each, the hooks
+    must fire in the same order and see the same queues, and every
+    request and chain must resolve the same way.
+    """
+
+    SLO = SLOConfig(
+        deadline_s=0.05, max_queue_depth=3, max_batch=256, max_wait_s=0.002
+    )
+
+    @staticmethod
+    def bursts(n_bursts=5, size=30):
+        models = ("mnist-small", "mnist-deep")
+        requests = []
+        for b in range(n_bursts):
+            t = 0.003 * b
+            for k in range(size):
+                requests.append(InferenceRequest(
+                    request_id=len(requests), arrival_s=t,
+                    model=models[(k // 3) % 2], batch=(8, 32, 64)[k % 3],
+                ))
+        return requests
+
+    @pytest.mark.parametrize("balancer", ["round-robin", "least-ect"])
+    def test_hooks_see_every_queue_and_resolve_alike(
+        self, cascade_predictors, cascade_profile, balancer
+    ):
+        trace = self.bursts()
+        outcomes = []
+        for feed in ("per_request", "cursor"):
+            router = ClusterRouter(
+                build_cascade_fleet(cascade_predictors, default_slo=self.SLO),
+                balancer=balancer, rng=7,
+            )
+            ex = make_executor(router, cascade_profile, rng=7)
+            seen = []
+
+            def on_done(response, router=router, ex=ex, seen=seen):
+                seen.append((
+                    response.request.request_id, response.status,
+                    router.loop.now,
+                    tuple(n.frontend.queued for n in router.nodes),
+                    tuple(n.frontend.outstanding_samples for n in router.nodes),
+                ))
+                if response.status == "shed":
+                    ex.submit(batch=response.request.batch)
+
+            with recorded_resolutions() as log:
+                if feed == "cursor":
+                    responses = router.feed_requests(trace)
+                else:
+                    responses = [router.submit_request(r) for r in trace]
+                for response in responses:
+                    response.on_done = on_done
+                router.run()
+            assert router.n_pending == 0
+            assert ex.n_pending == 0
+            chains = [
+                (c.chain_id, c.status, c.shed_reason, c.end_s,
+                 c.answer_stage, dict(c.exits), c.fallback)
+                for c in ex.chains
+            ]
+            outcomes.append((
+                cluster_signature(router.result(), router, log), seen, chains
+            ))
+        assert outcomes[0] == outcomes[1]
+        shed_in_bursts = [row for row in outcomes[0][1] if row[1] == "shed"]
+        assert len(shed_in_bursts) == len(outcomes[0][2]) > 0

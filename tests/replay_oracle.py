@@ -7,9 +7,53 @@ timestamps.  The oracle below submits the same requests one at a time
 through ``submit_request`` — one heap event per arrival, no cursor, no
 run batching, no up-front balancer ``prepare`` — and drains the loop.
 Both must resolve every request digit for digit identically.
+
+The signatures compare every outcome field and the telemetry; given the
+frontend or router they also compare the per-model admission counters,
+and given a :func:`recorded_resolutions` log, the order in which the
+resolution hooks fired.
 """
 
+from contextlib import contextmanager
+
+from repro.cluster.router import ClusterResponse
 from repro.serving import ServingResult
+from repro.serving.frontend import ServingResponse
+
+
+@contextmanager
+def recorded_resolutions():
+    """Log every resolution, in the order the resolution hooks fire.
+
+    Wraps ``_fire_done`` of both response classes while the block runs
+    and yields the log: ``(layer, request_id, status, shed_reason)`` per
+    firing, ``layer`` being 'node' or 'fleet'.
+    """
+    log = []
+    originals = {
+        "node": ServingResponse._fire_done,
+        "fleet": ClusterResponse._fire_done,
+    }
+
+    def recording(layer):
+        fire = originals[layer]
+
+        def _fire_done(response):
+            log.append((
+                layer, response.request.request_id, response.status,
+                response.shed_reason,
+            ))
+            fire(response)
+
+        return _fire_done
+
+    ServingResponse._fire_done = recording("node")
+    ClusterResponse._fire_done = recording("fleet")
+    try:
+        yield log
+    finally:
+        ServingResponse._fire_done = originals["node"]
+        ClusterResponse._fire_done = originals["fleet"]
 
 
 def serve_per_request(frontend, trace) -> ServingResult:
@@ -34,8 +78,12 @@ def route_per_request(router, trace):
     return router.result()
 
 
-def serving_signature(result):
-    """Every frontend outcome field plus the telemetry snapshot."""
+def serving_signature(result, frontend=None, resolutions=None):
+    """Every frontend outcome field plus the telemetry snapshot.
+
+    With ``frontend``, also its per-model admission counters; with
+    ``resolutions``, the logged order of resolution-hook firings.
+    """
     rows = [
         (
             r.request.request_id, r.status, r.device, r.device_name,
@@ -44,11 +92,20 @@ def serving_signature(result):
         )
         for r in result.responses
     ]
-    return rows, result.telemetry.snapshot()
+    signature = (rows, result.telemetry.snapshot())
+    if frontend is not None:
+        signature += (frontend.stats()["admission"],)
+    if resolutions is not None:
+        signature += (list(resolutions),)
+    return signature
 
 
-def cluster_signature(result):
-    """Every routed outcome field plus the fleet telemetry snapshot."""
+def cluster_signature(result, router=None, resolutions=None):
+    """Every routed outcome field plus the fleet telemetry snapshot.
+
+    With ``router``, also every node's per-model admission counters;
+    with ``resolutions``, the logged order of resolution-hook firings.
+    """
     rows = []
     for r in result.responses:
         inner = r.inner
@@ -60,4 +117,12 @@ def cluster_signature(result):
             None if inner is None else inner.end_s,
             None if inner is None else inner.energy_j,
         ))
-    return rows, result.telemetry.snapshot()
+    signature = (rows, result.telemetry.snapshot())
+    if router is not None:
+        signature += ({
+            node.name: node.frontend.stats()["admission"]
+            for node in router.nodes
+        },)
+    if resolutions is not None:
+        signature += (list(resolutions),)
+    return signature

@@ -101,3 +101,42 @@ class TestDegrade:
 def test_invalid_margin():
     with pytest.raises(ValueError):
         AdmissionController(ect_margin=0.0)
+
+
+@pytest.mark.parametrize("margin", [float("nan"), float("inf")])
+def test_non_finite_margin_rejected(margin):
+    # An infinite margin times a cold table's zero estimate is NaN, and
+    # a NaN compare admits everything.
+    with pytest.raises(ValueError, match="ect_margin"):
+        AdmissionController(ect_margin=margin)
+
+
+class TestCheck:
+    """``check`` is the one admission rule; ``admit`` applies it."""
+
+    def test_refusal_order_and_counters(self):
+        ctl = AdmissionController()
+        assert ctl.check(True, 1.0, now=0.0, est_delay_s=0.5) is None
+        assert ctl.check(False, 1.0, now=0.0, est_delay_s=5.0).reason == "queue_full"
+        late = ctl.check(True, 1.0, now=0.0, est_delay_s=2.0)
+        assert (late.action, late.reason) == ("shed", "deadline_unmeetable")
+        assert late.est_completion_s == 2.0
+        assert ctl.check(True, None, now=0.0, est_delay_s=9.0) is None
+        assert ctl.check(True, 1.0, now=0.0, est_delay_s=None) is None
+        assert ctl.stats() == {"accepted": 3, "shed": 2, "degraded": 0}
+
+    def test_admit_agrees_with_check(self):
+        for n, capacity, deadline, est in [
+            (0, 2, None, None), (2, 2, None, None), (0, 2, 1.0, 2.0),
+            (1, 2, 1.0, 0.5),
+        ]:
+            a, b = AdmissionController(degrade=True), AdmissionController(degrade=True)
+            queue = filled_queue(n, capacity)
+            decision = a.admit(request(deadline), queue, 0.0, est_delay_s=est)
+            refused = b.check(not queue.full, deadline, 0.0, est)
+            assert decision.admitted == (refused is None)
+            if refused is not None:
+                assert (decision.action, decision.reason) == (
+                    refused.action, refused.reason
+                )
+            assert a.stats() == b.stats()

@@ -105,6 +105,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             BatchCoalescer(queue, max_batch=8, max_wait_s=-1.0)
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("max_batch", {"max_batch": 1.5, "max_wait_s": 0.1}),
+        ("max_batch", {"max_batch": True, "max_wait_s": 0.1}),
+        ("max_wait_s", {"max_batch": 8, "max_wait_s": float("nan")}),
+        ("max_wait_s", {"max_batch": 8, "max_wait_s": float("inf")}),
+    ])
+    def test_non_integer_and_non_finite_knobs(self, queue, field, kwargs):
+        # A NaN wait never times out; an infinite one arms a timer the
+        # event loop refuses.
+        with pytest.raises(ValueError, match=field):
+            BatchCoalescer(queue, **kwargs)
+
     def test_batch_rejects_empty_and_mixed_models(self):
         with pytest.raises(ValueError):
             CoalescedBatch(model="m", entries=(), formed_s=0.0, trigger="full")
@@ -112,3 +124,10 @@ class TestValidation:
             CoalescedBatch(
                 model="other", entries=(entry(0),), formed_s=0.0, trigger="full"
             )
+
+
+def test_total_samples_is_the_sum_of_batches():
+    entries = tuple(entry(i, batch=b) for i, b in enumerate([3, 1, 64, 7]))
+    batch = CoalescedBatch(model="m", entries=entries, formed_s=0.0, trigger="full")
+    assert batch.total_samples == sum(e.batch for e in entries) == 75
+    assert len(batch) == 4

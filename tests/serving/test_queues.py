@@ -1,10 +1,15 @@
 """Per-model request queues: disciplines, bounds, deadline ordering."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.errors import SchedulerError
+from repro.serving import ServingFrontend, SLOConfig
 from repro.serving.queues import EDFQueue, FIFOQueue, QueueEntry, make_queue
-from repro.workloads.requests import InferenceRequest
+from repro.workloads.requests import InferenceRequest, RequestTrace
+from tests.serving.conftest import SERVING_SPECS, build_scheduler
 
 
 def entry(seq, arrival=0.0, batch=8, deadline=None, model="m"):
@@ -159,3 +164,159 @@ class TestFactory:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             FIFOQueue("m", capacity=0)
+
+    @pytest.mark.parametrize("capacity", [1.5, True, float("nan")])
+    @pytest.mark.parametrize("build", [
+        lambda capacity: make_queue("fifo", "m", capacity=capacity),
+        lambda capacity: make_queue("edf", "m", capacity=capacity),
+        lambda capacity: EDFQueue("m", capacity=capacity),
+    ], ids=["make_queue-fifo", "make_queue-edf", "EDFQueue"])
+    def test_capacity_must_be_an_integer(self, build, capacity):
+        with pytest.raises(ValueError, match="capacity"):
+            build(capacity)
+
+
+def recount(q):
+    """The load counters a queue keeps, recomputed from its entries."""
+    live = list(q)
+    return (
+        len(live),
+        sum(e.batch for e in live),
+        min((e.enqueued_s for e in live), default=None),
+    )
+
+
+def counters(q):
+    return len(q), q.total_samples, q.oldest_enqueued_s()
+
+
+def pop_upto_by_hand(q, max_samples):
+    """The greedy take as one pop per entry."""
+    taken = [q.pop()]
+    samples = taken[0].batch
+    while len(q) and samples < max_samples:
+        if samples + q.peek().batch > max_samples:
+            break
+        taken.append(q.pop())
+        samples += taken[-1].batch
+    return taken
+
+
+class TestBulkOps:
+    """``push_many`` / ``pop_upto`` against one ``push`` / ``pop`` each."""
+
+    @pytest.mark.parametrize("cls", [FIFOQueue, EDFQueue])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_match_per_entry_ops(self, cls, seed):
+        rng = np.random.default_rng(seed)
+        bulk, single = cls("m"), cls("m")
+        seq, now = 0, 0.0
+        for _step in range(40):
+            op = rng.integers(4)
+            if op <= 1:
+                # A run of arrivals at one instant; some are readmitted
+                # entries that keep an older enqueue time.
+                now += float(rng.integers(0, 3)) * 0.001
+                run = []
+                for _ in range(int(rng.integers(1, 8))):
+                    enqueued = now
+                    if rng.random() < 0.3:
+                        enqueued = max(0.0, now - 0.001 * int(rng.integers(1, 4)))
+                    deadline = None if rng.random() < 0.3 else now + float(rng.random())
+                    run.append(QueueEntry(
+                        request=InferenceRequest(
+                            request_id=seq, arrival_s=enqueued,
+                            model="m", batch=int(rng.choice([1, 8, 64, 300])),
+                            deadline_s=deadline,
+                        ),
+                        enqueued_s=enqueued,
+                        seq=seq,
+                    ))
+                    seq += 1
+                bulk.push_many(run)
+                for e in run:
+                    single.push(e)
+            elif op == 2 and len(single):
+                cap = int(rng.choice([1, 16, 100, 1000]))
+                taken = bulk.pop_upto(cap)
+                assert [e.seq for e in taken] == [
+                    e.seq for e in pop_upto_by_hand(single, cap)
+                ]
+            elif op == 3 and len(single):
+                victim = list(single)[int(rng.integers(len(single)))]
+                rid = victim.request.request_id
+                assert bulk.remove(rid).seq == single.remove(rid).seq
+            assert [e.seq for e in bulk] == [e.seq for e in single]
+            assert counters(bulk) == counters(single) == recount(bulk)
+        while len(single):
+            assert bulk.pop().seq == single.pop().seq
+            assert counters(bulk) == counters(single) == recount(bulk)
+
+    @pytest.mark.parametrize("cls", [FIFOQueue, EDFQueue])
+    def test_push_many_over_capacity_changes_nothing(self, cls):
+        q = cls("m", capacity=3)
+        q.push(entry(0))
+        with pytest.raises(SchedulerError, match="capacity 3"):
+            q.push_many([entry(1), entry(2), entry(3)])
+        assert counters(q) == (1, 8, 0.0)
+        q.push_many([entry(1), entry(2)])
+        assert q.full
+
+    @pytest.mark.parametrize("cls", [FIFOQueue, EDFQueue])
+    def test_pop_upto_takes_an_oversized_head_alone(self, cls):
+        q = cls("m")
+        q.push_many([entry(0, batch=500), entry(1, batch=1)])
+        assert [e.seq for e in q.pop_upto(64)] == [0]
+        assert [e.seq for e in q.pop_upto(64)] == [1]
+        with pytest.raises(SchedulerError):
+            q.pop_upto(64)
+
+
+_TIMER_SLO = SLOConfig(
+    deadline_s=0.05, max_queue_depth=6, max_batch=256, max_wait_s=0.002,
+)
+
+
+def dense_trace(seed: int, n: int = 240) -> RequestTrace:
+    """Runs of 1-40 same-instant arrivals of two models on a 1 ms grid."""
+    rng = np.random.default_rng(seed)
+    requests, t = [], 0.0
+    while len(requests) < n:
+        t += 0.001 * int(rng.integers(0, 4))
+        for _ in range(int(rng.integers(1, 41))):
+            requests.append(InferenceRequest(
+                request_id=len(requests), arrival_s=t,
+                model=str(rng.choice(list(SERVING_SPECS))),
+                batch=int(rng.choice([1, 8, 64, 300])),
+            ))
+    return RequestTrace(requests=tuple(requests[:n]))
+
+
+@pytest.mark.parametrize("discipline", ["fifo", "edf"])
+def test_nonempty_queue_always_has_a_timer_armed(serving_predictors, discipline):
+    """A non-empty queue has a flush timer armed no later than its oldest
+    entry's max wait, after every event.  Run delivery pushes entries
+    into a non-empty queue without arming one; this is why it may."""
+    slo = dataclasses.replace(_TIMER_SLO, discipline=discipline)
+    fe = ServingFrontend(
+        build_scheduler(serving_predictors), SERVING_SPECS, default_slo=slo
+    )
+    checked = 0
+
+    def run_checking(until=None):
+        nonlocal checked
+        while fe.loop.pending:
+            fe.loop.run(max_events=1)
+            for model, queue in fe._queues.items():
+                if len(queue):
+                    armed = fe._timer_at[model]
+                    assert armed is not None
+                    assert armed <= queue.oldest_enqueued_s() + slo.max_wait_s
+                    checked += 1
+        return fe.loop.now
+
+    fe.run = run_checking
+    result = fe.serve_trace(dense_trace(seed=5))
+    assert fe.n_pending == 0
+    assert checked > 0
+    assert result.telemetry.snapshot()["shed"] > 0
