@@ -80,6 +80,12 @@ class LoadBalancer:
     #: power-of-two's RNG) must leave this False.
     stateless_choice = False
 
+    #: The completion delay the last :meth:`choose` probed on the node it
+    #: returned, or None when that call probed none (every policy but
+    #: least-ECT, and any call with one eligible node).  The router hands
+    #: it to admission when nothing can run between the two.
+    probed_delay: "float | None" = None
+
     def invalidate(self) -> None:
         """Fleet membership or predictor state changed: drop any memos.
 
@@ -116,6 +122,7 @@ class LoadBalancer:
         eligible = [n for n in nodes if n.routable]
         if not eligible:
             raise SchedulerError("no active node to route to")
+        self.probed_delay = None
         if len(eligible) == 1:
             return eligible[0]
         return self._pick(eligible, request, spec, now)
@@ -235,7 +242,7 @@ class LeastECTBalancer(LoadBalancer):
             n.frontend.backlog.estimate_completion(spec, request.batch, now)[1]
             for n in nodes
         ]
-        least = min(delays)
+        least = self.probed_delay = min(delays)
         tied = [n for n, delay in zip(nodes, delays) if delay == least]
         return tied[0] if len(tied) == 1 else min(tied, key=_samples_then_name)
 

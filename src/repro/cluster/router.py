@@ -401,8 +401,10 @@ class ClusterRouter:
         """Enqueue a routing decision at the request's arrival instant.
 
         The node choice happens *when the request arrives* on the shared
-        clock — the policy reads fleet load at that moment.  Request ids
-        must be unique per router (they key the exactly-once ledger).
+        clock — the policy reads fleet load at that moment — and so does
+        admission on the chosen node, in the same event when nothing else
+        is due then (see :meth:`_place`).  Request ids must be unique per
+        router (they key the exactly-once ledger).
         """
         response = self._register(request)
         self.loop.schedule(
@@ -445,11 +447,21 @@ class ClusterRouter:
     ) -> "ClusterNode | None":
         """The one placement step: choose a node, hand over, bind, watch.
 
-        ``entry`` None is a first route (the node's ``submit_request``);
-        otherwise a re-entry (drain, retry, re-adoption) through the
-        node's ``readmit``.  With no routable node the request resolves
-        as shed (``no_active_node``), logged with ``why`` as context.
-        Returns the chosen node, or None when shed.
+        ``entry`` None is a first route, made in the request's route
+        event.  When no other live event is due at this instant
+        (:meth:`~repro.sim.engine.EventLoop.due_now`), the node's arrival
+        event would be the very next to fire, so the arrival runs here,
+        after the bind and the timeout arm, and admission reuses the
+        completion delay the balancer probed on the node (least-ECT).
+        Otherwise the arrival is scheduled on the node
+        (``submit_request``) and takes its turn behind what is due.
+        Either way the event order and every outcome are those of the
+        scheduled arrival; only the event count differs.
+
+        A non-None ``entry`` is a re-entry (drain, retry, re-adoption)
+        through the node's ``readmit``.  With no routable node the
+        request resolves as shed (``no_active_node``), logged with
+        ``why`` as context.  Returns the chosen node, or None when shed.
         """
         request = response.request
         active = self.routable_nodes()
@@ -461,14 +473,22 @@ class ClusterRouter:
             self._log("route_failed", "-", detail)
             return None
         spec = self.specs[request.model]
-        node = self.balancer.choose(active, request, spec, self.loop.now)
+        balancer = self.balancer
+        node = balancer.choose(active, request, spec, self.loop.now)
         frontend = node.frontend
-        if entry is None:
+        arriving = None
+        if entry is not None:
+            inner = frontend.readmit(entry)
+        elif self.loop.due_now():
             inner = frontend.submit_request(request, x)
         else:
-            inner = frontend.readmit(entry)
+            inner, arriving = frontend.register_request(request, x)
         response.bind(node.name, inner)
+        # Armed before the arrival runs, so the timeout's seq precedes
+        # every seq the arrival allocates, as on the scheduled path.
         self._arm_timeout(response)
+        if arriving is not None:
+            frontend.deliver(arriving, balancer.probed_delay)
         return node
 
     # -- membership (used by the autoscaler, or directly) ------------------
@@ -736,15 +756,19 @@ class ClusterRouter:
         checked for order, ledgered and handed to the balancer's
         :meth:`~LoadBalancer.prepare`, then a
         :class:`~repro.sim.engine.TraceCursor` fires once per run of
-        equal timestamps.  The run is routed in one pass (pure balancers
-        — ``stateless_choice`` — probe each distinct (model, batch) cell
-        once instead of once per request), and the routed entries are
-        delivered to their frontends by a single follow-up event whose
-        late sequence number lands exactly where per-request arrivals
-        would have.  Outcomes are digit-identical to one
-        :meth:`submit_request` per arrival followed by :meth:`run`; the
-        equivalence tests replay mixed traces both ways, with faults and
-        partitions armed, and compare results digit for digit.
+        equal timestamps.  A run of several is routed in one pass (pure
+        balancers — ``stateless_choice`` — probe each distinct (model,
+        batch) cell once instead of once per request), and the routed
+        entries are delivered to their frontends by a single follow-up
+        event whose late sequence number lands exactly where per-request
+        arrivals would have.  A run of one takes :meth:`_place`: routed
+        and, when nothing else is due at its instant, admitted in the
+        same event.  Outcomes are digit-identical to one
+        :meth:`submit_request` per arrival followed by :meth:`run`, and to
+        the two-event reference in ``tests/replay_oracle.py`` (a route
+        event, then an arrival event per request); the equivalence tests
+        replay mixed traces all three ways, with faults and partitions
+        armed, and compare results digit for digit.
 
         With a resilience config, heartbeats are scheduled automatically
         (:meth:`schedule_health`) through ``heartbeat_tail_s`` past the
@@ -777,7 +801,9 @@ class ClusterRouter:
         block is reserved at injection time, keeping tie-breaks identical
         to per-request scheduling) and a
         :class:`~repro.sim.engine.TraceCursor` routes each run of equal
-        timestamps in one pass (after one balancer ``prepare`` call).
+        timestamps in one pass (after one balancer ``prepare`` call); a
+        lone arrival is admitted in its route event when nothing else is
+        due then (see :meth:`_place`).
         Arrivals must be non-decreasing and at or after the loop's
         current time, checked before anything is ledgered; the caller
         drives the loop.
@@ -830,8 +856,11 @@ class ClusterRouter:
         arrival events — so timers and injector events landing on this
         instant interleave identically on both paths.
 
-        A run of one request has no decision or probe to share, so it is
-        routed exactly as :meth:`submit_request` would route it.
+        A run of one request has no decision or probe to share, so it
+        takes the one placement step, :meth:`_place`, that a
+        :meth:`submit_request` route event takes: admitted in this event
+        when nothing else is due at this instant, else by a scheduled
+        arrival event.
         """
         if j - i == 1:
             self._place(responses[i], None, None, None)

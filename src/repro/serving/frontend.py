@@ -503,16 +503,16 @@ class ServingFrontend:
     ) -> "tuple[ServingResponse, QueueEntry]":
         """Register a request without scheduling its arrival event.
 
-        The cluster router's trace cursor batches deliveries itself
-        (one event per run of simultaneous arrivals); it registers here
-        during routing and later feeds each entry to the arrival handler
-        directly.  Ledger state after registration is identical to
-        :meth:`submit_request` minus the per-request heap entry.
+        The cluster router delivers entries itself — one event per run
+        of simultaneous arrivals, or a lone arrival inside its route
+        event — so it registers here during routing and feeds each entry
+        to :meth:`deliver`.  Ledger state after registration is identical
+        to :meth:`submit_request` minus the per-request heap entry.
         """
         self._require_spec(request.model)
         return self._register_arrival(self._with_default_deadline(request), x)
 
-    def deliver(self, entry: QueueEntry) -> None:
+    def deliver(self, entry: QueueEntry, est_delay: "float | None" = None) -> None:
         """Process a registered entry's arrival at the current instant.
 
         Counterpart to :meth:`register_request` for batched delivery.
@@ -523,16 +523,22 @@ class ServingFrontend:
         and sample counts, then an append, or a shed resolved in place.
         Appended entries reach the queue at the latest when the run
         ends; outcomes are those of the per-request path either way.
+
+        ``est_delay``, when given, is this frontend's
+        ``estimate_completion`` delay for the entry, probed at this
+        instant with nothing run since; admission then uses it instead
+        of probing again (the cluster router hands over least-ECT's).
         """
         run = self._run
         if run is None or self.crashed:
-            self._on_arrival(entry)
+            self._on_arrival(entry, est_delay=est_delay)
             return
         now = self.loop.now
         request = entry.request
         model = request.model
         batch = request.batch
-        est_delay = self._est_memo.get((model, batch))
+        if est_delay is None:
+            est_delay = self._est_memo.get((model, batch))
         if est_delay is None:
             est_delay = self._estimate(model, batch, now)
         segment = self._segments[model]
@@ -696,7 +702,9 @@ class ServingFrontend:
         )
         return response
 
-    def _on_arrival(self, entry: QueueEntry, _loop=None) -> None:
+    def _on_arrival(
+        self, entry: QueueEntry, _loop=None, est_delay: "float | None" = None
+    ) -> None:
         if self.crashed:
             # The process is gone: nothing answers, nothing is refused.
             # The entry waits in limbo until a health check collects it
@@ -707,9 +715,10 @@ class ServingFrontend:
         now = self.loop.now
         model = entry.request.model
         queue = self._queues[model]
+        if est_delay is None:
+            est_delay = self._estimate(model, entry.batch, now)
         decision = self._admission[model].admit(
-            entry.request, queue, now,
-            est_delay_s=self._estimate(model, entry.batch, now),
+            entry.request, queue, now, est_delay_s=est_delay
         )
         if decision.admitted:
             self._enqueue(model, queue, entry, now)

@@ -14,7 +14,7 @@ import heapq
 import math
 from typing import Any, Callable, NamedTuple
 
-from repro.checks import require_finite
+from repro.checks import require_count, require_finite
 from repro.sim.clock import VirtualClock
 
 __all__ = ["ScheduledEvent", "EventLoop", "TraceCursor", "check_arrival_order"]
@@ -138,8 +138,7 @@ class EventLoop:
         (time, seq) order of every event in the simulation identical to
         that per-arrival schedule.
         """
-        if n < 0:
-            raise ValueError(f"cannot reserve a negative block, got {n}")
+        require_count("n", n, low=0)
         start = self._seq
         self._seq = start + n
         return start
@@ -162,6 +161,26 @@ class EventLoop:
         heapq.heappush(self._heap, ev)
         self._live.add(seq)
         return ev
+
+    def due_now(self) -> bool:
+        """Whether a live event is due at the current instant.
+
+        When none is, an event scheduled now at ``now`` would be the very
+        next to fire: its seq follows everything already queued.  The
+        router uses this to run a lone arrival inside its route event
+        instead of scheduling it.  Cancelled events at the heap top are
+        dropped here, as :meth:`run` would drop them.
+        """
+        heap = self._heap
+        dead = self._dead
+        now = self.clock._now
+        while heap and heap[0][0] <= now:
+            seq = heap[0][1]
+            if seq not in dead:
+                return True
+            heapq.heappop(heap)
+            dead.discard(seq)
+        return False
 
     def cancel(self, event: ScheduledEvent) -> bool:
         """Cancel a scheduled event; returns whether it was still pending.
@@ -229,8 +248,14 @@ class EventLoop:
         """Process events in order; returns the final virtual time.
 
         ``until`` stops before events later than the horizon (they stay
-        queued); ``max_events`` bounds the number processed (runaway guard).
+        queued) and must be finite: an infinite one would leave the clock
+        at infinity.  ``max_events`` bounds the number processed (runaway
+        guard) and must be a count >= 0.
         """
+        if until is not None:
+            require_finite("until", until, positive=False)
+        if max_events is not None:
+            require_count("max_events", max_events, low=0)
         heap = self._heap
         clock = self.clock
         pop = heapq.heappop

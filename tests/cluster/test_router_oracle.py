@@ -1,12 +1,15 @@
-"""Router ``serve_trace`` against its one-event-per-request oracle.
+"""Router ``serve_trace`` against its two-events-per-request oracle.
 
 ``serve_trace`` routes each run of same-timestamp arrivals in one
 balancer pass (pure policies probe once per (model, batch) cell) and
-delivers the routed entries in a single follow-up event.  Every
-balancing policy — including the stateful ones that take no memo — must
-produce the responses and fleet telemetry of one ``submit_request`` per
-arrival, digit for digit, and the equivalence must survive a chaos
-campaign with resilience armed.
+delivers the routed entries in a single follow-up event; a lone arrival
+is delivered inside its route event when nothing else is due then.
+Every balancing policy — including the stateful ones that take no memo —
+must produce the responses and fleet telemetry of one ``submit_request``
+per arrival through :class:`~tests.replay_oracle.TwoEventRouter` (a
+route event, then an arrival event), digit for digit, and so must
+per-request ``submit_request`` on the real router; the equivalence must
+survive a chaos campaign with resilience armed.
 """
 
 import pytest
@@ -23,7 +26,7 @@ from repro.workloads import (
 )
 from repro.workloads.requests import InferenceRequest
 from tests.cluster.conftest import build_fleet
-from tests.replay_oracle import cluster_signature, route_per_request
+from tests.replay_oracle import ROUTER_REPLAYS, cluster_signature
 
 POLICIES = [
     "round-robin",
@@ -59,14 +62,15 @@ class TestOracleEquivalence:
     def test_every_policy_is_digit_identical(self, serving_predictors, balancer):
         trace = mixed_trace()
         outcomes = []
-        for replay in (route_per_request, ClusterRouter.serve_trace):
-            router = ClusterRouter(
+        for router_cls, replay in ROUTER_REPLAYS:
+            router = router_cls(
                 build_fleet(serving_predictors), balancer=balancer, rng=123
             )
             result = replay(router, trace)
             assert router.n_pending == 0
             outcomes.append(cluster_signature(result))
-        assert outcomes[0] == outcomes[1]
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
 
     def test_chaos_campaign_is_digit_identical(self, serving_predictors):
         resilience = ResilienceConfig(
@@ -78,8 +82,8 @@ class TestOracleEquivalence:
         )
         trace = mixed_trace(horizon_s=0.8, seed=29)
         outcomes = []
-        for replay in (route_per_request, ClusterRouter.serve_trace):
-            router = ClusterRouter(
+        for router_cls, replay in ROUTER_REPLAYS:
+            router = router_cls(
                 build_fleet(serving_predictors),
                 balancer="least-ect", rng=123, resilience=resilience,
             )
@@ -92,7 +96,8 @@ class TestOracleEquivalence:
             result = replay(router, trace)
             assert all(r.done for r in result.responses)
             outcomes.append(cluster_signature(result))
-        assert outcomes[0] == outcomes[1]
+        assert outcomes[1] == outcomes[0]
+        assert outcomes[2] == outcomes[0]
 
     def test_empty_trace(self, serving_predictors):
         router = ClusterRouter(build_fleet(serving_predictors), rng=123)

@@ -15,20 +15,25 @@ its samples, so queues fill and ``full`` flushes land mid-run, where run
 delivery switches from appending to pushing.  Those replays also compare
 the per-model admission counters and the order in which resolution hooks
 fire.
+
+The router's reference is :class:`~tests.replay_oracle.TwoEventRouter`
+fed one ``submit_request`` per arrival: every lone arrival takes a route
+event and a separate arrival event.  Both ``serve_trace`` and per-request
+``submit_request`` on the real router, which deliver a lone arrival in
+its route event when nothing else is due, must equal it.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterRouter
 from repro.serving import ServingFrontend, SLOConfig
 from repro.workloads.requests import InferenceRequest, RequestTrace
 from tests.cluster.conftest import build_fleet
 from tests.replay_oracle import (
+    ROUTER_REPLAYS,
     cluster_signature,
     recorded_resolutions,
-    route_per_request,
     serve_per_request,
     serving_signature,
 )
@@ -131,14 +136,17 @@ def test_frontend_matches_oracle(serving_predictors, steps, slo):
 def test_router_matches_oracle(serving_predictors, balancer, steps, slo):
     trace = trace_from_steps(steps)
     outcomes = []
-    for replay in (route_per_request, ClusterRouter.serve_trace):
-        router = ClusterRouter(
+    for router_cls, replay in ROUTER_REPLAYS:
+        router = router_cls(
             build_fleet(serving_predictors, default_slo=slo),
             balancer=balancer, rng=7,
         )
-        outcomes.append(cluster_signature(replay(router, trace)))
+        with recorded_resolutions() as log:
+            result = replay(router, trace)
+        outcomes.append(cluster_signature(result, router, log))
         assert router.n_pending == 0
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]
 
 
 @settings(max_examples=25, deadline=None)
@@ -163,8 +171,8 @@ def test_frontend_long_runs_match_oracle(serving_predictors, runs, slo):
 def test_router_long_runs_match_oracle(serving_predictors, balancer, runs, slo):
     trace = trace_from_runs(runs)
     outcomes = []
-    for replay in (route_per_request, ClusterRouter.serve_trace):
-        router = ClusterRouter(
+    for router_cls, replay in ROUTER_REPLAYS:
+        router = router_cls(
             build_fleet(serving_predictors, default_slo=slo),
             balancer=balancer, rng=7,
         )
@@ -172,4 +180,5 @@ def test_router_long_runs_match_oracle(serving_predictors, balancer, runs, slo):
             result = replay(router, trace)
         outcomes.append(cluster_signature(result, router, log))
         assert router.n_pending == 0
-    assert outcomes[0] == outcomes[1]
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[2] == outcomes[0]

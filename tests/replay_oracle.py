@@ -1,12 +1,21 @@
-"""The reference replay ``serve_trace`` is held to: one event per request.
+"""The reference replays ``serve_trace`` is held to: events per request.
 
 ``serve_trace`` on :class:`~repro.serving.ServingFrontend` and
 :class:`~repro.cluster.ClusterRouter` ingests a trace through a
 :class:`~repro.sim.engine.TraceCursor` that fires once per run of equal
-timestamps.  The oracle below submits the same requests one at a time
+timestamps.  The oracles below submit the same requests one at a time
 through ``submit_request`` — one heap event per arrival, no cursor, no
-run batching, no up-front balancer ``prepare`` — and drains the loop.
+run batching, no up-front balancer ``prepare`` — and drain the loop.
 Both must resolve every request digit for digit identically.
+
+The router also delivers a lone arrival inside its route event, with
+the completion delay least-ECT probed, whenever no other event is due at
+that instant.  :class:`TwoEventRouter` keeps the placement step that
+never does: the route event always schedules the node's arrival event,
+which estimates the delay afresh.  Built in place of a
+:class:`~repro.cluster.ClusterRouter` and fed by :func:`route_per_request`,
+it is the two-event reference both ``serve_trace`` and per-request
+``submit_request`` must equal.
 
 The signatures compare every outcome field and the telemetry; given the
 frontend or router they also compare the per-model admission counters,
@@ -16,9 +25,34 @@ resolution hooks fired.
 
 from contextlib import contextmanager
 
-from repro.cluster.router import ClusterResponse
+from repro.cluster.router import ClusterResponse, ClusterRouter
 from repro.serving import ServingResult
 from repro.serving.frontend import ServingResponse
+
+
+class TwoEventRouter(ClusterRouter):
+    """A router whose every first route schedules a separate arrival event."""
+
+    def _place(self, response, entry, x, why, _loop=None):
+        request = response.request
+        active = self.routable_nodes()
+        if not active:
+            response.mark_shed("no_active_node")
+            detail = f"request {request.request_id}"
+            if why is not None:
+                detail += f" ({why}, no target)"
+            self._log("route_failed", "-", detail)
+            return None
+        spec = self.specs[request.model]
+        node = self.balancer.choose(active, request, spec, self.loop.now)
+        frontend = node.frontend
+        if entry is None:
+            inner = frontend.submit_request(request, x)
+        else:
+            inner = frontend.readmit(entry)
+        response.bind(node.name, inner)
+        self._arm_timeout(response)
+        return node
 
 
 @contextmanager
@@ -76,6 +110,15 @@ def route_per_request(router, trace):
         )
     router.run()
     return router.result()
+
+
+#: (router class, replay) pairs a router replay is compared under, the
+#: two-event reference first.
+ROUTER_REPLAYS = (
+    (TwoEventRouter, route_per_request),
+    (ClusterRouter, route_per_request),
+    (ClusterRouter, ClusterRouter.serve_trace),
+)
 
 
 def serving_signature(result, frontend=None, resolutions=None):

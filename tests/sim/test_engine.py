@@ -454,3 +454,70 @@ class TestUtilization:
         loop.cancel(event)
         loop.run()
         assert loop.utilization()["cancelled"] == 1
+
+
+class TestInputChecks:
+    """Bad run/reserve arguments raise, naming the field, before any work."""
+
+    @pytest.mark.parametrize("until", [math.inf, math.nan, -1.0])
+    def test_run_rejects_bad_until(self, until):
+        loop = EventLoop()
+        fired = []
+        loop.schedule(1.0, lambda l: fired.append(l.now))
+        with pytest.raises(ValueError, match="until must be finite"):
+            loop.run(until=until)
+        assert fired == [] and loop.now == 0.0
+        assert loop.utilization()["runs"] == 0
+        loop.run()
+        assert fired == [1.0]
+
+    @pytest.mark.parametrize("max_events", [-3, 1.5, True, math.nan])
+    def test_run_rejects_bad_max_events(self, max_events):
+        loop = EventLoop()
+        loop.schedule(1.0, lambda l: None)
+        with pytest.raises(ValueError, match="max_events must be an integer >= 0"):
+            loop.run(max_events=max_events)
+        assert loop.utilization()["idle_runs"] == 0
+        assert loop.pending == 1
+
+    def test_run_accepts_zero_budget(self):
+        loop = EventLoop()
+        loop.schedule(1.0, lambda l: None)
+        loop.run(max_events=0)
+        assert loop.pending == 1 and loop.processed == 0
+
+    @pytest.mark.parametrize("n", [1.5, True, -1, math.nan])
+    def test_reserve_sequences_rejects_non_counts(self, n):
+        loop = EventLoop()
+        with pytest.raises(ValueError, match="n must be an integer >= 0"):
+            loop.reserve_sequences(n)
+        assert loop.reserve_sequences(0) == 0
+        ev = loop.schedule(0.0, lambda l: None)
+        assert type(ev.seq) is int and ev.seq == 0
+
+
+class TestDueNow:
+    def test_empty_and_future_events_are_not_due(self):
+        loop = EventLoop()
+        assert not loop.due_now()
+        loop.schedule(1.0, lambda l: None)
+        assert not loop.due_now()
+
+    def test_event_at_now_is_due(self):
+        loop = EventLoop()
+        seen = []
+        loop.schedule(1.0, lambda l: seen.append(l.due_now()))
+        loop.schedule(1.0, lambda l: seen.append(l.due_now()))
+        loop.schedule(2.0, lambda l: seen.append(l.due_now()))
+        loop.run()
+        assert seen == [True, False, False]
+
+    def test_cancelled_events_at_now_are_dropped(self):
+        loop = EventLoop()
+        seen = []
+        dead = []
+        loop.schedule(1.0, lambda l: (l.cancel(dead[0]), seen.append(l.due_now())))
+        dead.append(loop.schedule(1.0, lambda l: seen.append("fired")))
+        loop.run()
+        assert seen == [False]
+        assert loop.processed == 1 and loop.pending == 0
