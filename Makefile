@@ -2,7 +2,7 @@
 
 PY ?= python
 
-.PHONY: install test loc bench bench-full bench-wallclock bench-million bench-sharded bench-drift profile-cluster repro examples serve-demo cluster-demo cascade-demo chaos-demo partition-demo million-demo sharded-demo drift-demo lint-clean
+.PHONY: install test loc bench bench-full bench-wallclock bench-million bench-sharded bench-drift profile-cluster repro examples serve-demo cluster-demo cascade-demo chaos-demo partition-demo million-demo sharded-demo drift-demo
 
 install:
 	pip install -e .

@@ -60,12 +60,6 @@ def make_frontend(predictors) -> ServingFrontend:
     )
 
 
-def frontend_goodput(result) -> float:
-    """Same axis as CascadeResult.goodput: in-SLO served / all resolved."""
-    good = sum(1 for r in result.served if r.deadline_met is not False)
-    return good / len(result.responses) if result.responses else 1.0
-
-
 def run_cascade(predictors, cascade, profile, stream, rng=11):
     frontend = make_frontend(predictors)
     controller = ThresholdController(calibrated_controller_config(profile))
@@ -112,7 +106,7 @@ def test_bench_cascade_vs_single_model(benchmark):
         for spec in (MNIST_SMALL, MNIST_DEEP):
             frontend = make_frontend(predictors)
             result = frontend.serve_trace(make_trace(stream, [spec], rng=7))
-            goodput = frontend_goodput(result)
+            goodput = result.goodput()
             rows.append(
                 (
                     f"{spec.name} only",

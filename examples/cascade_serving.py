@@ -59,12 +59,6 @@ def make_frontend(predictors) -> ServingFrontend:
     )
 
 
-def goodput_of(result) -> float:
-    """In-SLO served / all resolved — one axis for every serving mode."""
-    good = sum(1 for r in result.served if r.deadline_met is not False)
-    return good / len(result.responses) if result.responses else 1.0
-
-
 def run_cascade(predictors, cascade, profile, stream, rng=11):
     frontend = make_frontend(predictors)
     controller = ThresholdController(calibrated_controller_config(profile))
@@ -122,11 +116,11 @@ def main() -> None:
     for spec, accuracy in ((MNIST_SMALL, cheap_accuracy), (MNIST_DEEP, 1.0)):
         frontend = make_frontend(predictors)
         result = frontend.serve_trace(make_trace(stream, [spec], rng=7))
-        single_goodput[spec.name] = goodput_of(result)
+        single_goodput[spec.name] = result.goodput()
         rows.append(
             (
                 f"{spec.name} only",
-                fmt_pct(goodput_of(result)),
+                fmt_pct(result.goodput()),
                 f"{result.latency_percentile(99.0) * 1e3:.1f} ms",
                 fmt_pct(result.shed_rate),
                 fmt_pct(accuracy),

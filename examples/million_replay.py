@@ -25,6 +25,7 @@ from repro.sched.dataset import generate_dataset
 from repro.sched.policies import Policy
 from repro.sched.predictor import DevicePredictor
 from repro.serving import SLOConfig
+from repro.shard.digest import digest_responses
 from repro.workloads import (
     FlashCrowdStream,
     MixedTrace,
@@ -106,14 +107,7 @@ def replay(trace, predictors, per_request: bool):
     else:
         result = router.serve_trace(trace)
     wall_s = time.perf_counter() - t0
-    outcome = []
-    for r in result.responses:
-        inner = r.inner
-        outcome.append((
-            r.request.request_id, r.status, r.node_name, r.shed_reason,
-            None if inner is None else inner.device,
-            None if inner is None else inner.end_s,
-        ))
+    outcome = [r.outcome_tuple() for r in result.responses]
     return outcome, result.telemetry.snapshot(), result, wall_s
 
 
@@ -140,6 +134,7 @@ def main() -> int:
     assert telemetry_a == telemetry_b, "fleet telemetry diverged"
     print("digit-identical: every request resolved the same way on both "
           "paths (statuses, nodes, devices, virtual end times, telemetry)")
+    print(f"  outcome digest {digest_responses(result.responses)[:16]}…")
 
     print(f"  per-event : {wall_a:.2f}s wall "
           f"({len(trace) / wall_a:,.0f} req/s)")

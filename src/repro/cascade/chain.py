@@ -4,9 +4,9 @@ A :class:`CascadeChain` is the cascade-level analogue of a serving
 response: one submitted batch, however many stages its samples end up
 visiting.  It resolves exactly once — when every sample has an answer
 (possibly a forced or fallback one) or when stage 0 shed the whole batch.
-:class:`CascadeResult` aggregates chains the way ``ServingResult`` /
-``ClusterResult`` aggregate responses, adding the goodput measure the
-cascade bench compares against single-model serving.
+:class:`CascadeResult` aggregates chains with the same outcome accessors
+as ``ServingResult`` / ``ClusterResult`` (:class:`~repro.serving.outcomes.
+Outcomes`), so cascade and single-model goodput compare on one axis.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import SchedulerError
 from repro.cascade.telemetry import CascadeTelemetry
-from repro.serving.frontend import _DEADLINE_EPS
+from repro.serving.outcomes import Outcomes, meets_deadline
 
 __all__ = ["CascadeChain", "CascadeResult"]
 
@@ -87,9 +87,9 @@ class CascadeChain:
     @property
     def deadline_met(self) -> "bool | None":
         """Whether the chain's SLO held (None if best-effort or unserved)."""
-        if not self.served or self.deadline_s is None:
+        if not self.served:
             return None
-        return self.end_s <= self.deadline_s + _DEADLINE_EPS
+        return meets_deadline(self.end_s, self.deadline_s)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -99,53 +99,15 @@ class CascadeChain:
 
 
 @dataclass
-class CascadeResult:
+class CascadeResult(Outcomes):
     """Aggregate outcome of serving a trace through a cascade executor."""
 
     chains: "list[CascadeChain]" = field(default_factory=list)
     telemetry: CascadeTelemetry = field(default_factory=CascadeTelemetry)
 
-    def __len__(self) -> int:
-        return len(self.chains)
-
     @property
-    def served(self) -> "list[CascadeChain]":
-        return [c for c in self.chains if c.served]
-
-    @property
-    def shed(self) -> "list[CascadeChain]":
-        return [c for c in self.chains if c.status == "shed"]
-
-    @property
-    def shed_rate(self) -> float:
-        return len(self.shed) / len(self.chains) if self.chains else 0.0
-
-    @property
-    def n_violations(self) -> int:
-        """Served chains whose last answer landed past the deadline."""
-        return sum(1 for c in self.served if c.deadline_met is False)
-
-    def goodput(self) -> float:
-        """Fraction of resolved chains answered within their SLO.
-
-        Sheds and late answers weigh against it equally — the same
-        definition the cluster router uses, so cascade and single-model
-        serving compare on one axis.  1.0 before anything resolves.
-        """
-        resolved = [c for c in self.chains if c.done]
-        if not resolved:
-            return 1.0
-        good = sum(
-            1 for c in resolved if c.served and c.deadline_met is not False
-        )
-        return good / len(resolved)
-
-    def latency_percentile(self, q: float) -> float:
-        """q-th percentile end-to-end latency over served chains, seconds."""
-        served = self.served
-        if not served:
-            raise SchedulerError("no served chains in result")
-        return float(np.percentile([c.latency_s for c in served], q))
+    def outcomes(self) -> "list[CascadeChain]":
+        return self.chains
 
     def exit_counts(self) -> "dict[int, int]":
         """Samples answered at each stage, over every chain."""

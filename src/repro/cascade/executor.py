@@ -111,7 +111,6 @@ class CascadeExecutor:
         self.chains: "list[CascadeChain]" = []
         self._rng = ensure_rng(rng)
         self._next_id = int(id_base)
-        self._is_cluster = hasattr(backend, "nodes")
 
         if slo_s is None:
             entry_cfg = self._frontends()[0][1].slo_for(cascade.entry.spec.name)
@@ -140,31 +139,15 @@ class CascadeExecutor:
 
     def _frontends(self) -> "list[tuple[str, object]]":
         """``(node_key, frontend)`` pairs the executor steers."""
-        if self._is_cluster:
-            return [(node.name, node.frontend) for node in self.backend.nodes]
-        return [(_LOCAL_KEY, self.backend)]
+        nodes = getattr(self.backend, "nodes", None)
+        if nodes is None:
+            return [(_LOCAL_KEY, self.backend)]
+        return [(node.name, node.frontend) for node in nodes]
 
-    def _node_key(self, response) -> str:
+    @staticmethod
+    def _node_key(response) -> str:
         """The controller key for the node that served a response."""
-        if self._is_cluster:
-            return response.node_name if response.node_name else _LOCAL_KEY
-        return _LOCAL_KEY
-
-    @staticmethod
-    def _end_s(response) -> float:
-        """A served response's completion time (cluster responses proxy)."""
-        end = getattr(response, "end_s", None)
-        if end is None and getattr(response, "inner", None) is not None:
-            end = response.inner.end_s
-        return end
-
-    @staticmethod
-    def _scores(response) -> "np.ndarray | None":
-        """A served response's raw class scores, if host data was run."""
-        scores = getattr(response, "scores", None)
-        if scores is None and getattr(response, "inner", None) is not None:
-            scores = response.inner.scores
-        return scores
+        return response.node_name or _LOCAL_KEY
 
     def _alloc_id(self) -> int:
         rid = self._next_id
@@ -279,9 +262,6 @@ class CascadeExecutor:
         )
         response = self.backend.submit_request(request, x)
         response.on_done = partial(self._on_stage_done, chain, stage_index)
-        if response.done:  # defensive: a synchronous resolution never waits
-            response.on_done = None
-            self._on_stage_done(chain, stage_index, response)
 
     # -- stage resolution --------------------------------------------------
 
@@ -293,7 +273,7 @@ class CascadeExecutor:
             self._on_stage_shed(chain, stage_index, response, now)
             return
 
-        end = self._end_s(response)
+        end = response.end_s
         batch = response.request.batch
         chain.last_end_s = end
         chain.n_stages_run += 1
@@ -308,7 +288,7 @@ class CascadeExecutor:
         rule = stage.exit_rule
         key = self._node_key(response)
         theta = self.threshold_for(stage_index, key)
-        scores = self._scores(response)
+        scores = response.scores
 
         if scores is not None and chain.x is not None:
             # Real data: exits follow the actual per-sample confidences.

@@ -57,7 +57,6 @@ from repro.cluster.node import (
 )
 from repro.cluster.router import (
     ClusterEvent,
-    ClusterResponse,
     ClusterResult,
     ClusterRouter,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "FRONT_TIERS",
     "make_front_tier",
     "ClusterEvent",
-    "ClusterResponse",
     "ClusterResult",
     "ClusterRouter",
     "Autoscaler",

@@ -18,9 +18,10 @@ request?*  They differ in what they look at —
 
 Every policy reads nodes only through the frontend's running load
 counters (``queued``, ``outstanding``, ``outstanding_samples``) or the
-public ``estimate_completion`` — never private frontend state — and only ever
-returns an *active* node: draining and standby nodes are filtered before
-any sampling, so a drain can never receive new traffic.
+public ``estimate_completion`` — never private frontend state — and picks
+among the nodes the router hands it: the router's routable set, filtered
+once per placement before any sampling, so a drain can never receive new
+traffic.
 
 When the fleet itself is sharded (``repro.shard``), balancing becomes
 two-level: a :class:`FrontTier` first picks a *shard* for each request —
@@ -115,17 +116,17 @@ class LoadBalancer:
     ) -> ClusterNode:
         """Select the node that takes ``request`` (arriving at ``now``).
 
-        Only active nodes are eligible; passing a list that contains
-        draining/standby nodes is fine — they are filtered here, as the
-        last line of defense for the no-traffic-to-drains invariant.
+        ``nodes`` is the router's routable set
+        (:meth:`~repro.cluster.router.ClusterRouter.routable_nodes`), the
+        one filter that keeps traffic off draining, standby, down and
+        breaker-open nodes; every node in it is eligible.
         """
-        eligible = [n for n in nodes if n.routable]
-        if not eligible:
+        if not nodes:
             raise SchedulerError("no active node to route to")
         self.probed_delay = None
-        if len(eligible) == 1:
-            return eligible[0]
-        return self._pick(eligible, request, spec, now)
+        if len(nodes) == 1:
+            return nodes[0]
+        return self._pick(nodes, request, spec, now)
 
     def _pick(
         self,
@@ -180,8 +181,8 @@ class PowerOfTwoBalancer(LoadBalancer):
     """Probe two random active nodes, join the shorter queue.
 
     Seeded for determinism: the same trace over the same fleet always
-    routes identically.  Draining nodes are excluded *before* sampling
-    (see :meth:`LoadBalancer.choose`), so neither probe can land on one.
+    routes identically.  Both probes sample the routable set the router
+    hands over, so neither can land on a draining node.
     """
 
     name = "power-of-two"
@@ -218,12 +219,11 @@ class LeastECTBalancer(LoadBalancer):
     stateless_choice = True
 
     def prepare(self, nodes, requests) -> None:
-        routable = [n for n in nodes if n.routable]
-        if len(routable) < 2:
+        if len(nodes) < 2:
             return
         cells = dict.fromkeys((r.model, r.batch) for r in requests)
         primed = set()
-        for node in routable:
+        for node in nodes:
             backlog = node.frontend.backlog
             predictor = backlog.scheduler.predictors.get(backlog.policy)
             if predictor is None or not predictor.fitted or id(predictor) in primed:

@@ -112,11 +112,6 @@ class ClusterNode:
 
     # -- state -------------------------------------------------------------
 
-    @property
-    def routable(self) -> bool:
-        """Whether the router may send this node new traffic."""
-        return self.state is NodeState.ACTIVE
-
     def activate(self) -> None:
         """Join (or re-join) the serving set."""
         if self.state is NodeState.DOWN:

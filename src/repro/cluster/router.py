@@ -3,10 +3,12 @@
 The router is the cluster-level twin of the serving frontend's façade:
 ``submit_request`` schedules the routing decision *at the request's
 arrival instant* on the shared event loop (so the balancing policy sees
-node load as it is then, not as it was at trace submission), binds the
-resulting per-node :class:`~repro.serving.frontend.ServingResponse` into a
-:class:`ClusterResponse`, and keeps the request-id -> response map that
-makes drains exactly-once:
+node load as it is then, not as it was at trace submission).  Each
+request has one handle, a :class:`~repro.serving.frontend.ServingResponse`
+the router creates and ledgers by request id; the chosen node registers
+that same handle, and every later move (drain, retry, crash re-adoption)
+hands it to the next node's ``readmit``, so it resolves exactly once
+however many nodes it visits — resolving it twice raises:
 
 * :meth:`drain_node` pops a node's queued requests (in-flight work
   finishes where it is) and immediately re-routes each through the
@@ -39,13 +41,13 @@ from repro.cluster.node import ClusterNode, NodeState
 from repro.faults.breaker import BreakerState, CircuitBreaker
 from repro.faults.config import ResilienceConfig
 from repro.rng import ensure_rng
-from repro.serving.frontend import ServingFrontend, ServingResponse
+from repro.serving.frontend import ServingFrontend, ServingResponse, ServingResult
 from repro.serving.queues import QueueEntry
 from repro.sim.engine import TraceCursor, check_arrival_order
 from repro.telemetry.fleet import FleetTelemetry
 from repro.workloads.requests import InferenceRequest, RequestTrace
 
-__all__ = ["ClusterEvent", "ClusterResponse", "ClusterResult", "ClusterRouter"]
+__all__ = ["ClusterEvent", "ClusterResult", "ClusterRouter"]
 
 
 @dataclass(frozen=True)
@@ -60,195 +62,22 @@ class ClusterEvent:
     detail: str = ""
 
 
-class ClusterResponse:
-    """Future-like handle for one request routed through the fleet.
-
-    Proxies the node-level :class:`ServingResponse` it is currently bound
-    to; a drain re-binds it to the adopting node's response.  Exactly one
-    binding is live at a time — the drained frontend forgets its copy —
-    so served/shed outcomes are counted once no matter how many hops the
-    request took.
-
-    ``on_done`` fires exactly once when the request finally resolves —
-    whichever node serves (or sheds) it, across any number of drains,
-    crashes and retries — so chained work (cascade escalations) can react
-    at the resolution instant on the shared virtual clock.
-    """
-
-    __slots__ = (
-        "request", "node_name", "inner", "n_routes", "_shed_reason", "on_done",
-        "_ledger",
-    )
-
-    def __init__(
-        self, request: InferenceRequest, ledger: "ClusterRouter | None" = None
-    ):
-        self.request = request
-        self.node_name: "str | None" = None
-        self.inner: "ServingResponse | None" = None
-        self.n_routes = 0
-        self._shed_reason: "str | None" = None   # router-level shed override
-        self.on_done: "Callable[[ClusterResponse], None] | None" = None
-        self._ledger = ledger   # router whose counters the resolution moves
-
-    def bind(self, node_name: str, inner: ServingResponse) -> None:
-        """Point this handle at the (new) node-level response."""
-        self.node_name = node_name
-        self.inner = inner
-        self.n_routes += 1
-        # An adoption can resolve synchronously (admission sheds inside
-        # adopt()) before this hook is attached; notify immediately then.
-        inner.on_done = self._on_inner_done
-        if inner.done:
-            inner.on_done = None
-            self._fire_done()
-
-    def _on_inner_done(self, inner: ServingResponse) -> None:
-        if inner is self.inner:   # a stale binding's resolution is not ours
-            self._fire_done()
-
-    def _fire_done(self) -> None:
-        ledger = self._ledger
-        if ledger is not None:   # the router's running counters, once
-            self._ledger = None
-            ledger._n_resolved += 1
-            ledger._n_good += int(self.served and self.deadline_met is not False)
-        hook = self.on_done
-        if hook is not None:
-            self.on_done = None
-            hook(self)
-
-    def mark_shed(self, reason: str) -> None:
-        """Resolve as shed at the router (e.g. no active node left)."""
-        self._shed_reason = reason
-        self._fire_done()
-
-    # -- resolved state ----------------------------------------------------
-
-    @property
-    def status(self) -> str:
-        if self._shed_reason is not None:
-            return "shed"
-        return self.inner.status if self.inner is not None else "pending"
-
-    @property
-    def done(self) -> bool:
-        return self.status != "pending"
-
-    @property
-    def served(self) -> bool:
-        return self.status == "ok"
-
-    @property
-    def rerouted(self) -> bool:
-        """Whether a drain moved this request between nodes."""
-        return self.n_routes > 1
-
-    @property
-    def shed_reason(self) -> "str | None":
-        if self._shed_reason is not None:
-            return self._shed_reason
-        return self.inner.shed_reason if self.inner is not None else None
-
-    @property
-    def latency_s(self) -> float:
-        """Arrival-to-completion, across every hop (served only)."""
-        if self.inner is None or not self.served:
-            raise SchedulerError(f"request is {self.status}, has no latency")
-        return self.inner.latency_s
-
-    @property
-    def deadline_met(self) -> "bool | None":
-        return self.inner.deadline_met if self.inner is not None else None
-
-    @property
-    def device(self) -> "str | None":
-        return self.inner.device if self.inner is not None else None
-
-    def outcome_tuple(self) -> tuple:
-        """The resolved outcome, serialized for digesting and IPC.
-
-        ``(request_id, status, node, device, end_s, shed_reason)`` — the
-        exact fields the determinism digests hash (see
-        :mod:`repro.shard.digest`), so a sharded worker can ship outcomes
-        as columns and the merged digest still compares bit-for-bit
-        against a single-process replay.
-        """
-        inner = self.inner
-        return (
-            self.request.request_id,
-            self.status,
-            self.node_name,
-            inner.device if inner is not None else None,
-            inner.end_s if inner is not None else None,
-            self.shed_reason,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"ClusterResponse(id={self.request.request_id}, "
-            f"status={self.status!r}, node={self.node_name!r}, "
-            f"routes={self.n_routes})"
-        )
-
-
 @dataclass
-class ClusterResult:
-    """Aggregate outcome of serving a trace through the fleet."""
+class ClusterResult(ServingResult):
+    """Aggregate outcome of serving a trace through the fleet: the
+    serving accessors plus the event log, re-routes and node shares."""
 
-    responses: "list[ClusterResponse]" = field(default_factory=list)
     telemetry: FleetTelemetry = field(default_factory=FleetTelemetry)
     events: "list[ClusterEvent]" = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.responses)
-
     @property
-    def served(self) -> "list[ClusterResponse]":
-        return [r for r in self.responses if r.served]
-
-    @property
-    def shed(self) -> "list[ClusterResponse]":
-        return [r for r in self.responses if r.status == "shed"]
-
-    @property
-    def rerouted(self) -> "list[ClusterResponse]":
-        return [r for r in self.responses if r.rerouted]
-
-    @property
-    def shed_rate(self) -> float:
-        return len(self.shed) / len(self.responses) if self.responses else 0.0
-
-    @property
-    def n_violations(self) -> int:
-        return sum(1 for r in self.served if r.deadline_met is False)
-
-    def latency_percentile(self, q: float) -> float:
-        """q-th percentile latency over served requests, in seconds."""
-        served = self.served
-        if not served:
-            raise SchedulerError("no served requests in result")
-        return float(np.percentile([r.latency_s for r in served], q))
-
-    def device_shares(self) -> "dict[str, float]":
-        """Fraction of served requests per device class, fleet-wide."""
-        served = self.served
-        if not served:
-            return {}
-        counts: dict[str, int] = {}
-        for r in served:
-            counts[r.device] = counts.get(r.device, 0) + 1
-        return {d: c / len(served) for d, c in sorted(counts.items())}
+    def rerouted(self) -> "list[ServingResponse]":
+        """Requests placed more than once (drain, retry, re-adoption)."""
+        return [r for r in self.responses if r.n_routes > 1]
 
     def node_shares(self) -> "dict[str, float]":
         """Fraction of served requests per node."""
-        served = self.served
-        if not served:
-            return {}
-        counts: dict[str, int] = {}
-        for r in served:
-            counts[r.node_name] = counts.get(r.node_name, 0) + 1
-        return {n: c / len(served) for n, c in sorted(counts.items())}
+        return self._shares("node_name")
 
 
 class ClusterRouter:
@@ -310,10 +139,10 @@ class ClusterRouter:
 
         self.events: "list[ClusterEvent]" = []
         self.n_rerouted = 0
-        self._responses: "list[ClusterResponse]" = []
-        self._by_id: "dict[int, ClusterResponse]" = {}
+        self._responses: "list[ServingResponse]" = []
+        self._by_id: "dict[int, ServingResponse]" = {}
         self._seq = 0
-        self._n_resolved = 0  # ledger counters: ClusterResponse._fire_done
+        self._n_resolved = 0  # ledger counters: ServingResponse.resolve
         self._n_good = 0
 
         # -- resilience (armed only when a config is given) -----------------
@@ -383,7 +212,7 @@ class ClusterRouter:
         batch: int,
         deadline_s: "float | None" = None,
         arrival_s: "float | None" = None,
-    ) -> ClusterResponse:
+    ) -> ServingResponse:
         """Submit one request by value; router assigns the request id."""
         arrival = self.loop.now if arrival_s is None else float(arrival_s)
         request = InferenceRequest(
@@ -397,7 +226,7 @@ class ClusterRouter:
 
     def submit_request(
         self, request: InferenceRequest, x: "np.ndarray | None" = None
-    ) -> ClusterResponse:
+    ) -> ServingResponse:
         """Enqueue a routing decision at the request's arrival instant.
 
         The node choice happens *when the request arrives* on the shared
@@ -414,7 +243,7 @@ class ClusterRouter:
         )
         return response
 
-    def _register(self, request: InferenceRequest) -> ClusterResponse:
+    def _register(self, request: InferenceRequest) -> ServingResponse:
         """Validate and enter a request into the exactly-once ledger."""
         if request.model not in self.specs:
             known = ", ".join(sorted(self.specs)) or "<none>"
@@ -431,7 +260,7 @@ class ClusterRouter:
                 f"cannot submit into the past: arrival {request.arrival_s} "
                 f"< now={self.loop.now}"
             )
-        response = ClusterResponse(request, ledger=self)
+        response = ServingResponse(request, ledger=self)
         self._by_id[request.request_id] = response
         self._responses.append(response)
         self._seq = max(self._seq, request.request_id + 1)
@@ -439,34 +268,35 @@ class ClusterRouter:
 
     def _place(
         self,
-        response: ClusterResponse,
+        response: ServingResponse,
         entry: "QueueEntry | None",
         x: "np.ndarray | None",
         why: "str | None",
         _loop=None,
     ) -> "ClusterNode | None":
-        """The one placement step: choose a node, hand over, bind, watch.
+        """The one placement step: choose a node, hand over, watch.
 
-        ``entry`` None is a first route, made in the request's route
-        event.  When no other live event is due at this instant
+        The handle names the node and counts the route before the node
+        sees it, so a resolution inside the hand-over reports where it
+        happened.  ``entry`` None is a first route, made in the request's
+        route event.  When no other live event is due at this instant
         (:meth:`~repro.sim.engine.EventLoop.due_now`), the node's arrival
         event would be the very next to fire, so the arrival runs here,
-        after the bind and the timeout arm, and admission reuses the
-        completion delay the balancer probed on the node (least-ECT).
-        Otherwise the arrival is scheduled on the node
-        (``submit_request``) and takes its turn behind what is due.
-        Either way the event order and every outcome are those of the
-        scheduled arrival; only the event count differs.
+        after the timeout arm, and admission reuses the completion delay
+        the balancer probed on the node (least-ECT).  Otherwise the
+        arrival event is scheduled and takes its turn behind what is due.
+        Either way the event order and every outcome are the same; only
+        the event count differs.
 
         A non-None ``entry`` is a re-entry (drain, retry, re-adoption)
-        through the node's ``readmit``.  With no routable node the
+        through the node's ``readmit``, on the same handle.  With no routable node the
         request resolves as shed (``no_active_node``), logged with
         ``why`` as context.  Returns the chosen node, or None when shed.
         """
         request = response.request
         active = self.routable_nodes()
         if not active:
-            response.mark_shed("no_active_node")
+            response.resolve("shed", "no_active_node")
             detail = f"request {request.request_id}"
             if why is not None:
                 detail += f" ({why}, no target)"
@@ -476,19 +306,24 @@ class ClusterRouter:
         balancer = self.balancer
         node = balancer.choose(active, request, spec, self.loop.now)
         frontend = node.frontend
+        response.node_name = node.name
+        response.n_routes += 1
         arriving = None
         if entry is not None:
-            inner = frontend.readmit(entry)
-        elif self.loop.due_now():
-            inner = frontend.submit_request(request, x)
+            frontend.readmit(entry, response)
         else:
-            inner, arriving = frontend.register_request(request, x)
-        response.bind(node.name, inner)
+            arriving = frontend.register_request(response, x)
+            if self.loop.due_now():
+                self.loop.schedule(
+                    self.loop.now, partial(frontend.deliver, arriving),
+                    label="arrive",
+                )
+                arriving = None
         # Armed before the arrival runs, so the timeout's seq precedes
         # every seq the arrival allocates, as on the scheduled path.
         self._arm_timeout(response)
         if arriving is not None:
-            frontend.deliver(arriving, balancer.probed_delay)
+            frontend.deliver(arriving, est_delay=balancer.probed_delay)
         return node
 
     # -- membership (used by the autoscaler, or directly) ------------------
@@ -543,10 +378,10 @@ class ClusterRouter:
 
     # -- resilience: timeouts and retries ----------------------------------
 
-    def _arm_timeout(self, response: ClusterResponse) -> None:
+    def _arm_timeout(self, response: ServingResponse) -> None:
         """Watch one freshly-bound request for a rescue timeout.
 
-        The firing is stamped with the binding generation (``n_routes``),
+        The firing is stamped with the placement count (``n_routes``),
         so a timeout armed for an earlier node is a dead letter once the
         request moves on.  No-op without a resilience config.
         """
@@ -560,10 +395,10 @@ class ClusterRouter:
         )
 
     def _on_timeout(
-        self, response: ClusterResponse, routes: int, _loop=None
+        self, response: ServingResponse, routes: int, _loop=None
     ) -> None:
         if response.done or response.n_routes != routes:
-            return  # resolved, or rebound since arming — stale firing
+            return  # resolved, or moved on since arming — stale firing
         node = self.node(response.node_name)
         entry = node.frontend.cancel_queued(response.request.request_id)
         if entry is None:
@@ -576,7 +411,7 @@ class ClusterRouter:
         self._retry_or_shed(entry, response, "timeout")
 
     def _retry_or_shed(
-        self, entry: QueueEntry, response: ClusterResponse, reason: str
+        self, entry: QueueEntry, response: ServingResponse, reason: str
     ) -> None:
         """Decide a rescued request's fate: deadline first, then budget.
 
@@ -584,50 +419,49 @@ class ClusterRouter:
         wherever it lived) — this either schedules a backoff redelivery or
         resolves the response as shed, exactly one of the two.
         """
-        cfg = self.resilience
-        now = self.loop.now
-        rid = response.request.request_id
-        deadline = response.request.deadline_s
-        if deadline is not None and now >= deadline:
-            response.mark_shed("deadline_exceeded")
-            self.telemetry.resilience.n_shed_deadline += 1
-            self._log("shed", "-", f"request {rid} past deadline ({reason})")
+        retry = self.resilience.retry
+        if self._shed_if_late(response, reason):
             return
-        if not cfg.retry.allows_retry(response.n_routes):
-            response.mark_shed("retry_budget_exhausted")
+        if not retry.allows_retry(response.n_routes):
+            rid = response.request.request_id
+            response.resolve("shed", "retry_budget_exhausted")
             self.telemetry.resilience.n_shed_retry_budget += 1
             self._log("shed", "-", f"request {rid} out of attempts ({reason})")
             return
-        delay = cfg.retry.backoff_s(response.n_routes, self._retry_rng)
+        delay = retry.backoff_s(response.n_routes, self._retry_rng)
         self.telemetry.resilience.n_retries += 1
         self.loop.schedule(
-            now + delay, partial(self._redeliver, entry, response), label="retry"
+            self.loop.now + delay, partial(self._redeliver, entry, response),
+            label="retry",
         )
 
+    def _shed_if_late(self, response: ServingResponse, why: str) -> bool:
+        """Shed a router-held request whose deadline has passed."""
+        deadline = response.request.deadline_s
+        if deadline is None or self.loop.now < deadline:
+            return False
+        rid = response.request.request_id
+        response.resolve("shed", "deadline_exceeded")
+        self.telemetry.resilience.n_shed_deadline += 1
+        self._log("shed", "-", f"request {rid} past deadline ({why})")
+        return True
+
     def _redeliver(
-        self, entry: QueueEntry, response: ClusterResponse, _loop=None
+        self, entry: QueueEntry, response: ServingResponse, _loop=None
     ) -> None:
         """Hand a router-held entry to a routable node (retry / re-adopt)."""
-        if response.done:
-            return
-        now = self.loop.now
-        rid = entry.request.request_id
-        deadline = response.request.deadline_s
-        if deadline is not None and now >= deadline:
-            response.mark_shed("deadline_exceeded")
-            self.telemetry.resilience.n_shed_deadline += 1
-            self._log("shed", "-", f"request {rid} past deadline (backoff)")
+        if self._shed_if_late(response, "backoff"):
             return
         node = self._place(response, entry, None, "retry")
         if node is not None:
             self.telemetry.resilience.n_redelivered += 1
-            self._log("redeliver", node.name, f"request {rid}")
+            self._log("redeliver", node.name, f"request {entry.request.request_id}")
 
     def _on_node_failure(
         self,
         node: ClusterNode,
         entry: QueueEntry,
-        inner: ServingResponse,
+        response: ServingResponse,
         reason: str,
     ) -> bool:
         """Frontend hook: one request's launch failed transiently.
@@ -637,8 +471,7 @@ class ClusterRouter:
         back for a local node-level shed — e.g. a request that was never
         routed through this router.
         """
-        response = self._by_id.get(entry.request.request_id)
-        if response is None or response.inner is not inner:
+        if self._by_id.get(entry.request.request_id) is not response:
             return False
         self.telemetry.resilience.n_failures += 1
         self._breakers[node.name].record_failure(self.loop.now)
@@ -694,9 +527,8 @@ class ClusterRouter:
         # on the dead node — subject to the same deadline-first rule.
         for entry in lost:
             response = self._by_id.get(entry.request.request_id)
-            if response is None or response.done:
-                continue
-            self._redeliver(entry, response)
+            if response is not None:
+                self._redeliver(entry, response)
 
     def _on_breaker_transition(
         self, name: str, now: float, old: BreakerState, new: BreakerState
@@ -752,31 +584,18 @@ class ClusterRouter:
     ) -> ClusterResult:
         """Replay a whole trace through the fleet and drain the loop.
 
-        The trace goes through :meth:`feed_requests`: arrivals are
-        checked for order, ledgered and handed to the balancer's
-        :meth:`~LoadBalancer.prepare`, then a
-        :class:`~repro.sim.engine.TraceCursor` fires once per run of
-        equal timestamps.  A run of several is routed in one pass (pure
-        balancers — ``stateless_choice`` — probe each distinct (model,
-        batch) cell once instead of once per request), and the routed
-        entries are delivered to their frontends by a single follow-up
-        event whose late sequence number lands exactly where per-request
-        arrivals would have.  A run of one takes :meth:`_place`: routed
-        and, when nothing else is due at its instant, admitted in the
-        same event.  Outcomes are digit-identical to one
-        :meth:`submit_request` per arrival followed by :meth:`run`, and to
-        the two-event reference in ``tests/replay_oracle.py`` (a route
-        event, then an arrival event per request); the equivalence tests
-        replay mixed traces all three ways, with faults and partitions
-        armed, and compare results digit for digit.
+        Ingestion is :meth:`feed_requests`: one cursor event per run of
+        equal timestamps (see :meth:`_route_run`).  Outcomes are
+        digit-identical to one :meth:`submit_request` per arrival
+        followed by :meth:`run`, and to the two-event reference in
+        ``tests/replay_oracle.py``; the equivalence tests replay mixed
+        traces all three ways, with faults and partitions armed.
 
-        With a resilience config, heartbeats are scheduled automatically
+        With a resilience config, heartbeats are scheduled
         (:meth:`schedule_health`) through ``heartbeat_tail_s`` past the
-        last arrival, so crashes during (or just after) the trace are
-        detected without the caller scheduling them.
-
-        ``vectorized`` is accepted for compatibility and must stay True;
-        per-event ingestion is :meth:`submit_request` in a loop.
+        last arrival, so crashes during or just after the trace are
+        detected.  ``vectorized`` is accepted for compatibility and must
+        stay True.
         """
         if not vectorized:
             raise ValueError(
@@ -792,7 +611,7 @@ class ClusterRouter:
         self.run()
         return self.result()
 
-    def feed_requests(self, requests) -> "list[ClusterResponse]":
+    def feed_requests(self, requests) -> "list[ServingResponse]":
         """Ledger a batch of time-ordered requests and arm their cursor.
 
         The ingestion step of :meth:`serve_trace`, exposed on its own so
@@ -842,7 +661,7 @@ class ClusterRouter:
             shed=self.telemetry.n_shed,
         )
 
-    def _route_run(self, responses: "list[ClusterResponse]", i: int, j: int) -> None:
+    def _route_run(self, responses: "list[ServingResponse]", i: int, j: int) -> None:
         """Route one run of simultaneous arrivals, then deliver in batch.
 
         Phase 1 (this event) makes every routing decision for the run.
@@ -875,7 +694,7 @@ class ClusterRouter:
         for k in range(i, j):
             response = responses[k]
             if not active:
-                response.mark_shed("no_active_node")
+                response.resolve("shed", "no_active_node")
                 self._log(
                     "route_failed", "-", f"request {response.request.request_id}"
                 )
@@ -891,8 +710,9 @@ class ClusterRouter:
                     node = balancer.choose(active, request, spec, now)
                     memo[key] = node
             frontend = node.frontend
-            inner, entry = frontend.register_request(request)
-            response.bind(node.name, inner)
+            response.node_name = node.name
+            response.n_routes += 1
+            entry = frontend.register_request(response)
             self._arm_timeout(response)
             deliveries.append((frontend, entry))
         if deliveries:

@@ -50,7 +50,7 @@ shed/violation counters.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -64,6 +64,7 @@ from repro.sched.policies import Policy
 from repro.sched.scheduler import OnlineScheduler
 from repro.serving.admission import AdmissionController, AdmissionDecision
 from repro.serving.coalescer import BatchCoalescer, CoalescedBatch
+from repro.serving.outcomes import Outcomes, in_slo, meets_deadline
 from repro.serving.queues import QueueEntry, RequestQueue, make_queue
 from repro.serving.workers import DeviceWorker
 from repro.sim.engine import EventLoop, TraceCursor, check_arrival_order
@@ -77,10 +78,6 @@ __all__ = [
     "ServingResult",
     "ServingFrontend",
 ]
-
-#: Completions landing within this of the deadline still meet it (float slop).
-_DEADLINE_EPS = 1e-9
-
 
 @dataclass(frozen=True)
 class SLOConfig:
@@ -162,29 +159,33 @@ class _Segment:
 
 
 class ServingResponse:
-    """Future-like handle for one submitted request.
+    """The one future-like handle for one request, standalone or routed.
 
     Starts 'pending'; resolves to 'ok' when its batch completes or 'shed'
-    when admission refuses it.  Degraded requests resolve 'ok' with
-    :attr:`degraded` set.
+    when admission (or the cluster router) refuses it.  Degraded requests
+    resolve 'ok' with :attr:`degraded` set.
 
-    ``on_done`` is an optional resolution hook: set it before the loop
-    runs past the request and it fires exactly once, with this response,
-    at the instant the status leaves 'pending' (served or shed).  Cascade
-    executors chain stages through it; it is never called for responses
-    a drain orphaned (those stay pending forever — the adopting node's
-    fresh response resolves instead).
+    A routed request keeps this handle across every drain, retry and
+    crash re-adoption: the router creates it, sets :attr:`node_name` and
+    counts placements in :attr:`n_routes` (None and 0 on a standalone
+    frontend), and each move hands it to the next frontend's ``readmit``.
+    ``on_done``, an optional hook set before the loop runs past the
+    request, fires once from :meth:`resolve`; cascade executors chain
+    stages through it.
     """
 
     __slots__ = (
-        "request", "status", "device", "device_name", "gpu_state", "trigger",
-        "batch_id", "batch_size", "dispatched_s", "start_s", "end_s",
-        "energy_j", "scores", "degraded", "shed_reason", "on_done",
+        "request", "status", "node_name", "n_routes", "device", "device_name",
+        "gpu_state", "trigger", "batch_id", "batch_size", "dispatched_s",
+        "start_s", "end_s", "energy_j", "scores", "degraded", "shed_reason",
+        "on_done", "_ledger",
     )
 
-    def __init__(self, request: InferenceRequest):
+    def __init__(self, request: InferenceRequest, ledger=None):
         self.request = request
         self.status = "pending"
+        self.node_name: "str | None" = None       # routed: the serving node
+        self.n_routes = 0                         # routed: placements so far
         self.device: "str | None" = None          # device-class value
         self.device_name: "str | None" = None
         self.gpu_state: "str | None" = None       # dGPU state probed at placement
@@ -199,9 +200,27 @@ class ServingResponse:
         self.degraded = False
         self.shed_reason: "str | None" = None
         self.on_done: "Callable[[ServingResponse], None] | None" = None
+        self._ledger = ledger   # router whose counters the resolution moves
 
-    def _fire_done(self) -> None:
-        """Invoke the resolution hook once (it is consumed on firing)."""
+    def resolve(self, status: str, shed_reason: "str | None" = None) -> None:
+        """The one resolution point: leave 'pending' as 'ok' or 'shed'.
+
+        Served fields are set before the call.  Moves the owning router's
+        ledger counters, then fires (and consumes) ``on_done``.  A second
+        resolution raises: every move path takes the request off its old
+        frontend before handing it on, so no stale attempt stays live.
+        """
+        if self.status != "pending":
+            raise SchedulerError(
+                f"request {self.request.request_id} already resolved "
+                f"({self.status}); cannot resolve it again as {status}"
+            )
+        self.status = status
+        self.shed_reason = shed_reason
+        ledger = self._ledger
+        if ledger is not None:
+            ledger._n_resolved += 1
+            ledger._n_good += in_slo(self)
         hook = self.on_done
         if hook is not None:
             self.on_done = None
@@ -215,17 +234,22 @@ class ServingResponse:
     def served(self) -> bool:
         return self.status == "ok"
 
-    def outcome_tuple(self) -> tuple:
-        """The resolved outcome serialized for digesting and IPC.
+    @property
+    def inner(self) -> "ServingResponse":
+        """This handle itself: a read-only alias only ``perfbench/`` uses."""
+        return self
 
-        ``(request_id, status, device, end_s, shed_reason)`` — the
-        node-local analogue of
-        :meth:`~repro.cluster.router.ClusterResponse.outcome_tuple`; the
-        cluster version prepends the node name.
+    def outcome_tuple(self) -> tuple:
+        """The resolved outcome, serialized for digesting and IPC.
+
+        ``(request_id, status, node, device, end_s, shed_reason)``, node
+        None on a standalone frontend: the fields the determinism digests
+        hash (:mod:`repro.shard.digest`) and sharded workers ship.
         """
         return (
             self.request.request_id,
             self.status,
+            self.node_name,
             self.device,
             self.end_s,
             self.shed_reason,
@@ -237,7 +261,8 @@ class ServingResponse:
 
         Counts from the request's *effective* arrival — the chain's first
         arrival for escalated follow-up requests — so end-to-end latency
-        honestly includes the time earlier stages already spent.
+        honestly includes the time earlier stages (and earlier nodes)
+        already spent.
         """
         if not self.served:
             raise SchedulerError(f"request is {self.status}, has no latency")
@@ -246,49 +271,27 @@ class ServingResponse:
     @property
     def deadline_met(self) -> "bool | None":
         """Whether the SLO held (None if best-effort or not served)."""
-        if not self.served or self.request.deadline_s is None:
+        if not self.served:
             return None
-        return self.end_s <= self.request.deadline_s + _DEADLINE_EPS
+        return meets_deadline(self.end_s, self.request.deadline_s)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ServingResponse(id={self.request.request_id}, status={self.status!r}, "
-            f"device={self.device!r})"
+            f"node={self.node_name!r}, device={self.device!r})"
         )
 
 
 @dataclass
-class ServingResult:
+class ServingResult(Outcomes):
     """Aggregate outcome of serving a trace through the frontend."""
 
     responses: list[ServingResponse] = field(default_factory=list)
     telemetry: ServingTelemetry = field(default_factory=ServingTelemetry)
 
-    def __len__(self) -> int:
-        return len(self.responses)
-
     @property
-    def served(self) -> list[ServingResponse]:
-        return [r for r in self.responses if r.served]
-
-    @property
-    def shed(self) -> list[ServingResponse]:
-        return [r for r in self.responses if r.status == "shed"]
-
-    @property
-    def shed_rate(self) -> float:
-        return len(self.shed) / len(self.responses) if self.responses else 0.0
-
-    @property
-    def n_violations(self) -> int:
-        """Served requests that finished after their deadline."""
-        return sum(1 for r in self.served if r.deadline_met is False)
-
-    def latency_percentile(self, q: float) -> float:
-        """q-th percentile latency over served requests, in seconds."""
-        if not self.served:
-            raise SchedulerError("no served requests in result")
-        return float(np.percentile([r.latency_s for r in self.served], q))
+    def outcomes(self) -> list[ServingResponse]:
+        return self.responses
 
     @property
     def total_energy_j(self) -> float:
@@ -296,13 +299,7 @@ class ServingResult:
 
     def device_shares(self) -> dict[str, float]:
         """Fraction of served requests per device class."""
-        served = self.served
-        if not served:
-            return {}
-        counts: dict[str, int] = {}
-        for r in served:
-            counts[r.device] = counts.get(r.device, 0) + 1
-        return {d: c / len(served) for d, c in sorted(counts.items())}
+        return self._shares("device")
 
 
 class ServingFrontend:
@@ -485,7 +482,7 @@ class ServingFrontend:
             policy=placement_policy.value,
             deadline_s=None if relative is None else arrival + relative,
         )
-        return self._schedule_arrival(request, data)
+        return self.submit_request(request, data)
 
     def submit_request(
         self, request: InferenceRequest, x: "np.ndarray | None" = None
@@ -495,29 +492,34 @@ class ServingFrontend:
         Requests without a deadline inherit the model's configured default
         SLO, so plain traces can still drive deadline-aware serving.
         """
-        self._require_spec(request.model)
-        return self._schedule_arrival(self._with_default_deadline(request), x)
+        response = self._accept(request)
+        entry = self._register_arrival(response, x)
+        self.loop.schedule(
+            entry.enqueued_s, partial(self._on_arrival, entry), label="arrive"
+        )
+        return response
 
     def register_request(
-        self, request: InferenceRequest, x: "np.ndarray | None" = None
-    ) -> "tuple[ServingResponse, QueueEntry]":
-        """Register a request without scheduling its arrival event.
+        self, response: ServingResponse, x: "np.ndarray | None" = None
+    ) -> QueueEntry:
+        """Register a routed handle; the router delivers the entry itself.
 
-        The cluster router delivers entries itself — one event per run
-        of simultaneous arrivals, or a lone arrival inside its route
-        event — so it registers here during routing and feeds each entry
-        to :meth:`deliver`.  Ledger state after registration is identical
-        to :meth:`submit_request` minus the per-request heap entry.
+        The router already validated the request (model, id, arrival
+        time), so only the model's default deadline is stamped here.
+        Ledger state is that of :meth:`submit_request` minus the heap
+        entry; :meth:`deliver` runs the arrival.
         """
-        self._require_spec(request.model)
-        return self._register_arrival(self._with_default_deadline(request), x)
+        response.request = self._with_default_deadline(response.request)
+        return self._register_arrival(response, x)
 
-    def deliver(self, entry: QueueEntry, est_delay: "float | None" = None) -> None:
+    def deliver(
+        self, entry: QueueEntry, _loop=None, est_delay: "float | None" = None
+    ) -> None:
         """Process a registered entry's arrival at the current instant.
 
-        Counterpart to :meth:`register_request` for batched delivery.
-        Outside a run it is the event the per-request path would have
-        fired.  Inside one (between :meth:`begin_arrival_batch` and
+        Outside a run it is the per-request path's arrival event (the
+        router schedules it as one when other events are due at this
+        instant).  Inside one (between :meth:`begin_arrival_batch` and
         :meth:`end_arrival_batch`) the entry joins its model's segment:
         the shared admission check against the segment's running room
         and sample counts, then an append, or a shed resolved in place.
@@ -602,29 +604,18 @@ class ServingFrontend:
     def serve_trace(self, trace: RequestTrace) -> ServingResult:
         """Replay a whole trace through the frontend and drain the loop.
 
-        Arrivals are checked for order and registered first, then a
-        :class:`~repro.sim.engine.TraceCursor` fires one event per run
-        of equal timestamps and admits the run synchronously through
-        :meth:`deliver`, per model segment, with a shared
-        completion-estimate memo: the heap holds only live
-        timers/completions, never the trace, and simultaneous arrivals
-        cost one backlog probe per (model, batch) cell.  Outcomes are
-        digit-identical to one :meth:`submit_request` per arrival
-        followed by :meth:`run`, the reference the equivalence tests
-        hold this path to.
+        Arrivals are checked and registered first; a
+        :class:`~repro.sim.engine.TraceCursor` then fires one event per
+        run of equal timestamps and admits the run through
+        :meth:`deliver`, per model segment (see the module docstring).
+        Outcomes are digit-identical to one :meth:`submit_request` per
+        arrival followed by :meth:`run`.
         """
         requests = list(trace)
         times = [request.arrival_s for request in requests]
         check_arrival_order(times, self.loop.now)
-        responses = []
-        entries = []
-        for request in requests:
-            self._require_spec(request.model)
-            response, entry = self._register_arrival(
-                self._with_default_deadline(request), None
-            )
-            responses.append(response)
-            entries.append(entry)
+        responses = [self._accept(request) for request in requests]
+        entries = [self._register_arrival(r, None) for r in responses]
         TraceCursor(
             self.loop, times, partial(self._arrive_run, entries), label="arrive"
         ).start()
@@ -650,14 +641,7 @@ class ServingFrontend:
         cfg = self.slo_for(request.model)
         if request.deadline_s is not None or cfg.deadline_s is None:
             return request
-        return InferenceRequest(
-            request_id=request.request_id,
-            arrival_s=request.arrival_s,
-            model=request.model,
-            batch=request.batch,
-            policy=request.policy,
-            deadline_s=request.arrival_s + cfg.deadline_s,
-        )
+        return replace(request, deadline_s=request.arrival_s + cfg.deadline_s)
 
     def run(self, until: "float | None" = None) -> float:
         """Drive the event loop (arrivals, flush timers, completions)."""
@@ -674,33 +658,27 @@ class ServingFrontend:
                 f"model {model!r} is not served; deployed: {known}"
             ) from None
 
-    def _register_arrival(
-        self, request: InferenceRequest, data: "np.ndarray | None"
-    ) -> "tuple[ServingResponse, QueueEntry]":
-        # Guard every submission path (submit, submit_request, serve_trace)
-        # before any state mutates, so a stale trace fails cleanly instead
-        # of dying half-submitted inside the event loop.
+    def _accept(self, request: InferenceRequest) -> ServingResponse:
+        """Validate a direct submission before any state mutates (a stale
+        trace fails cleanly); its handle's request carries the deadline."""
+        self._require_spec(request.model)
         if request.arrival_s < self.loop.now:
             raise SchedulerError(
                 f"cannot submit into the past: arrival {request.arrival_s} "
                 f"< now={self.loop.now}"
             )
-        response = ServingResponse(request)
+        return ServingResponse(self._with_default_deadline(request))
+
+    def _register_arrival(
+        self, response: ServingResponse, data: "np.ndarray | None"
+    ) -> QueueEntry:
+        request = response.request
         entry = QueueEntry(
             request=request, enqueued_s=request.arrival_s, seq=self._seq, x=data
         )
         self._seq += 1
         self._pending[entry.seq] = response
-        return response, entry
-
-    def _schedule_arrival(
-        self, request: InferenceRequest, data: "np.ndarray | None"
-    ) -> ServingResponse:
-        response, entry = self._register_arrival(request, data)
-        self.loop.schedule(
-            request.arrival_s, partial(self._on_arrival, entry), label="arrive"
-        )
-        return response
+        return entry
 
     def _on_arrival(
         self, entry: QueueEntry, _loop=None, est_delay: "float | None" = None
@@ -759,12 +737,7 @@ class ServingFrontend:
         if self._run:
             # The resolution hook may look at any queue of the run.
             self._materialize_run()
-        response = self._pending.pop(entry.seq)
-        response.status = "shed"
-        response.shed_reason = decision.reason
-        self.telemetry.n_shed += 1
-        self._record_tenant_shed(entry.request.model)
-        response._fire_done()
+        self._shed(self._pending.pop(entry.seq), decision.reason)
 
     def _materialize_run(self) -> None:
         """Push every pending entry of the open delivery run."""
@@ -884,7 +857,6 @@ class ServingFrontend:
                 offset += entry.batch
                 self._fail_request(entry, response, "inference_error")
                 continue
-            response.status = "ok"
             response.device = placement.device
             response.device_name = placement.device_name
             response.gpu_state = placement.gpu_state
@@ -903,7 +875,7 @@ class ServingFrontend:
             self.telemetry.n_served += 1
             latency = end - entry.request.effective_arrival_s
             self.telemetry.record_latency(latency)
-            violated = response.deadline_met is False
+            violated = meets_deadline(end, response.request.deadline_s) is False
             if violated:
                 self.telemetry.n_violations += 1
             if self.tenants is not None:
@@ -912,7 +884,7 @@ class ServingFrontend:
                     self.telemetry.tenant(tenant.name).record_served(
                         latency, violated
                     )
-            response._fire_done()
+            response.resolve("ok")
 
         self._in_flight -= len(batch.entries)
         self._in_flight_samples -= total
@@ -935,18 +907,16 @@ class ServingFrontend:
         hook = self.on_request_failed
         if hook is not None and hook(entry, response, reason):
             return
-        response.status = "shed"
-        response.shed_reason = reason
-        self.telemetry.n_shed += 1
-        self._record_tenant_shed(entry.request.model)
-        response._fire_done()
+        self._shed(response, reason)
 
-    def _record_tenant_shed(self, model: str) -> None:
-        if self.tenants is None:
-            return
-        tenant = self.tenants.tenant_for(model)
-        if tenant is not None:
-            self.telemetry.tenant(tenant.name).record_shed()
+    def _shed(self, response: ServingResponse, reason: str) -> None:
+        """Count one shed here (fleet and tenant ledgers), then resolve."""
+        self.telemetry.n_shed += 1
+        if self.tenants is not None:
+            tenant = self.tenants.tenant_for(response.request.model)
+            if tenant is not None:
+                self.telemetry.tenant(tenant.name).record_shed()
+        response.resolve("shed", reason)
 
     # -- fault handling (crash / dropout / throttle) -----------------------
 
@@ -1138,9 +1108,8 @@ class ServingFrontend:
     ) -> "list[tuple[QueueEntry, ServingResponse]]":
         """Abort one device's in-flight launches; collect their requests.
 
-        Every aborted entry leaves the in-flight ledger; entries whose
-        response is still pending come back paired for :meth:`readmit`
-        (entries already orphaned by a drain are simply dropped).
+        Every aborted entry leaves the in-flight ledger and comes back
+        paired with its handle for :meth:`readmit`.
         """
         worker = self.worker_for(device_name)
         collected: "list[tuple[QueueEntry, ServingResponse]]" = []
@@ -1148,9 +1117,7 @@ class ServingFrontend:
             for entry in batch.entries:
                 self._in_flight -= 1
                 self._in_flight_samples -= entry.batch
-                response = self._pending.pop(entry.seq, None)
-                if response is not None:
-                    collected.append((entry, response))
+                collected.append((entry, self._pending.pop(entry.seq)))
         return collected
 
     def worker_for(self, device_name: str) -> DeviceWorker:
@@ -1170,9 +1137,8 @@ class ServingFrontend:
 
         In-flight batches are untouched and complete normally — that is the
         graceful half of a node drain.  Returned entries are forgotten by
-        this frontend (their original :class:`ServingResponse`s stay
-        pending); the caller re-binds each request to another frontend via
-        :meth:`readmit`, preserving exactly-once delivery one layer up.
+        this frontend (their handles stay pending); the caller hands each
+        one, with its handle, to another frontend's :meth:`readmit`.
         """
         drained: list[QueueEntry] = []
         for model, queue in self._queues.items():
@@ -1192,10 +1158,10 @@ class ServingFrontend:
         """Re-run arrival here for a request taken off a queue or device.
 
         The one re-entry path: the router hands over drained, retried and
-        crash-orphaned entries (``response`` None: a fresh handle is made
-        and returned for it to bind), the partition manager and
-        :meth:`drop_device` re-admit aborted in-flight work on its
-        original handle.  The original request object — arrival time,
+        crash-orphaned entries, and the partition manager and
+        :meth:`drop_device` aborted in-flight work, each with its original
+        handle (``response`` None makes a fresh one, for a caller that
+        kept none).  The original request object — arrival time,
         absolute deadline — is preserved, so end-to-end latency keeps
         counting from its first arrival; only the enqueue time resets to
         now for coalescing.  Admission re-runs, so a full queue here can

@@ -1,8 +1,9 @@
 """Outcome digests: the sharded determinism contract, serialized.
 
 One canonical line per request —
-``request_id,status,node,device,repr(end_s),shed_reason`` — hashed with
-SHA-256.  ``repr`` of the virtual completion time keeps full float
+``request_id,status,node,device,repr(end_s),shed_reason``, the fields of
+:meth:`~repro.serving.frontend.ServingResponse.outcome_tuple` — hashed
+with SHA-256.  ``repr`` of the virtual completion time keeps full float
 precision, so two digests agree only when every request resolved
 digit-for-digit identically.  The same line format is used by the
 single-process million bench, a merged sharded replay, and the tests
@@ -48,12 +49,10 @@ def digest_rows(rows) -> str:
 
 
 def digest_responses(responses) -> str:
-    """Digest resolved responses (cluster- or serving-level) as given.
+    """Digest resolved responses as given.
 
     Accepts anything with an ``outcome_tuple()`` of the six canonical
-    fields — :class:`~repro.cluster.router.ClusterResponse` directly;
-    node-level :class:`~repro.serving.frontend.ServingResponse` lacks a
-    node name, so digesting those goes through :func:`digest_rows` with
-    the caller supplying one.
+    fields — every :class:`~repro.serving.frontend.ServingResponse`,
+    routed (its node name filled in) or standalone (node None).
     """
     return digest_rows(r.outcome_tuple() for r in responses)

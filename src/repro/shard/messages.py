@@ -11,7 +11,8 @@ The per-group :class:`GroupOutcome` round-trips every field the
 determinism digest hashes (see :mod:`repro.shard.digest`), so the
 coordinator can merge worker results by request id and produce a digest
 bit-identical to what a single-process replay computes over its own
-:class:`~repro.cluster.router.ClusterResponse` list.
+responses: each row is one routed
+:class:`~repro.serving.frontend.ServingResponse`'s ``outcome_tuple()``.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def _intern(values: "list[str | None]") -> "tuple[np.ndarray, tuple[str, ...]]":
 def encode_outcomes(
     group: int, responses, telemetry: dict, utilization: dict
 ) -> GroupOutcome:
-    """Pack resolved :class:`ClusterResponse`\\ s into one outcome block."""
+    """Pack resolved routed responses' outcome tuples into one block."""
     rids = np.empty(len(responses), dtype=np.int64)
     end_s = np.empty(len(responses), dtype=np.float64)
     statuses: "list[str | None]" = []

@@ -101,7 +101,7 @@ class FleetTelemetry:
     def __len__(self) -> int:
         return len(self._nodes)
 
-    # -- availability / goodput --------------------------------------------
+    # -- availability ------------------------------------------------------
 
     def mark_node_down(self, name: str, now: float) -> None:
         """A node left service involuntarily at virtual ``now``."""
@@ -134,18 +134,6 @@ class FleetTelemetry:
             return 1.0
         total_down = sum(self.downtime_s(name, now) for name in self._nodes)
         return 1.0 - total_down / (len(self._nodes) * float(now))
-
-    def goodput(self) -> float:
-        """Fraction of finally-resolved requests served within their SLO.
-
-        ``(served - violations) / (served + shed)`` — sheds of every kind
-        (admission, deadline, retry budget) count against it, late answers
-        too.  1.0 before any request resolves.
-        """
-        resolved = self.n_served + self.n_shed
-        if not resolved:
-            return 1.0
-        return (self.n_served - self.n_violations) / resolved
 
     # -- cluster counters --------------------------------------------------
 

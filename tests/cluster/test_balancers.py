@@ -1,9 +1,11 @@
 """Balancing policies over stub nodes: pure policy logic, no fleet needed.
 
 The stubs expose exactly the surface the policies are documented to read
-— :attr:`routable`, the frontend's load counters (``queued``,
-``outstanding``, ``outstanding_samples``) and the backlog's
-``estimate_completion`` — so these tests also pin that contract.
+— the frontend's load counters (``queued``, ``outstanding``,
+``outstanding_samples``) and the backlog's ``estimate_completion`` — so
+these tests also pin that contract.  Which nodes a policy may pick is the
+router's call (its routable set); that filter is tested through a real
+router here.
 """
 
 import pytest
@@ -11,9 +13,11 @@ import pytest
 from repro.errors import SchedulerError
 from repro.cluster import (
     BALANCERS,
+    ClusterRouter,
     JoinShortestQueueBalancer,
     LeastECTBalancer,
     LeastOutstandingBalancer,
+    NodeSpec,
     NodeState,
     PowerOfTwoBalancer,
     RoundRobinBalancer,
@@ -21,6 +25,7 @@ from repro.cluster import (
 )
 from repro.nn.zoo import SIMPLE
 from repro.workloads.requests import InferenceRequest
+from tests.cluster.conftest import build_fleet
 
 REQUEST = InferenceRequest(request_id=0, arrival_s=0.0, model="simple", batch=8)
 
@@ -50,10 +55,6 @@ class StubNode:
         self.state = state
         self.frontend = StubFrontend(ect_s, outstanding, samples)
 
-    @property
-    def routable(self):
-        return self.state is NodeState.ACTIVE
-
 
 def choose(balancer, nodes):
     return balancer.choose(nodes, REQUEST, SIMPLE, now=0.0)
@@ -62,22 +63,29 @@ def choose(balancer, nodes):
 # -- the shared choose() contract --------------------------------------------
 
 def test_choose_raises_with_no_active_node():
-    nodes = [StubNode("a", NodeState.DRAINING), StubNode("b", NodeState.STANDBY)]
+    # An empty routable set: the router found no active node.
     with pytest.raises(SchedulerError, match="no active node"):
-        choose(RoundRobinBalancer(), nodes)
+        choose(RoundRobinBalancer(), [])
 
 
 @pytest.mark.parametrize("name", sorted(BALANCERS))
-def test_choose_filters_unroutable_nodes(name):
-    # The busy active node must win over idle draining/standby ones.
-    nodes = [
-        StubNode("draining", NodeState.DRAINING),
-        StubNode("busy", outstanding=50, samples=5000, ect_s=9.0),
-        StubNode("standby", NodeState.STANDBY),
-    ]
-    balancer = make_balancer(name, rng=0)
-    for _ in range(10):
-        assert choose(balancer, nodes).name == "busy"
+def test_choose_filters_unroutable_nodes(serving_predictors, name):
+    # The router's routable set is the one filter: the active node takes
+    # every request although the draining and standby ones stay idle.
+    fleet = build_fleet(
+        serving_predictors,
+        node_specs=(
+            NodeSpec("draining"), NodeSpec("active"),
+            NodeSpec("standby", active=False),
+        ),
+    )
+    fleet[0].start_drain()   # idle, so it would finish; it stays DRAINING
+    router = ClusterRouter(fleet, balancer=make_balancer(name, rng=0))
+    for i in range(10):
+        router.submit("simple", 512, arrival_s=i * 1e-4)
+    router.run()
+    assert fleet[0].state is NodeState.STANDBY   # swept once the loop ran
+    assert [r.node_name for r in router.result().responses] == ["active"] * 10
 
 
 # -- per-policy behavior -----------------------------------------------------

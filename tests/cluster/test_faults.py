@@ -10,7 +10,9 @@ the whole chaos scenario across reruns.
 
 import pytest
 
-from repro.cluster import Autoscaler, AutoscalerConfig, ClusterRouter, NodeState
+from repro.cluster import (
+    Autoscaler, AutoscalerConfig, ClusterResult, ClusterRouter, NodeState,
+)
 from repro.errors import SchedulerError
 from repro.faults import (
     BreakerState,
@@ -20,9 +22,10 @@ from repro.faults import (
     ResilienceConfig,
     RetryPolicy,
 )
-from repro.serving import SLOConfig
+from repro.serving import ServingResponse, SLOConfig
 from repro.telemetry.fleet import FleetTelemetry
 from repro.telemetry.serving import ServingTelemetry
+from repro.workloads.requests import InferenceRequest
 from tests.cluster.conftest import build_fleet
 from tests.serving.conftest import build_scheduler
 from tests.serving.test_frontend import make_frontend
@@ -428,12 +431,23 @@ class TestAvailabilityGoodput:
         assert ft.downtime_s("a", 10.0) == pytest.approx(2.0)
 
     def test_goodput_counts_sheds_and_violations(self):
-        ft = FleetTelemetry()
-        t = ServingTelemetry()
-        ft.attach("a", t)
-        assert ft.goodput() == 1.0
-        t.n_served, t.n_shed, t.n_violations = 8, 2, 1
-        assert ft.goodput() == pytest.approx(0.7)
+        # Goodput lives on the outcome aggregate: 8 served (1 late) and
+        # 2 shed out of 10 resolved; a still-pending request is not counted.
+        assert ClusterResult().goodput() == 1.0
+        responses = []
+        for i in range(11):
+            r = ServingResponse(
+                InferenceRequest(i, 0.0, "simple", 1, deadline_s=1.0)
+            )
+            if i < 2:
+                r.resolve("shed", "queue_full")
+            elif i < 10:
+                r.end_s = 2.0 if i == 2 else 0.5
+                r.resolve("ok")
+            responses.append(r)
+        result = ClusterResult(responses=responses)
+        assert result.goodput() == pytest.approx(0.7)
+        assert result.n_violations == 1 and len(result.shed) == 2
 
     def test_snapshot_gates_resilience_block(self):
         ft = FleetTelemetry()

@@ -1,9 +1,10 @@
 """Running ledger and load counters equal a recount of what they count.
 
 ``goodput()`` and ``n_pending`` read counters updated once per response
-at its single resolution point (``ClusterResponse._fire_done``), not by
+at its single resolution point (``ServingResponse.resolve``), not by
 scanning the ledger.  A recount after retries, crashes and drains — and
-mid-run, while work is still pending — must agree exactly.  The same
+mid-run, while work is still pending — must agree exactly, and so must
+the outcome aggregate's ``result().goodput()``.  The same
 holds one layer down for each frontend's ``queued`` / ``outstanding`` /
 ``outstanding_samples`` against its queues and in-flight ledgers.
 """
@@ -35,7 +36,7 @@ def recount(router) -> "tuple[int, float]":
 def assert_counters_match(router) -> None:
     pending, goodput = recount(router)
     assert router.n_pending == pending
-    assert router.goodput() == goodput
+    assert router.goodput() == goodput == router.result().goodput()
 
 
 def test_counters_match_after_faults_and_retries(serving_predictors):
@@ -146,3 +147,4 @@ def test_load_counters_match_a_recount_at_every_event(serving_predictors):
         for d in full_b.backlog.scheduler.context.devices
     ) >= 1
     assert all(fe.outstanding == 0 for fe in (n.frontend for n in nodes))
+    assert_counters_match(router)

@@ -52,18 +52,19 @@ def request(rid: int, t: float, batch: int = 8, model: str = "simple"):
 def replay(predictors, monkeypatch, router_cls, ingest, requests, arm=None):
     """One replay: its signature, event log and scheduled-arrival ids."""
     scheduled = []
-    schedule_arrival = ServingFrontend._schedule_arrival
+    deliver = ServingFrontend.deliver
 
-    def recording(frontend, req, data):
-        scheduled.append(req.request_id)
-        return schedule_arrival(frontend, req, data)
+    def recording(frontend, entry, _loop=None, est_delay=None):
+        if _loop is not None:   # fired as the node's own arrival event
+            scheduled.append(entry.request.request_id)
+        return deliver(frontend, entry, _loop, est_delay)
 
     router = router_cls(
         build_fleet(predictors, NODES, default_slo=SLO),
         balancer="least-ect", resilience=RESILIENCE,
     )
     with monkeypatch.context() as patch:
-        patch.setattr(ServingFrontend, "_schedule_arrival", recording)
+        patch.setattr(ServingFrontend, "deliver", recording)
         with recorded_resolutions() as log:
             if ingest == "submit":
                 for r in requests:

@@ -90,7 +90,6 @@ def test_inactive_spec_starts_standby(serving_predictors):
     )
     assert fleet[0].state is NodeState.ACTIVE
     assert fleet[1].state is NodeState.STANDBY
-    assert fleet[0].routable and not fleet[1].routable
 
 
 # -- load counters lifecycle -------------------------------------------------

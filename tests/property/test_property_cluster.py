@@ -5,9 +5,11 @@
   lost, never double-counted by the fleet's telemetry);
 * conservation — for every balancing policy, served + shed == submitted;
 * the no-traffic-to-drains invariant — power-of-two-choices (the only
-  randomized policy) can never return a non-routable node.
+  randomized policy), sampling the router's routable set, can never
+  return a non-routable node.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,6 +113,15 @@ def test_every_policy_conserves(serving_predictors, steps, policy):
     assert_exactly_once(router, len(steps))
 
 
+@pytest.fixture(scope="module")
+def six_nodes(serving_predictors):
+    """Six real nodes whose states each example sets afresh."""
+    return build_fleet(
+        serving_predictors,
+        node_specs=tuple(NodeSpec(f"n{i}") for i in range(6)),
+    )
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     states=st.lists(
@@ -118,20 +129,19 @@ def test_every_policy_conserves(serving_predictors, steps, policy):
         min_size=2,
         max_size=6,
     ),
-    loads=st.lists(st.integers(min_value=0, max_value=1000), min_size=6, max_size=6),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_power_of_two_never_picks_unroutable(states, loads, seed):
+def test_power_of_two_never_picks_unroutable(six_nodes, states, seed):
+    # The router's routable set is the only filter; p2c samples within it.
     if not any(s is NodeState.ACTIVE for s in states):
-        states = states + [NodeState.ACTIVE]
-    nodes = [
-        StubNode(f"n{i}", state=state, samples=loads[i % len(loads)])
-        for i, state in enumerate(states)
-    ]
+        states = states[:-1] + [NodeState.ACTIVE]
+    nodes = six_nodes[: len(states)]
+    for node, state in zip(nodes, states):
+        node.state = state
     p2c = PowerOfTwoBalancer(rng=seed)
+    router = ClusterRouter(nodes, balancer=p2c)
     for _ in range(10):
-        chosen = p2c.choose(nodes, REQUEST, SIMPLE, now=0.0)
-        assert chosen.routable
+        chosen = p2c.choose(router.routable_nodes(), REQUEST, SIMPLE, now=0.0)
         assert chosen.state is NodeState.ACTIVE
 
 

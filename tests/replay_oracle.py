@@ -24,8 +24,9 @@ resolution hooks fired.
 """
 
 from contextlib import contextmanager
+from functools import partial
 
-from repro.cluster.router import ClusterResponse, ClusterRouter
+from repro.cluster.router import ClusterRouter
 from repro.serving import ServingResult
 from repro.serving.frontend import ServingResponse
 
@@ -37,7 +38,7 @@ class TwoEventRouter(ClusterRouter):
         request = response.request
         active = self.routable_nodes()
         if not active:
-            response.mark_shed("no_active_node")
+            response.resolve("shed", "no_active_node")
             detail = f"request {request.request_id}"
             if why is not None:
                 detail += f" ({why}, no target)"
@@ -46,48 +47,39 @@ class TwoEventRouter(ClusterRouter):
         spec = self.specs[request.model]
         node = self.balancer.choose(active, request, spec, self.loop.now)
         frontend = node.frontend
+        response.node_name = node.name
+        response.n_routes += 1
         if entry is None:
-            inner = frontend.submit_request(request, x)
+            entry = frontend.register_request(response, x)
+            self.loop.schedule(
+                self.loop.now, partial(frontend.deliver, entry), label="arrive"
+            )
         else:
-            inner = frontend.readmit(entry)
-        response.bind(node.name, inner)
+            frontend.readmit(entry, response)
         self._arm_timeout(response)
         return node
 
 
 @contextmanager
 def recorded_resolutions():
-    """Log every resolution, in the order the resolution hooks fire.
+    """Log every resolution, in the order the resolutions happen.
 
-    Wraps ``_fire_done`` of both response classes while the block runs
-    and yields the log: ``(layer, request_id, status, shed_reason)`` per
-    firing, ``layer`` being 'node' or 'fleet'.
+    Wraps :meth:`ServingResponse.resolve`, the one resolution point,
+    while the block runs and yields the log: ``(request_id, status,
+    shed_reason)`` per resolution, one per request.
     """
     log = []
-    originals = {
-        "node": ServingResponse._fire_done,
-        "fleet": ClusterResponse._fire_done,
-    }
+    resolve = ServingResponse.resolve
 
-    def recording(layer):
-        fire = originals[layer]
+    def recording(response, status, shed_reason=None):
+        log.append((response.request.request_id, status, shed_reason))
+        resolve(response, status, shed_reason)
 
-        def _fire_done(response):
-            log.append((
-                layer, response.request.request_id, response.status,
-                response.shed_reason,
-            ))
-            fire(response)
-
-        return _fire_done
-
-    ServingResponse._fire_done = recording("node")
-    ClusterResponse._fire_done = recording("fleet")
+    ServingResponse.resolve = recording
     try:
         yield log
     finally:
-        ServingResponse._fire_done = originals["node"]
-        ClusterResponse._fire_done = originals["fleet"]
+        ServingResponse.resolve = resolve
 
 
 def serve_per_request(frontend, trace) -> ServingResult:
@@ -149,17 +141,13 @@ def cluster_signature(result, router=None, resolutions=None):
     With ``router``, also every node's per-model admission counters;
     with ``resolutions``, the logged order of resolution-hook firings.
     """
-    rows = []
-    for r in result.responses:
-        inner = r.inner
-        rows.append((
+    rows = [
+        (
             r.request.request_id, r.status, r.node_name, r.n_routes,
-            r.shed_reason,
-            None if inner is None else inner.device,
-            None if inner is None else inner.device_name,
-            None if inner is None else inner.end_s,
-            None if inner is None else inner.energy_j,
-        ))
+            r.shed_reason, r.device, r.device_name, r.end_s, r.energy_j,
+        )
+        for r in result.responses
+    ]
     signature = (rows, result.telemetry.snapshot())
     if router is not None:
         signature += ({

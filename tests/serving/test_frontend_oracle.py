@@ -12,7 +12,7 @@ accelerator repartitioning mid-flood.
 import pytest
 
 from repro.nn.zoo import MNIST_SMALL, SIMPLE
-from repro.serving import ServingFrontend, SLOConfig
+from repro.serving import ServingFrontend, ServingResponse, SLOConfig
 from repro.workloads import (
     FlashCrowdStream,
     MixedTrace,
@@ -119,19 +119,20 @@ class TestOracleEquivalence:
                 build_scheduler(serving_predictors), SERVING_SPECS,
                 default_slo=SLO,
             )
-            pairs = [fe.register_request(r) for r in requests]
+            responses = [ServingResponse(r) for r in requests]
+            entries = [fe.register_request(r) for r in responses]
             if batched:
                 assert fe.begin_arrival_batch()
                 assert not fe.begin_arrival_batch()  # already armed
             try:
-                for _, entry in pairs:
+                for entry in entries:
                     fe.deliver(entry)
             finally:
                 if batched:
                     fe.end_arrival_batch()
             fe.run()
             assert fe.n_pending == 0
-            return [(r.status, r.device, r.end_s) for r, _ in pairs]
+            return [(r.status, r.device, r.end_s) for r in responses]
 
         assert run_once(batched=False) == run_once(batched=True)
 
