@@ -2,6 +2,10 @@
 
 PY ?= python
 
+# Every target imports the in-tree package; an outer PYTHONPATH is kept
+# after it.
+export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 .PHONY: install test loc bench bench-full bench-wallclock bench-million bench-sharded bench-drift profile-cluster repro examples serve-demo cluster-demo cascade-demo chaos-demo partition-demo million-demo sharded-demo drift-demo
 
 install:
@@ -24,16 +28,16 @@ bench-full:
 # Wall-clock hot-path trajectory: regenerates BENCH_hotpaths.json at the
 # repo root and enforces the perf floors (forest >=5x, warm sweep >=10x).
 bench-wallclock:
-	PYTHONPATH=src $(PY) benchmarks/wallclock/run.py --out BENCH_hotpaths.json
-	PYTHONPATH=src $(PY) benchmarks/wallclock/check.py BENCH_hotpaths.json
+	$(PY) benchmarks/wallclock/run.py --out BENCH_hotpaths.json
+	$(PY) benchmarks/wallclock/check.py BENCH_hotpaths.json
 
 # Million-request replay alone: the seeded production trace (MMPP +
 # flash crowd + sessions) through serve_trace's batched dispatch, with the
 # determinism digest and throughput floor enforced.
 bench-million:
-	PYTHONPATH=src $(PY) benchmarks/wallclock/run.py --only million \
+	$(PY) benchmarks/wallclock/run.py --only million \
 		--out bench_million.json
-	PYTHONPATH=src $(PY) benchmarks/wallclock/check.py bench_million.json \
+	$(PY) benchmarks/wallclock/check.py bench_million.json \
 		--sections million
 
 # Sharded replay alone: the same million trace partitioned across 4
@@ -41,24 +45,24 @@ bench-million:
 # digest invariance across worker counts and the 2x throughput floor
 # enforced.
 bench-sharded:
-	PYTHONPATH=src $(PY) benchmarks/wallclock/run.py --only sharded \
+	$(PY) benchmarks/wallclock/run.py --only sharded \
 		--out bench_sharded.json
-	PYTHONPATH=src $(PY) benchmarks/wallclock/check.py bench_sharded.json \
+	$(PY) benchmarks/wallclock/check.py bench_sharded.json \
 		--sections sharded
 
 # Drift bench alone: the silent 16x dGPU throttle campaign run with the
 # frozen predictor and the online refresh layer, with the goodput-ratio
 # floor (>=1.15x) and the seeded-replay digest gate enforced.
 bench-drift:
-	PYTHONPATH=src $(PY) benchmarks/wallclock/run.py --only drift \
+	$(PY) benchmarks/wallclock/run.py --only drift \
 		--out bench_drift.json
-	PYTHONPATH=src $(PY) benchmarks/wallclock/check.py bench_drift.json \
+	$(PY) benchmarks/wallclock/check.py bench_drift.json \
 		--sections drift
 
 # cProfile the cluster request path (the 4-node overload bench) and dump
 # raw stats to cluster.prof for pstats/snakeviz.
 profile-cluster:
-	PYTHONPATH=src $(PY) benchmarks/wallclock/run.py --only cluster \
+	$(PY) benchmarks/wallclock/run.py --only cluster \
 		--profile cluster.prof --out /dev/null
 
 # Regenerate every artifact into results/ (one text file each + sweep CSVs).

@@ -30,8 +30,7 @@ from repro.sched.dispatcher import Dispatcher
 from repro.sched.policies import Policy
 from repro.sched.predictor import DevicePredictor
 from repro.sched.scheduler import OnlineScheduler
-from repro.serving.frontend import ServingFrontend, SLOConfig
-from repro.serving.queues import QueueEntry
+from repro.serving.frontend import ServingFrontend, ServingResponse, SLOConfig
 from repro.sim.engine import EventLoop
 
 __all__ = ["NodeState", "NodeSpec", "ClusterNode", "build_node", "make_fleet"]
@@ -185,11 +184,11 @@ class ClusterNode:
         self._pre_crash_state = None
         return restored
 
-    def start_drain(self) -> "list[QueueEntry]":
+    def start_drain(self) -> "list[ServingResponse]":
         """Leave the serving set gracefully.
 
-        Queued (not yet dispatched) requests are popped and returned for
-        the router to re-route; in-flight batches stay and finish on this
+        Queued (not yet dispatched) requests' handles are popped and
+        returned for the router to re-route; in-flight batches stay and finish on this
         node.  The node reaches ``standby`` once the last one completes
         (see :meth:`finish_drain_if_idle`).
         """

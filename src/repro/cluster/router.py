@@ -42,7 +42,6 @@ from repro.faults.breaker import BreakerState, CircuitBreaker
 from repro.faults.config import ResilienceConfig
 from repro.rng import ensure_rng
 from repro.serving.frontend import ServingFrontend, ServingResponse, ServingResult
-from repro.serving.queues import QueueEntry
 from repro.sim.engine import TraceCursor, check_arrival_order
 from repro.telemetry.fleet import FleetTelemetry
 from repro.workloads.requests import InferenceRequest, RequestTrace
@@ -140,7 +139,7 @@ class ClusterRouter:
         self.events: "list[ClusterEvent]" = []
         self.n_rerouted = 0
         self._responses: "list[ServingResponse]" = []
-        self._by_id: "dict[int, ServingResponse]" = {}
+        self._ids: "set[int]" = set()   # every ledgered request id
         self._seq = 0
         self._n_resolved = 0  # ledger counters: ServingResponse.resolve
         self._n_good = 0
@@ -235,50 +234,56 @@ class ClusterRouter:
         is due then (see :meth:`_place`).  Request ids must be unique per
         router (they key the exactly-once ledger).
         """
-        response = self._register(request)
-        self.loop.schedule(
-            request.arrival_s,
-            partial(self._place, response, None, x, None),
-            label="route",
-        )
-        return response
-
-    def _register(self, request: InferenceRequest) -> ServingResponse:
-        """Validate and enter a request into the exactly-once ledger."""
-        if request.model not in self.specs:
-            known = ", ".join(sorted(self.specs)) or "<none>"
-            raise SchedulerError(
-                f"model {request.model!r} is not served; deployed: {known}"
-            )
-        if request.request_id in self._by_id:
-            raise SchedulerError(
-                f"duplicate request_id {request.request_id} "
-                "(the router's exactly-once ledger is keyed by id)"
-            )
         if request.arrival_s < self.loop.now:
             raise SchedulerError(
                 f"cannot submit into the past: arrival {request.arrival_s} "
                 f"< now={self.loop.now}"
             )
-        response = ServingResponse(request, ledger=self)
-        self._by_id[request.request_id] = response
-        self._responses.append(response)
-        self._seq = max(self._seq, request.request_id + 1)
+        (response,) = self._register((request,), (request.arrival_s,))
+        response.x = x
+        self.loop.schedule(
+            request.arrival_s, partial(self._place, response, None),
+            label="route",
+        )
         return response
 
+    def _register(self, requests, times) -> "list[ServingResponse]":
+        """Check a batch of requests whole, then ledger one handle each.
+
+        Nothing is ledgered unless every model is deployed, no id repeats
+        (within the batch or against the ledger) and ``times``, the
+        arrivals, are non-decreasing from the loop's clock.
+        """
+        unknown = sorted({r.model for r in requests}.difference(self.specs))
+        if unknown:
+            known = ", ".join(sorted(self.specs)) or "<none>"
+            raise SchedulerError(
+                f"model {unknown[0]!r} is not served; deployed: {known}"
+            )
+        ids = [request.request_id for request in requests]
+        unique = set(ids)
+        if len(unique) != len(ids) or not unique.isdisjoint(self._ids):
+            seen = set(self._ids)   # the first id seen twice (add is None)
+            rid = next(i for i in ids if i in seen or seen.add(i))
+            raise SchedulerError(
+                f"duplicate request_id {rid} "
+                "(the router's exactly-once ledger is keyed by id)"
+            )
+        check_arrival_order(times, self.loop.now)
+        responses = [ServingResponse(request, self) for request in requests]
+        self._ids |= unique
+        self._responses.extend(responses)
+        self._seq = max(self._seq, max(ids, default=-1) + 1)
+        return responses
+
     def _place(
-        self,
-        response: ServingResponse,
-        entry: "QueueEntry | None",
-        x: "np.ndarray | None",
-        why: "str | None",
-        _loop=None,
+        self, response: ServingResponse, why: "str | None", _loop=None
     ) -> "ClusterNode | None":
         """The one placement step: choose a node, hand over, watch.
 
         The handle names the node and counts the route before the node
         sees it, so a resolution inside the hand-over reports where it
-        happened.  ``entry`` None is a first route, made in the request's
+        happened.  ``why`` None is a first route, made in the request's
         route event.  When no other live event is due at this instant
         (:meth:`~repro.sim.engine.EventLoop.due_now`), the node's arrival
         event would be the very next to fire, so the arrival runs here,
@@ -288,8 +293,8 @@ class ClusterRouter:
         Either way the event order and every outcome are the same; only
         the event count differs.
 
-        A non-None ``entry`` is a re-entry (drain, retry, re-adoption)
-        through the node's ``readmit``, on the same handle.  With no routable node the
+        Any other ``why`` (drain, retry) is a re-entry through the node's
+        ``readmit``, on the same handle.  With no routable node the
         request resolves as shed (``no_active_node``), logged with
         ``why`` as context.  Returns the chosen node, or None when shed.
         """
@@ -308,22 +313,23 @@ class ClusterRouter:
         frontend = node.frontend
         response.node_name = node.name
         response.n_routes += 1
-        arriving = None
-        if entry is not None:
-            frontend.readmit(entry, response)
+        arriving = False
+        if why is not None:
+            frontend.readmit(response)
         else:
-            arriving = frontend.register_request(response, x)
+            frontend.register_request(response)
             if self.loop.due_now():
                 self.loop.schedule(
-                    self.loop.now, partial(frontend.deliver, arriving),
+                    self.loop.now, partial(frontend.deliver, response),
                     label="arrive",
                 )
-                arriving = None
+            else:
+                arriving = True
         # Armed before the arrival runs, so the timeout's seq precedes
         # every seq the arrival allocates, as on the scheduled path.
         self._arm_timeout(response)
-        if arriving is not None:
-            frontend.deliver(arriving, est_delay=balancer.probed_delay)
+        if arriving:
+            frontend.deliver(response, est_delay=balancer.probed_delay)
         return node
 
     # -- membership (used by the autoscaler, or directly) ------------------
@@ -344,28 +350,18 @@ class ClusterRouter:
         no active node left it resolves as shed — exactly-once either way.
         """
         node = self.node(name)
-        entries = node.start_drain()
+        drained = node.start_drain()
         self.balancer.invalidate()
-        self._log("drain_start", node.name, f"{len(entries)} re-routed")
-        for entry in entries:
-            self._reroute(entry)
+        self._log("drain_start", node.name, f"{len(drained)} re-routed")
+        for response in drained:
+            target = self._place(response, "drain")
+            if target is not None:
+                self.n_rerouted += 1
+                rid = response.request.request_id
+                self._log("reroute", target.name, f"request {rid}")
         if node.finish_drain_if_idle():
             self._log("drain_complete", node.name)
-        return len(entries)
-
-    def _reroute(self, entry: QueueEntry) -> None:
-        response = self._by_id.get(entry.request.request_id)
-        if response is None:
-            raise SchedulerError(
-                f"drained request {entry.request.request_id} was never "
-                "routed through this router"
-            )
-        node = self._place(response, entry, None, "drain")
-        if node is not None:
-            self.n_rerouted += 1
-            self._log(
-                "reroute", node.name, f"request {entry.request.request_id}"
-            )
+        return len(drained)
 
     def sweep_drains(self) -> int:
         """Flip any fully-landed draining nodes to standby."""
@@ -400,24 +396,21 @@ class ClusterRouter:
         if response.done or response.n_routes != routes:
             return  # resolved, or moved on since arming — stale firing
         node = self.node(response.node_name)
-        entry = node.frontend.cancel_queued(response.request.request_id)
-        if entry is None:
+        if node.frontend.cancel_queued(response.request.request_id) is None:
             # In flight: it will complete (cancelling a launched batch
             # would risk running twice), so just keep watching.
             self._arm_timeout(response)
             return
         self.telemetry.resilience.n_timeouts += 1
         self._log("timeout", node.name, f"request {response.request.request_id}")
-        self._retry_or_shed(entry, response, "timeout")
+        self._retry_or_shed(response, "timeout")
 
-    def _retry_or_shed(
-        self, entry: QueueEntry, response: ServingResponse, reason: str
-    ) -> None:
+    def _retry_or_shed(self, response: ServingResponse, reason: str) -> None:
         """Decide a rescued request's fate: deadline first, then budget.
 
-        The caller must own ``entry`` exclusively (physically removed from
-        wherever it lived) — this either schedules a backoff redelivery or
-        resolves the response as shed, exactly one of the two.
+        The caller must own ``response`` exclusively (physically removed
+        from wherever it lived) — this either schedules a backoff
+        redelivery or resolves it as shed, exactly one of the two.
         """
         retry = self.resilience.retry
         if self._shed_if_late(response, reason):
@@ -431,7 +424,7 @@ class ClusterRouter:
         delay = retry.backoff_s(response.n_routes, self._retry_rng)
         self.telemetry.resilience.n_retries += 1
         self.loop.schedule(
-            self.loop.now + delay, partial(self._redeliver, entry, response),
+            self.loop.now + delay, partial(self._redeliver, response),
             label="retry",
         )
 
@@ -446,23 +439,19 @@ class ClusterRouter:
         self._log("shed", "-", f"request {rid} past deadline ({why})")
         return True
 
-    def _redeliver(
-        self, entry: QueueEntry, response: ServingResponse, _loop=None
-    ) -> None:
-        """Hand a router-held entry to a routable node (retry / re-adopt)."""
+    def _redeliver(self, response: ServingResponse, _loop=None) -> None:
+        """Hand a router-held handle to a routable node (retry / re-adopt)."""
         if self._shed_if_late(response, "backoff"):
             return
-        node = self._place(response, entry, None, "retry")
+        node = self._place(response, "retry")
         if node is not None:
             self.telemetry.resilience.n_redelivered += 1
-            self._log("redeliver", node.name, f"request {entry.request.request_id}")
+            self._log(
+                "redeliver", node.name, f"request {response.request.request_id}"
+            )
 
     def _on_node_failure(
-        self,
-        node: ClusterNode,
-        entry: QueueEntry,
-        response: ServingResponse,
-        reason: str,
+        self, node: ClusterNode, response: ServingResponse, reason: str
     ) -> bool:
         """Frontend hook: one request's launch failed transiently.
 
@@ -471,11 +460,11 @@ class ClusterRouter:
         back for a local node-level shed — e.g. a request that was never
         routed through this router.
         """
-        if self._by_id.get(entry.request.request_id) is not response:
+        if response._ledger is not self:
             return False
         self.telemetry.resilience.n_failures += 1
         self._breakers[node.name].record_failure(self.loop.now)
-        self._retry_or_shed(entry, response, "inference_error")
+        self._retry_or_shed(response, "inference_error")
         return True
 
     # -- resilience: health checks -----------------------------------------
@@ -525,10 +514,10 @@ class ClusterRouter:
         self._log("node_down", node.name, f"{len(lost)} orphaned")
         # Orphans are redelivered immediately — their time already burned
         # on the dead node — subject to the same deadline-first rule.
-        for entry in lost:
-            response = self._by_id.get(entry.request.request_id)
-            if response is not None:
-                self._redeliver(entry, response)
+        # That includes handles submitted straight to the node's frontend:
+        # the limbo holds the handles themselves, so none is left behind.
+        for response in lost:
+            self._redeliver(response)
 
     def _on_breaker_transition(
         self, name: str, now: float, old: BreakerState, new: BreakerState
@@ -623,14 +612,13 @@ class ClusterRouter:
         timestamps in one pass (after one balancer ``prepare`` call); a
         lone arrival is admitted in its route event when nothing else is
         due then (see :meth:`_place`).
-        Arrivals must be non-decreasing and at or after the loop's
-        current time, checked before anything is ledgered; the caller
-        drives the loop.
+        The batch is checked whole before anything is ledgered (see
+        :meth:`_register`): a rejected batch leaves the router as it
+        was.  The caller drives the loop.
         """
         requests = list(requests)
         times = [request.arrival_s for request in requests]
-        check_arrival_order(times, self.loop.now)
-        responses = [self._register(request) for request in requests]
+        responses = self._register(requests, times)
         if responses:
             self.balancer.prepare(self.routable_nodes(), requests)
             TraceCursor(
@@ -682,59 +670,59 @@ class ClusterRouter:
         arrival event.
         """
         if j - i == 1:
-            self._place(responses[i], None, None, None)
+            self._place(responses[i], None)
+            return
+        active = self.routable_nodes()
+        if not active:   # the placement step sheds each one
+            for k in range(i, j):
+                self._place(responses[k], None)
             return
         now = self.loop.now
-        active = self.routable_nodes()
         balancer = self.balancer
+        specs = self.specs
         memo: "dict[tuple[str, int], ClusterNode] | None" = (
             {} if balancer.stateless_choice else None
         )
-        deliveries: "list[tuple[ServingFrontend, QueueEntry]]" = []
+        watch = self.resilience is not None and self.resilience.timeout_s is not None
+        deliveries: "list[tuple[ServingFrontend, ServingResponse]]" = []
         for k in range(i, j):
             response = responses[k]
-            if not active:
-                response.resolve("shed", "no_active_node")
-                self._log(
-                    "route_failed", "-", f"request {response.request.request_id}"
-                )
-                continue
             request = response.request
-            spec = self.specs[request.model]
             if memo is None:
-                node = balancer.choose(active, request, spec, now)
+                node = balancer.choose(active, request, specs[request.model], now)
             else:
                 key = (request.model, request.batch)
                 node = memo.get(key)
                 if node is None:
-                    node = balancer.choose(active, request, spec, now)
-                    memo[key] = node
+                    node = memo[key] = balancer.choose(
+                        active, request, specs[request.model], now
+                    )
             frontend = node.frontend
             response.node_name = node.name
             response.n_routes += 1
-            entry = frontend.register_request(response)
-            self._arm_timeout(response)
-            deliveries.append((frontend, entry))
-        if deliveries:
-            self.loop.schedule(
-                now, partial(self._deliver_run, deliveries), label="arrive"
-            )
+            frontend.register_request(response)
+            if watch:
+                self._arm_timeout(response)
+            deliveries.append((frontend, response))
+        self.loop.schedule(
+            now, partial(self._deliver_run, deliveries), label="arrive"
+        )
 
     def _deliver_run(
         self,
-        deliveries: "list[tuple[ServingFrontend, QueueEntry]]",
+        deliveries: "list[tuple[ServingFrontend, ServingResponse]]",
         _loop=None,
     ) -> None:
-        """Deliver one run's routed entries, per (frontend, model) segment.
+        """Deliver one run's routed handles, per (frontend, model) segment.
 
         Every distinct frontend in the run opens a delivery run on one
         shared segment list (see
         :meth:`~repro.serving.frontend.ServingFrontend.begin_arrival_batch`):
         simultaneous arrivals of one (model, batch) cell cost one
-        admission probe, admitted entries are pushed in bulk, and
+        admission probe, admitted handles are pushed in bulk, and
         whatever ends a segment early on one frontend (a flush, a
         degrade, a shed's resolution hook) first pushes the pending
-        entries of all of them.
+        handles of all of them.
         """
         run: list = []
         armed = [
@@ -743,8 +731,8 @@ class ClusterRouter:
             if frontend.begin_arrival_batch(run)
         ]
         try:
-            for frontend, entry in deliveries:
-                frontend.deliver(entry)
+            for frontend, response in deliveries:
+                frontend.deliver(response)
         finally:
             for frontend in armed:
                 frontend.end_arrival_batch()

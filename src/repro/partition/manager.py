@@ -5,7 +5,7 @@ running :class:`~repro.serving.frontend.ServingFrontend` and moves it
 between partition modes (1/2/4/8-way) without losing a request:
 
 1. abort the retiring partitions' in-flight launches, collecting each
-   aborted request paired with its still-pending response;
+   aborted request's still-pending handle;
 2. attach the new partitions (warmth carries over; their queue clocks are
    held at ``now + reconfigure_cost_s``, the firmware reconfiguration
    window) *before* detaching the old ones, so the context never empties;
@@ -133,8 +133,8 @@ class PartitionedAccelerator:
         self.n_repartitions += 1
         self.history.append((now, old_mode, mode))
 
-        for entry, response in collected:
-            fe.readmit(entry, response)
+        for response in collected:
+            fe.readmit(response)
         self.n_readmitted += len(collected)
         return len(collected)
 

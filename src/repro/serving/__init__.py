@@ -34,17 +34,10 @@ from repro.serving.frontend import (
     ServingResult,
     SLOConfig,
 )
-from repro.serving.queues import (
-    EDFQueue,
-    FIFOQueue,
-    QueueEntry,
-    RequestQueue,
-    make_queue,
-)
+from repro.serving.queues import EDFQueue, FIFOQueue, RequestQueue, make_queue
 from repro.serving.workers import DeviceWorker
 
 __all__ = [
-    "QueueEntry",
     "RequestQueue",
     "FIFOQueue",
     "EDFQueue",

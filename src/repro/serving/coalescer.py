@@ -12,15 +12,20 @@ fill.  :class:`BatchCoalescer` implements the classic two-trigger rule:
 Whichever fires first wins.  The coalescer is clock-agnostic: the caller
 (the frontend, driven by the event loop) asks :meth:`ready` /
 :meth:`next_flush_at` and calls :meth:`take` — which makes the merge logic
-trivially testable under property-based random traces.
+trivially testable under property-based random traces.  A batch's
+``entries`` are the merged requests' own handles, as the queue held them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.checks import require_count, require_finite
-from repro.serving.queues import QueueEntry, RequestQueue
+from repro.serving.queues import RequestQueue
+
+if TYPE_CHECKING:
+    from repro.serving.frontend import ServingResponse
 
 __all__ = ["CoalescedBatch", "BatchCoalescer"]
 
@@ -38,7 +43,7 @@ class CoalescedBatch:
     """
 
     model: str
-    entries: tuple[QueueEntry, ...]
+    entries: "tuple[ServingResponse, ...]"
     formed_s: float
     trigger: str               # 'full' | 'timeout' | 'flush'
     total_samples: int = field(init=False)

@@ -64,8 +64,8 @@ from repro.sched.policies import Policy
 from repro.sched.scheduler import OnlineScheduler
 from repro.serving.admission import AdmissionController, AdmissionDecision
 from repro.serving.coalescer import BatchCoalescer, CoalescedBatch
-from repro.serving.outcomes import Outcomes, in_slo, meets_deadline
-from repro.serving.queues import QueueEntry, RequestQueue, make_queue
+from repro.serving.outcomes import Outcomes, meets_deadline
+from repro.serving.queues import RequestQueue, make_queue
 from repro.serving.workers import DeviceWorker
 from repro.sim.engine import EventLoop, TraceCursor, check_arrival_order
 from repro.telemetry.serving import ServingTelemetry
@@ -134,7 +134,7 @@ IMMEDIATE_DISPATCH = SLOConfig(
 class _Segment:
     """One model's share of a same-instant delivery run on one frontend.
 
-    ``pending`` holds entries admitted in the run and not yet pushed;
+    ``pending`` holds handles admitted in the run and not yet pushed;
     ``room`` (places left in the queue) and ``samples`` (samples queued
     plus pending) count them and are only meaningful while ``pending``
     is non-empty — an empty segment reads both off the queue afresh.
@@ -146,12 +146,12 @@ class _Segment:
     telemetry: ServingTelemetry
     capacity: int                 # max_queue_depth; sys.maxsize if unbounded
     max_batch: int
-    pending: "list[QueueEntry]" = field(default_factory=list)
+    pending: "list[ServingResponse]" = field(default_factory=list)
     room: int = 0
     samples: int = 0
 
     def materialize(self) -> None:
-        """Push the pending entries in one go and record the new depth."""
+        """Push the pending handles in one go and record the new depth."""
         queue = self.queue
         queue.push_many(self.pending)
         self.pending.clear()
@@ -164,6 +164,12 @@ class ServingResponse:
     Starts 'pending'; resolves to 'ok' when its batch completes or 'shed'
     when admission (or the cluster router) refuses it.  Degraded requests
     resolve 'ok' with :attr:`degraded` set.
+
+    The handle is also the request's queue entry: queues, coalesced
+    batches and the crash limbo hold it directly.  The frontend that owns
+    it stamps :attr:`enqueued_s` and :attr:`seq` (its submission order
+    there) when it registers or readmits the handle, never while the
+    handle is queued; :attr:`x` holds the host samples until resolution.
 
     A routed request keeps this handle across every drain, retry and
     crash re-adoption: the router creates it, sets :attr:`node_name` and
@@ -178,12 +184,13 @@ class ServingResponse:
         "request", "status", "node_name", "n_routes", "device", "device_name",
         "gpu_state", "trigger", "batch_id", "batch_size", "dispatched_s",
         "start_s", "end_s", "energy_j", "scores", "degraded", "shed_reason",
-        "on_done", "_ledger",
+        "on_done", "_ledger", "enqueued_s", "seq", "x",
     )
 
     def __init__(self, request: InferenceRequest, ledger=None):
         self.request = request
         self.status = "pending"
+        self.enqueued_s = self.seq = self.x = None  # see the class docstring
         self.node_name: "str | None" = None       # routed: the serving node
         self.n_routes = 0                         # routed: placements so far
         self.device: "str | None" = None          # device-class value
@@ -202,13 +209,15 @@ class ServingResponse:
         self.on_done: "Callable[[ServingResponse], None] | None" = None
         self._ledger = ledger   # router whose counters the resolution moves
 
-    def resolve(self, status: str, shed_reason: "str | None" = None) -> None:
+    def resolve(self, status: str, shed_reason: "str | None" = None) -> bool:
         """The one resolution point: leave 'pending' as 'ok' or 'shed'.
 
-        Served fields are set before the call.  Moves the owning router's
-        ledger counters, then fires (and consumes) ``on_done``.  A second
-        resolution raises: every move path takes the request off its old
-        frontend before handing it on, so no stale attempt stays live.
+        Served fields are set before the call.  Drops the host samples,
+        moves the owning router's ledger counters, then fires (and
+        consumes) ``on_done``; returns whether a served request missed its
+        deadline, the one verdict both ledgers count.  A second resolution
+        raises: every move path takes the request off its old frontend
+        before handing it on, so no stale attempt stays live.
         """
         if self.status != "pending":
             raise SchedulerError(
@@ -217,14 +226,20 @@ class ServingResponse:
             )
         self.status = status
         self.shed_reason = shed_reason
+        self.x = None
+        late = (
+            status == "ok"
+            and meets_deadline(self.end_s, self.request.deadline_s) is False
+        )
         ledger = self._ledger
         if ledger is not None:
             ledger._n_resolved += 1
-            ledger._n_good += in_slo(self)
+            ledger._n_good += status == "ok" and not late
         hook = self.on_done
         if hook is not None:
             self.on_done = None
             hook(self)
+        return late
 
     @property
     def done(self) -> bool:
@@ -233,6 +248,21 @@ class ServingResponse:
     @property
     def served(self) -> bool:
         return self.status == "ok"
+
+    @property
+    def batch(self) -> int:
+        """Samples in this request."""
+        return self.request.batch
+
+    @property
+    def deadline_s(self) -> "float | None":
+        """Absolute completion deadline (None = best effort)."""
+        return self.request.deadline_s
+
+    def slack_s(self, now: float) -> float:
+        """Seconds until the deadline (inf without one; negative if past)."""
+        deadline = self.request.deadline_s
+        return float("inf") if deadline is None else deadline - now
 
     @property
     def inner(self) -> "ServingResponse":
@@ -413,14 +443,14 @@ class ServingFrontend:
         # limbo instead of the queues (the process is gone — nobody answers)
         # until a health check collects them for re-adoption elsewhere.
         self.crashed = False
-        self._lost: "dict[int, QueueEntry]" = {}
+        self._lost: "dict[int, ServingResponse]" = {}
         self._dropped: "set[str]" = set()   # device classes out of service
         # Transient-error model (repro.faults.profile.ErrorProfile); draws
         # happen only inside its active windows, so a None/idle profile
         # leaves results digit-identical.
         self.fault_profile = None
-        # Cluster hook: called with (entry, response, reason) when a
-        # request's launch fails; return True to take ownership (retry /
+        # Cluster hook: called with (response, reason) when a request's
+        # launch fails; return True to take ownership (retry /
         # shed at the router), False to let this frontend shed it locally.
         self.on_request_failed = None
 
@@ -492,51 +522,60 @@ class ServingFrontend:
         Requests without a deadline inherit the model's configured default
         SLO, so plain traces can still drive deadline-aware serving.
         """
-        response = self._accept(request)
-        entry = self._register_arrival(response, x)
+        self._require_spec(request.model)
+        if request.arrival_s < self.loop.now:
+            raise SchedulerError(
+                f"cannot submit into the past: arrival {request.arrival_s} "
+                f"< now={self.loop.now}"
+            )
+        response = ServingResponse(self._with_default_deadline(request))
+        response.x = x
+        self._register_arrival(response, request.arrival_s)
         self.loop.schedule(
-            entry.enqueued_s, partial(self._on_arrival, entry), label="arrive"
+            response.enqueued_s, partial(self._on_arrival, response),
+            label="arrive",
         )
         return response
 
-    def register_request(
-        self, response: ServingResponse, x: "np.ndarray | None" = None
-    ) -> QueueEntry:
-        """Register a routed handle; the router delivers the entry itself.
+    def register_request(self, response: ServingResponse) -> None:
+        """Register a routed handle; the router delivers it itself.
 
         The router already validated the request (model, id, arrival
         time), so only the model's default deadline is stamped here.
         Ledger state is that of :meth:`submit_request` minus the heap
         entry; :meth:`deliver` runs the arrival.
         """
-        response.request = self._with_default_deadline(response.request)
-        return self._register_arrival(response, x)
+        request = response.request
+        if request.deadline_s is None:
+            response.request = self._with_default_deadline(request)
+        self._register_arrival(response, request.arrival_s)
 
     def deliver(
-        self, entry: QueueEntry, _loop=None, est_delay: "float | None" = None
+        self, response: ServingResponse, _loop=None,
+        est_delay: "float | None" = None,
     ) -> None:
-        """Process a registered entry's arrival at the current instant.
+        """Process a registered handle's arrival at the current instant.
 
         Outside a run it is the per-request path's arrival event (the
         router schedules it as one when other events are due at this
         instant).  Inside one (between :meth:`begin_arrival_batch` and
-        :meth:`end_arrival_batch`) the entry joins its model's segment:
+        :meth:`end_arrival_batch`) the handle joins its model's segment:
         the shared admission check against the segment's running room
         and sample counts, then an append, or a shed resolved in place.
-        Appended entries reach the queue at the latest when the run
+        Appended handles reach the queue at the latest when the run
         ends; outcomes are those of the per-request path either way.
 
         ``est_delay``, when given, is this frontend's
-        ``estimate_completion`` delay for the entry, probed at this
+        ``estimate_completion`` delay for the request, probed at this
         instant with nothing run since; admission then uses it instead
         of probing again (the cluster router hands over least-ECT's).
         """
         run = self._run
         if run is None or self.crashed:
-            self._on_arrival(entry, est_delay=est_delay)
+            self._on_arrival(response, est_delay=est_delay)
             return
         now = self.loop.now
-        request = entry.request
+        request = response.request
         model = request.model
         batch = request.batch
         if est_delay is None:
@@ -558,18 +597,18 @@ class ServingFrontend:
             room > 0, request.deadline_s, now, est_delay
         )
         if refused is not None:
-            self._refuse(entry, refused)
+            self._refuse(response, refused)
         elif empty:
             # First push into an empty queue: the per-request path, so the
             # flush timer it arms takes the same place in the event order.
-            self._enqueue(model, segment.queue, entry, now)
+            self._enqueue(model, segment.queue, response, now)
         else:
             # The queue is non-empty, so a timer no later than the oldest
             # entry's max wait is already armed; only a full batch needs
             # anything beyond the append.
             if not pending:
                 run.append(segment)
-            pending.append(entry)
+            pending.append(response)
             samples += batch
             if samples >= segment.max_batch:
                 self._flush(model, "full")
@@ -580,10 +619,10 @@ class ServingFrontend:
     def begin_arrival_batch(self, run: "list[_Segment] | None" = None) -> bool:
         """Open a delivery run: arm the estimate memo and the segments.
 
-        ``run`` is the list of segments with entries still to push; a
+        ``run`` is the list of segments with handles still to push; a
         cluster delivery run passes one list to all its frontends, so
         that anything that ends a segment early (a flush, a degrade, a
-        shed's resolution hook) pushes every frontend's pending entries
+        shed's resolution hook) pushes every frontend's pending handles
         first.  Returns True when this call opened the run (the caller
         must then call :meth:`end_arrival_batch`), False when a run is
         already open.
@@ -604,7 +643,8 @@ class ServingFrontend:
     def serve_trace(self, trace: RequestTrace) -> ServingResult:
         """Replay a whole trace through the frontend and drain the loop.
 
-        Arrivals are checked and registered first; a
+        The trace is checked whole first (deployed models, arrival order)
+        and then registered in one pass; a
         :class:`~repro.sim.engine.TraceCursor` then fires one event per
         run of equal timestamps and admits the run through
         :meth:`deliver`, per model segment (see the module docstring).
@@ -613,35 +653,42 @@ class ServingFrontend:
         """
         requests = list(trace)
         times = [request.arrival_s for request in requests]
+        for model in sorted({r.model for r in requests}.difference(self.specs)):
+            self._require_spec(model)   # raises, naming the model
         check_arrival_order(times, self.loop.now)
-        responses = [self._accept(request) for request in requests]
-        entries = [self._register_arrival(r, None) for r in responses]
+        stamp = self._with_default_deadline
+        responses = [ServingResponse(stamp(request)) for request in requests]
+        for response in responses:
+            self._register_arrival(response, response.request.arrival_s)
         TraceCursor(
-            self.loop, times, partial(self._arrive_run, entries), label="arrive"
+            self.loop, times, partial(self._arrive_run, responses),
+            label="arrive",
         ).start()
         self.run()
         return ServingResult(responses=responses, telemetry=self.telemetry)
 
-    def _arrive_run(self, entries: "list[QueueEntry]", i: int, j: int) -> None:
+    def _arrive_run(
+        self, responses: "list[ServingResponse]", i: int, j: int
+    ) -> None:
         """Deliver one run of same-timestamp arrivals synchronously."""
         if j - i == 1:
-            self._on_arrival(entries[i])
+            self._on_arrival(responses[i])
             return
         armed = self.begin_arrival_batch()
         try:
             deliver = self.deliver
             for k in range(i, j):
-                deliver(entries[k])
+                deliver(responses[k])
         finally:
             if armed:
                 self.end_arrival_batch()
 
     def _with_default_deadline(self, request: InferenceRequest) -> InferenceRequest:
         """Stamp the model's configured default SLO on deadline-less requests."""
-        cfg = self.slo_for(request.model)
-        if request.deadline_s is not None or cfg.deadline_s is None:
+        relative = self.slo_for(request.model).deadline_s
+        if request.deadline_s is not None or relative is None:
             return request
-        return replace(request, deadline_s=request.arrival_s + cfg.deadline_s)
+        return replace(request, deadline_s=request.arrival_s + relative)
 
     def run(self, until: "float | None" = None) -> float:
         """Drive the event loop (arrivals, flush timers, completions)."""
@@ -658,50 +705,41 @@ class ServingFrontend:
                 f"model {model!r} is not served; deployed: {known}"
             ) from None
 
-    def _accept(self, request: InferenceRequest) -> ServingResponse:
-        """Validate a direct submission before any state mutates (a stale
-        trace fails cleanly); its handle's request carries the deadline."""
-        self._require_spec(request.model)
-        if request.arrival_s < self.loop.now:
-            raise SchedulerError(
-                f"cannot submit into the past: arrival {request.arrival_s} "
-                f"< now={self.loop.now}"
-            )
-        return ServingResponse(self._with_default_deadline(request))
-
     def _register_arrival(
-        self, response: ServingResponse, data: "np.ndarray | None"
-    ) -> QueueEntry:
-        request = response.request
-        entry = QueueEntry(
-            request=request, enqueued_s=request.arrival_s, seq=self._seq, x=data
-        )
-        self._seq += 1
-        self._pending[entry.seq] = response
-        return entry
+        self, response: ServingResponse, enqueued_s: float
+    ) -> None:
+        """Take a handle into this frontend's ledger: the one place that
+        stamps its ``(enqueued_s, seq)``, always while it is off-queue."""
+        seq = self._seq
+        self._seq = seq + 1
+        response.enqueued_s = enqueued_s
+        response.seq = seq
+        self._pending[seq] = response
 
     def _on_arrival(
-        self, entry: QueueEntry, _loop=None, est_delay: "float | None" = None
+        self, response: ServingResponse, _loop=None,
+        est_delay: "float | None" = None,
     ) -> None:
         if self.crashed:
             # The process is gone: nothing answers, nothing is refused.
-            # The entry waits in limbo until a health check collects it
+            # The handle waits in limbo until a health check collects it
             # (or a timeout rescues it) — exactly one of the two, since
             # both remove it physically.
-            self._lost[entry.seq] = entry
+            self._lost[response.seq] = response
             return
         now = self.loop.now
-        model = entry.request.model
+        request = response.request
+        model = request.model
         queue = self._queues[model]
         if est_delay is None:
-            est_delay = self._estimate(model, entry.batch, now)
+            est_delay = self._estimate(model, request.batch, now)
         decision = self._admission[model].admit(
-            entry.request, queue, now, est_delay_s=est_delay
+            request, queue, now, est_delay_s=est_delay
         )
         if decision.admitted:
-            self._enqueue(model, queue, entry, now)
+            self._enqueue(model, queue, response, now)
         else:
-            self._refuse(entry, decision)
+            self._refuse(response, decision)
 
     def _estimate(self, model: str, batch: int, now: float) -> "float | None":
         """The admission estimate, through the run's memo when one is open."""
@@ -718,29 +756,33 @@ class ServingFrontend:
         return est_delay
 
     def _enqueue(
-        self, model: str, queue: RequestQueue, entry: QueueEntry, now: float
+        self, model: str, queue: RequestQueue, response: ServingResponse,
+        now: float,
     ) -> None:
-        """Push one admitted entry; dispatch a full batch or arm its timer."""
-        queue.push(entry)
+        """Push one admitted handle; dispatch a full batch or arm its timer."""
+        queue.push(response)
         self.telemetry.record_depth(model, len(queue))
         if self._coalescers[model].ready(now) == "full":
             self._flush(model, "full")
         else:
             self._arm_timer(model)
 
-    def _refuse(self, entry: QueueEntry, decision: AdmissionDecision) -> None:
+    def _refuse(
+        self, response: ServingResponse, decision: AdmissionDecision
+    ) -> None:
         """Resolve a refused arrival: shed it, or degrade it."""
         if decision.action == "degrade":
             self.telemetry.n_degraded += 1
-            self._run_degraded(entry)
+            self._run_degraded(response)
             return
         if self._run:
             # The resolution hook may look at any queue of the run.
             self._materialize_run()
-        self._shed(self._pending.pop(entry.seq), decision.reason)
+        del self._pending[response.seq]
+        self._shed(response, decision.reason)
 
     def _materialize_run(self) -> None:
-        """Push every pending entry of the open delivery run."""
+        """Push every pending handle of the open delivery run."""
         run = self._run
         for segment in run:
             segment.materialize()
@@ -749,9 +791,9 @@ class ServingFrontend:
     # -- coalescing timers -------------------------------------------------
 
     def _arm_timer(self, model: str) -> None:
-        """Schedule the max-wait flush for the oldest queued entry.
+        """Schedule the max-wait flush for the oldest queued handle.
 
-        Entries only leave the queue at flushes, so an armed timer is never
+        Handles only leave the queue at flushes, so an armed timer is never
         *later* than needed; stale (too-early) firings re-arm themselves.
         """
         flush_at = self._coalescers[model].next_flush_at()
@@ -806,7 +848,7 @@ class ServingFrontend:
 
     # -- degrade path ------------------------------------------------------
 
-    def _run_degraded(self, entry: QueueEntry) -> None:
+    def _run_degraded(self, response: ServingResponse) -> None:
         """Execute immediately on the cheapest device (no queue, no merge)."""
         now = self.loop.now
         if self._run:
@@ -814,16 +856,10 @@ class ServingFrontend:
         if self._est_memo:
             self._est_memo.clear()
         device = self._cheapest
-        degraded = QueueEntry(
-            request=entry.request,
-            enqueued_s=entry.enqueued_s,
-            seq=entry.seq,
-            x=entry.x,
-            degraded=True,
-        )
+        response.degraded = True
         batch = CoalescedBatch(
-            model=entry.request.model,
-            entries=(degraded,),
+            model=response.request.model,
+            entries=(response,),
             formed_s=now,
             trigger="degrade",
         )
@@ -837,66 +873,69 @@ class ServingFrontend:
         )
         self._workers[device.name].execute(batch, placement)
         self._in_flight += 1
-        self._in_flight_samples += entry.batch
+        self._in_flight_samples += response.request.batch
 
     # -- completion --------------------------------------------------------
 
     def _on_complete(
         self, batch: CoalescedBatch, placement: BacklogDecision, event: Event
     ) -> None:
-        end = event.time_ended
+        """Resolve a landed batch's handles in order (or fail one on a
+        transient-fault draw), then record the served ones once."""
+        end, started = event.time_ended, event.time_started
         scores = event.meta.get("scores")
-        total = batch.total_samples
+        total, energy = batch.total_samples, event.energy.total_j
         batch_id = self._n_batches
         self._n_batches += 1
-        profile = self.fault_profile
+        pending, profile = self._pending, self.fault_profile
+        device, device_name = placement.device, placement.device_name
+        gpu_state, trigger = placement.gpu_state, batch.trigger
+        latencies, lates = [], []
         offset = 0
-        for entry in batch.entries:
-            response = self._pending.pop(entry.seq)
+        for response in batch.entries:
+            del pending[response.seq]
+            request = response.request
+            samples = request.batch
             if profile is not None and profile.draw_failure(end):
-                offset += entry.batch
-                self._fail_request(entry, response, "inference_error")
+                offset += samples
+                self._fail_request(response, "inference_error")
                 continue
-            response.device = placement.device
-            response.device_name = placement.device_name
-            response.gpu_state = placement.gpu_state
-            response.trigger = batch.trigger
+            response.device = device
+            response.device_name = device_name
+            response.gpu_state = gpu_state
+            response.trigger = trigger
             response.batch_id = batch_id
             response.batch_size = total
             response.dispatched_s = batch.formed_s
-            response.start_s = event.time_started
+            response.start_s = started
             response.end_s = end
-            response.energy_j = event.energy.total_j * entry.batch / total
-            response.degraded = entry.degraded
+            response.energy_j = energy * samples / total
             if scores is not None:
-                response.scores = scores[offset : offset + entry.batch]
-            offset += entry.batch
-
-            self.telemetry.n_served += 1
-            latency = end - entry.request.effective_arrival_s
-            self.telemetry.record_latency(latency)
-            violated = meets_deadline(end, response.request.deadline_s) is False
-            if violated:
-                self.telemetry.n_violations += 1
-            if self.tenants is not None:
-                tenant = self.tenants.tenant_for(batch.model)
-                if tenant is not None:
-                    self.telemetry.tenant(tenant.name).record_served(
-                        latency, violated
-                    )
-            response.resolve("ok")
+                response.scores = scores[offset : offset + samples]
+            offset += samples
+            latencies.append(end - request.effective_arrival_s)
+            lates.append(response.resolve("ok"))
 
         self._in_flight -= len(batch.entries)
         self._in_flight_samples -= total
+        if latencies:
+            telemetry = self.telemetry
+            telemetry.record_latency(latencies)
+            telemetry.n_served += len(latencies)
+            telemetry.n_violations += sum(lates)
+            if self.tenants is not None:
+                tenant = self.tenants.tenant_for(batch.model)
+                if tenant is not None:
+                    stats = telemetry.tenant(tenant.name)
+                    for latency, late in zip(latencies, lates):
+                        stats.record_served(latency, late)
 
         self.backlog.record_service(
             batch.model, total, placement.gpu_state, placement.device,
             event.duration_s, now=end,
         )
 
-    def _fail_request(
-        self, entry: QueueEntry, response: ServingResponse, reason: str
-    ) -> None:
+    def _fail_request(self, response: ServingResponse, reason: str) -> None:
         """One request's launch failed transiently.
 
         A cluster router that installed :attr:`on_request_failed` takes
@@ -905,7 +944,7 @@ class ServingFrontend:
         """
         self.telemetry.n_failed += 1
         hook = self.on_request_failed
-        if hook is not None and hook(entry, response, reason):
+        if hook is not None and hook(response, reason):
             return
         self._shed(response, reason)
 
@@ -923,22 +962,22 @@ class ServingFrontend:
     def crash(self) -> None:
         """Fail-stop this frontend, silently (nobody is notified here).
 
-        Queued entries and aborted in-flight work move to the lost limbo;
-        their responses stay pending.  Recovery of the *work* is the
-        cluster layer's job: a health check notices the crash, collects
-        the limbo via :meth:`collect_lost` and re-adopts each entry on a
-        surviving node exactly once.
+        Queued and aborted in-flight handles move to the lost limbo and
+        stay pending.  Recovery of the *work* is the cluster layer's job:
+        a health check notices the crash, collects the limbo via
+        :meth:`collect_lost` and re-adopts each handle on a surviving node
+        exactly once.
         """
         if self.crashed:
             raise SchedulerError("frontend is already crashed")
         self.crashed = True
-        for entry in self.drain_queued():
-            self._lost[entry.seq] = entry
+        for response in self.drain_queued():
+            self._lost[response.seq] = response
         for worker in self._workers.values():
             for batch, _decision in worker.abort_in_flight():
-                for entry in batch.entries:
-                    self._pending.pop(entry.seq, None)
-                    self._lost[entry.seq] = entry
+                for response in batch.entries:
+                    del self._pending[response.seq]
+                    self._lost[response.seq] = response
         self._in_flight = 0
         self._in_flight_samples = 0
         for model in self._timer_at:
@@ -947,22 +986,22 @@ class ServingFrontend:
     def restart(self) -> None:
         """Bring a crashed frontend back up (empty queues, cold timers).
 
-        Un-collected limbo entries stay collectable — a crash shorter than
+        Un-collected limbo handles stay collectable — a crash shorter than
         the heartbeat interval still loses no work.
         """
         if not self.crashed:
             raise SchedulerError("frontend is not crashed")
         self.crashed = False
 
-    def collect_lost(self) -> "list[QueueEntry]":
-        """Take every limboed entry (submission order) for re-adoption.
+    def collect_lost(self) -> "list[ServingResponse]":
+        """Take every limboed handle (submission order) for re-adoption.
 
-        Physically removes the entries, so each can be collected exactly
+        Physically removes the handles, so each can be collected exactly
         once no matter how many sweeps race over the same crash.
         """
-        lost = sorted(self._lost.values(), key=lambda e: e.seq)
-        for entry in lost:
-            self._pending.pop(entry.seq, None)
+        lost = sorted(self._lost.values(), key=lambda r: r.seq)
+        for response in lost:
+            self._pending.pop(response.seq, None)
         self._lost.clear()
         return lost
 
@@ -997,8 +1036,8 @@ class ServingFrontend:
         for name, worker in list(self._workers.items()):
             if worker.device_class != device_class:
                 continue
-            for entry, response in self.abort_device(name):
-                self.readmit(entry, response)
+            for response in self.abort_device(name):
+                self.readmit(response)
                 readmitted += 1
         return readmitted
 
@@ -1034,24 +1073,24 @@ class ServingFrontend:
         if not hit:
             raise SchedulerError(f"no {device_class!r} device on this node")
 
-    def cancel_queued(self, request_id: int) -> "QueueEntry | None":
+    def cancel_queued(self, request_id: int) -> "ServingResponse | None":
         """Pull a still-cancellable request back out (timeout rescue).
 
-        Finds the entry in a serving queue or the crash limbo and removes
+        Finds the handle in a serving queue or the crash limbo and removes
         it physically; returns None when the request is in flight (it will
         complete normally — cancelling would risk double execution) or not
-        here at all.  The caller owns a returned entry exclusively.
+        here at all.  The caller owns a returned handle exclusively.
         """
         for queue in self._queues.values():
-            entry = queue.remove(request_id)
-            if entry is not None:
-                self._pending.pop(entry.seq, None)
-                return entry
-        for seq, entry in self._lost.items():
-            if entry.request.request_id == request_id:
+            response = queue.remove(request_id)
+            if response is not None:
+                self._pending.pop(response.seq, None)
+                return response
+        for seq, response in self._lost.items():
+            if response.request.request_id == request_id:
                 del self._lost[seq]
                 self._pending.pop(seq, None)
-                return entry
+                return response
         return None
 
     def _recompute_degrade_target(self) -> None:
@@ -1087,7 +1126,7 @@ class ServingFrontend:
         """Retire a logical device by exact name.
 
         Refuses while launches are in flight — call :meth:`abort_device`
-        first and :meth:`readmit` the collected pairs after the topology
+        first and :meth:`readmit` the collected handles after the topology
         settles.  Raises if the device is unknown or the last one.
         """
         worker = self.worker_for(device_name)
@@ -1103,21 +1142,20 @@ class ServingFrontend:
         self.backlog.notify_repartition()
         self._recompute_degrade_target()
 
-    def abort_device(
-        self, device_name: str
-    ) -> "list[tuple[QueueEntry, ServingResponse]]":
-        """Abort one device's in-flight launches; collect their requests.
+    def abort_device(self, device_name: str) -> "list[ServingResponse]":
+        """Abort one device's in-flight launches; collect their handles.
 
-        Every aborted entry leaves the in-flight ledger and comes back
-        paired with its handle for :meth:`readmit`.
+        Every aborted handle leaves the in-flight ledger and this
+        frontend's pending ledger, ready for :meth:`readmit`.
         """
         worker = self.worker_for(device_name)
-        collected: "list[tuple[QueueEntry, ServingResponse]]" = []
+        collected: "list[ServingResponse]" = []
         for batch, _decision in worker.abort_in_flight():
-            for entry in batch.entries:
+            for response in batch.entries:
                 self._in_flight -= 1
-                self._in_flight_samples -= entry.batch
-                collected.append((entry, self._pending.pop(entry.seq)))
+                self._in_flight_samples -= response.request.batch
+                del self._pending[response.seq]
+                collected.append(response)
         return collected
 
     def worker_for(self, device_name: str) -> DeviceWorker:
@@ -1132,51 +1170,41 @@ class ServingFrontend:
 
     # -- cluster hooks (drain / transfer) ----------------------------------
 
-    def drain_queued(self) -> "list[QueueEntry]":
+    def drain_queued(self) -> "list[ServingResponse]":
         """Pop every queued request for re-routing elsewhere (drain hook).
 
         In-flight batches are untouched and complete normally — that is the
-        graceful half of a node drain.  Returned entries are forgotten by
-        this frontend (their handles stay pending); the caller hands each
-        one, with its handle, to another frontend's :meth:`readmit`.
+        graceful half of a node drain.  Returned handles are forgotten by
+        this frontend and stay pending; the caller hands each one to
+        another frontend's :meth:`readmit`.
         """
-        drained: list[QueueEntry] = []
+        drained: "list[ServingResponse]" = []
         for model, queue in self._queues.items():
-            if not len(queue):
-                continue
             while len(queue):
-                entry = queue.pop()
-                self._pending.pop(entry.seq, None)
-                drained.append(entry)
+                response = queue.pop()
+                del self._pending[response.seq]
+                drained.append(response)
             self._timer_at[model] = None   # armed timers become stale no-ops
-        drained.sort(key=lambda e: e.seq)  # original submission order
+        drained.sort(key=lambda r: r.seq)  # original submission order
         return drained
 
-    def readmit(
-        self, entry: QueueEntry, response: "ServingResponse | None" = None
-    ) -> ServingResponse:
-        """Re-run arrival here for a request taken off a queue or device.
+    def readmit(self, response: ServingResponse) -> ServingResponse:
+        """Re-run arrival here for a handle taken off a queue or device.
 
         The one re-entry path: the router hands over drained, retried and
-        crash-orphaned entries, and the partition manager and
-        :meth:`drop_device` aborted in-flight work, each with its original
-        handle (``response`` None makes a fresh one, for a caller that
-        kept none).  The original request object — arrival time,
-        absolute deadline — is preserved, so end-to-end latency keeps
-        counting from its first arrival; only the enqueue time resets to
-        now for coalescing.  Admission re-runs, so a full queue here can
-        still shed it (resolved, never lost).
+        crash-orphaned handles, and the partition manager and
+        :meth:`drop_device` aborted in-flight ones.  The request object —
+        arrival time, absolute deadline — is preserved, so end-to-end
+        latency keeps counting from its first arrival; the handle takes
+        this frontend's next ``seq``, its enqueue time resets to now for
+        coalescing, and a degrade elsewhere no longer applies.  Admission
+        re-runs, so a full queue here can still shed it (resolved, never
+        lost).  Returns the handle.
         """
-        request = entry.request
-        self._require_spec(request.model)
-        readmitted = QueueEntry(
-            request=request, enqueued_s=self.loop.now, seq=self._seq, x=entry.x
-        )
-        self._seq += 1
-        if response is None:
-            response = ServingResponse(request)
-        self._pending[readmitted.seq] = response
-        self._on_arrival(readmitted)
+        self._require_spec(response.request.model)
+        response.degraded = False
+        self._register_arrival(response, self.loop.now)
+        self._on_arrival(response)
         return response
 
     # -- introspection -----------------------------------------------------

@@ -1,53 +1,27 @@
 """Per-model request queues with deadlines: FIFO and earliest-deadline-first.
 
 The serving frontend holds one bounded queue per deployed model.  A queue
-stores :class:`QueueEntry` wrappers (the request, its absolute deadline,
-when it was enqueued, optionally its host samples); the discipline decides
-*pop order only* — admission bounds length, the coalescer decides *when*
-to pop, and the deadline timer is always anchored at the oldest enqueue
-time regardless of discipline.
+stores the requests' own :class:`~repro.serving.frontend.ServingResponse`
+handles, whose ``(enqueued_s, seq)`` the frontend stamps only while they
+are off every queue; the discipline decides *pop order only* — admission
+bounds length, the coalescer decides *when* to pop, and the deadline
+timer is always anchored at the oldest enqueue time regardless of
+discipline.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.checks import require_count
 from repro.errors import SchedulerError
-from repro.workloads.requests import InferenceRequest
 
-__all__ = ["QueueEntry", "RequestQueue", "FIFOQueue", "EDFQueue", "make_queue"]
+if TYPE_CHECKING:
+    from repro.serving.frontend import ServingResponse
 
-
-@dataclass(frozen=True, slots=True)
-class QueueEntry:
-    """One queued request plus its serving-side bookkeeping."""
-
-    request: InferenceRequest
-    enqueued_s: float
-    seq: int                      # frontend-global submission order
-    x: "np.ndarray | None" = field(default=None, compare=False)
-    degraded: bool = False        # routed via the degrade (shed-to-cheap) path
-
-    @property
-    def deadline_s(self) -> "float | None":
-        """Absolute completion deadline (None = best effort)."""
-        return self.request.deadline_s
-
-    @property
-    def batch(self) -> int:
-        """Samples in this request."""
-        return self.request.batch
-
-    def slack_s(self, now: float) -> float:
-        """Seconds until the deadline (inf without one; negative if past)."""
-        if self.deadline_s is None:
-            return float("inf")
-        return self.deadline_s - now
+__all__ = ["RequestQueue", "FIFOQueue", "EDFQueue", "make_queue"]
 
 
 class RequestQueue:
@@ -71,17 +45,17 @@ class RequestQueue:
 
     # -- discipline hooks (subclass responsibility) ------------------------
 
-    def _append(self, entry: QueueEntry) -> None:
+    def _append(self, entry: ServingResponse) -> None:
         raise NotImplementedError
 
-    def _extend(self, entries: "list[QueueEntry]") -> None:
+    def _extend(self, entries: "list[ServingResponse]") -> None:
         for entry in entries:
             self._append(entry)
 
-    def _popleft(self) -> QueueEntry:
+    def _popleft(self) -> ServingResponse:
         raise NotImplementedError
 
-    def _pop_upto(self, max_samples: int) -> "tuple[list[QueueEntry], int]":
+    def _pop_upto(self, max_samples: int) -> "tuple[list[ServingResponse], int]":
         """Greedy discipline-order take; returns the entries and samples."""
         taken = [self._popleft()]
         samples = taken[0].request.batch
@@ -93,10 +67,10 @@ class RequestQueue:
             samples += batch
         return taken, samples
 
-    def _peek(self) -> QueueEntry:
+    def _peek(self) -> ServingResponse:
         raise NotImplementedError
 
-    def _remove(self, request_id: int) -> "QueueEntry | None":
+    def _remove(self, request_id: int) -> "ServingResponse | None":
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -112,7 +86,7 @@ class RequestQueue:
         """Whether another push would exceed capacity."""
         return self.capacity is not None and len(self) >= self.capacity
 
-    def push(self, entry: QueueEntry) -> None:
+    def push(self, entry: ServingResponse) -> None:
         """Enqueue; raises :class:`SchedulerError` when at capacity.
 
         Admission control checks :attr:`full` *before* pushing — a raise
@@ -126,7 +100,7 @@ class RequestQueue:
         self._total_samples += entry.batch
         heapq.heappush(self._arrival_heap, (entry.enqueued_s, entry.seq))
 
-    def push_many(self, entries: "list[QueueEntry]") -> None:
+    def push_many(self, entries: "list[ServingResponse]") -> None:
         """Enqueue ``entries`` in order, as one :meth:`push` each would.
 
         The capacity check covers the whole list before anything moves,
@@ -145,7 +119,7 @@ class RequestQueue:
             heapq.heappush(heap, (entry.enqueued_s, entry.seq))
         self._total_samples += samples
 
-    def pop(self) -> QueueEntry:
+    def pop(self) -> ServingResponse:
         """Dequeue the next entry under this queue's discipline."""
         if not len(self):
             raise SchedulerError(f"queue for {self.model!r} is empty")
@@ -154,7 +128,7 @@ class RequestQueue:
         self._forget_arrival(entry)
         return entry
 
-    def pop_upto(self, max_samples: int) -> "list[QueueEntry]":
+    def pop_upto(self, max_samples: int) -> "list[ServingResponse]":
         """Pop entries in discipline order while they fit ``max_samples``.
 
         Equal to calling :meth:`pop` until the next entry would overflow
@@ -170,13 +144,13 @@ class RequestQueue:
             forget(entry)
         return entries
 
-    def peek(self) -> QueueEntry:
+    def peek(self) -> ServingResponse:
         """The entry :meth:`pop` would return, without removing it."""
         if not len(self):
             raise SchedulerError(f"queue for {self.model!r} is empty")
         return self._peek()
 
-    def remove(self, request_id: int) -> "QueueEntry | None":
+    def remove(self, request_id: int) -> "ServingResponse | None":
         """Remove one entry out of discipline order (None when absent).
 
         The rescue path for timeouts and device dropouts: a request that
@@ -192,7 +166,7 @@ class RequestQueue:
         self._forget_arrival(entry)
         return entry
 
-    def _forget_arrival(self, entry: QueueEntry) -> None:
+    def _forget_arrival(self, entry: ServingResponse) -> None:
         """Drop a dequeued entry's key from the arrival heap.
 
         At the top (the usual case: FIFO pops in arrival order) the key
@@ -241,18 +215,18 @@ class FIFOQueue(RequestQueue):
 
     def __init__(self, model: str, capacity: "int | None" = None):
         super().__init__(model, capacity)
-        self._entries: deque[QueueEntry] = deque()
+        self._entries: deque[ServingResponse] = deque()
 
-    def _append(self, entry: QueueEntry) -> None:
+    def _append(self, entry: ServingResponse) -> None:
         self._entries.append(entry)
 
-    def _extend(self, entries: "list[QueueEntry]") -> None:
+    def _extend(self, entries: "list[ServingResponse]") -> None:
         self._entries.extend(entries)
 
-    def _popleft(self) -> QueueEntry:
+    def _popleft(self) -> ServingResponse:
         return self._entries.popleft()
 
-    def _pop_upto(self, max_samples: int) -> "tuple[list[QueueEntry], int]":
+    def _pop_upto(self, max_samples: int) -> "tuple[list[ServingResponse], int]":
         # The base class's take, on the deque directly.
         queued = self._entries
         taken = [queued.popleft()]
@@ -265,10 +239,10 @@ class FIFOQueue(RequestQueue):
             samples += batch
         return taken, samples
 
-    def _peek(self) -> QueueEntry:
+    def _peek(self) -> ServingResponse:
         return self._entries[0]
 
-    def _remove(self, request_id: int) -> "QueueEntry | None":
+    def _remove(self, request_id: int) -> "ServingResponse | None":
         for i, entry in enumerate(self._entries):
             if entry.request.request_id == request_id:
                 del self._entries[i]
@@ -293,26 +267,26 @@ class EDFQueue(RequestQueue):
 
     def __init__(self, model: str, capacity: "int | None" = None):
         super().__init__(model, capacity)
-        self._heap: list[tuple[float, int, QueueEntry]] = []
-        self._sorted_view: "list[tuple[float, int, QueueEntry]] | None" = None
+        self._heap: list[tuple[float, int, ServingResponse]] = []
+        self._sorted_view: "list[tuple[float, int, ServingResponse]] | None" = None
 
     @staticmethod
-    def _key(entry: QueueEntry) -> tuple[float, int]:
+    def _key(entry: ServingResponse) -> tuple[float, int]:
         deadline = entry.deadline_s if entry.deadline_s is not None else float("inf")
         return (deadline, entry.seq)
 
-    def _append(self, entry: QueueEntry) -> None:
+    def _append(self, entry: ServingResponse) -> None:
         heapq.heappush(self._heap, (*self._key(entry), entry))
         self._sorted_view = None
 
-    def _popleft(self) -> QueueEntry:
+    def _popleft(self) -> ServingResponse:
         self._sorted_view = None
         return heapq.heappop(self._heap)[2]
 
-    def _peek(self) -> QueueEntry:
+    def _peek(self) -> ServingResponse:
         return self._heap[0][2]
 
-    def _remove(self, request_id: int) -> "QueueEntry | None":
+    def _remove(self, request_id: int) -> "ServingResponse | None":
         heap = self._heap
         for i, (_, _, entry) in enumerate(heap):
             if entry.request.request_id == request_id:

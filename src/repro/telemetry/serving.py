@@ -258,10 +258,20 @@ class ServingTelemetry:
     # byte-identical.
     online: "object | None" = None
 
-    def record_latency(self, latency_s: float) -> None:
-        """Record a served request's latency in both digests at once."""
-        self.latency.add(latency_s)
-        self.recent.add(latency_s)
+    def record_latency(self, latencies_s) -> None:
+        """Record one batch's served latencies in both digests at once;
+        a bad sample (not finite, or < 0) raises before any is stored."""
+        samples = array("d", latencies_s)
+        if samples and not (
+            min(samples) >= 0.0 and math.isfinite(sum(samples))
+        ):
+            for latency_s in samples:
+                _check_latency(latency_s)
+        self.latency._samples.extend(samples)
+        recent = self.recent
+        recent._window.extend(samples)
+        if recent._memo:
+            recent._memo.clear()
 
     def tenant(self, name: str) -> TenantStats:
         """The (auto-created) isolation ledger for one tenant."""

@@ -9,9 +9,8 @@ from repro.telemetry.serving import ServingTelemetry
 
 def node_sink(latencies, shed=0, degraded=0, violations=0) -> ServingTelemetry:
     t = ServingTelemetry()
-    for latency in latencies:
-        t.record_latency(latency)
-        t.n_served += 1
+    t.record_latency(latencies)
+    t.n_served += len(latencies)
     t.n_shed = shed
     t.n_degraded = degraded
     t.n_violations = violations
@@ -84,8 +83,7 @@ def test_recent_window_is_bounded_per_node():
     ft = FleetTelemetry()
     sink = ServingTelemetry(recent=RollingLatencyWindow(maxlen=4))
     ft.attach("a", sink)
-    for latency in (1.0, 1.0, 1.0, 0.001, 0.001, 0.001, 0.001):
-        sink.record_latency(latency)
+    sink.record_latency((1.0, 1.0, 1.0, 0.001, 0.001, 0.001, 0.001))
     # The 1.0s outliers rolled off: the recent tail is the recent tail.
     assert ft.recent_p99_s() == pytest.approx(0.001)
     # ...while the all-time digest still remembers them.

@@ -3,7 +3,8 @@
 A routed request keeps one :class:`~repro.serving.frontend.ServingResponse`
 from its first route to its resolution.  Each case below moves a lone
 request once — a drain, a timeout rescue, a transient-failure retry, a
-crash re-adoption, a dGPU drop and a partition split — and checks that:
+crash re-adoption (also of a request submitted straight to the node), a
+dGPU drop and a partition split — and checks that:
 
 * ``on_done`` fired once, with the handle;
 * ``node_name`` and ``n_routes`` end where the move put them;
@@ -60,8 +61,8 @@ def watch_readmits(router, monkeypatch) -> list:
             len(router.events), router.loop.pending,
         )
 
-    def readmit_then_stale_timeout(frontend, entry, response=None):
-        response = readmit(frontend, entry, response)
+    def readmit_then_stale_timeout(frontend, response):
+        response = readmit(frontend, response)
         if not response.done:
             before = state(response)
             router._on_timeout(response, response.n_routes - 1)
@@ -142,6 +143,37 @@ def test_crash_readoption_moves_the_handle(serving_predictors, monkeypatch):
     assert checked == [response]
     assert router.telemetry.resilience.n_crashes_detected == 1
     assert_resolved_once(router, response, calls, "node-b", 2)
+
+
+def test_crash_readopts_a_request_submitted_to_the_node(serving_predictors):
+    """The crash limbo holds handles, so a request that never passed the
+    router is re-adopted with the routed ones instead of staying pending."""
+    loop = EventLoop()
+    nodes = [
+        build_node(spec, serving_predictors, SERVING_SPECS, loop=loop,
+                   default_slo=CLUSTER_SLO)
+        for spec in TWO_NODES
+    ]
+    router = ClusterRouter(
+        nodes, resilience=ResilienceConfig(
+            timeout_s=None, heartbeat_every_s=0.01, breaker_cooldown_s=0.05,
+            breaker_max_cooldown_s=0.4, seed=11,
+        ),
+    )
+    node_a = router.node("node-a").frontend
+    response = node_a.submit("simple", 8, arrival_s=0.0)
+    calls = []
+    response.on_done = calls.append
+    FaultInjector(router).crash_node(0.001, "node-a")
+    router.schedule_health(0.2)
+    router.run()
+    assert calls == [response]
+    assert response.served and response.node_name == "node-b"
+    assert node_a.n_pending == 0 and not node_a.collect_lost()
+    assert router.telemetry.resilience.n_redelivered == 1
+    with pytest.raises(SchedulerError, match="already resolved"):
+        response.resolve("shed", "second_resolution")
+    assert calls == [response]
 
 
 def test_drop_device_readmits_on_the_same_node(serving_predictors, monkeypatch):

@@ -15,6 +15,7 @@ survive a chaos campaign with resilience armed.
 import pytest
 
 from repro.cluster import ClusterRouter
+from repro.errors import SchedulerError
 from repro.faults import FaultInjector, ResilienceConfig
 from repro.nn.zoo import MNIST_SMALL, SIMPLE
 from repro.workloads import (
@@ -129,6 +130,32 @@ class TestIngestionGuards:
         assert len(result.responses) == 4
         assert all(r.done for r in result.responses)
         assert router.n_pending == 0
+
+    @pytest.mark.parametrize("bad, error", [
+        (dict(model="nope"), "'nope' is not served"),
+        (dict(request_id=2), "duplicate request_id 2"),
+        (dict(request_id=7), "duplicate request_id 7"),
+    ], ids=["unknown-model", "duplicate-in-trace", "duplicate-in-ledger"])
+    def test_rejected_trace_ledgers_nothing(
+        self, serving_predictors, bad, error
+    ):
+        router = ClusterRouter(build_fleet(serving_predictors), rng=123)
+        ledgered = router.submit_request(InferenceRequest(
+            request_id=7, arrival_s=0.0, model=SIMPLE.name, batch=8,
+        ))
+        trace = requests_at(0.0, 0.1, 0.2, 0.3, 0.4)
+        sixth = dict(request_id=5, arrival_s=0.5, model=SIMPLE.name, batch=8)
+        sixth.update(bad)
+        with pytest.raises(SchedulerError, match=error):
+            router.feed_requests([*trace, InferenceRequest(**sixth)])
+        assert router.n_pending == 1
+        assert router.result().responses == [ledgered]
+        # The rejected ids are free: the same requests feed cleanly.
+        assert len(router.feed_requests(trace)) == 5
+        router.run()
+        assert router.n_pending == 0
+        assert len(router.result().responses) == 6
+        assert all(r.done for r in router.result().responses)
 
     def test_arrival_before_the_clock_rejected(self, serving_predictors):
         router = ClusterRouter(build_fleet(serving_predictors), rng=123)

@@ -34,7 +34,7 @@ from repro.serving.frontend import ServingResponse
 class TwoEventRouter(ClusterRouter):
     """A router whose every first route schedules a separate arrival event."""
 
-    def _place(self, response, entry, x, why, _loop=None):
+    def _place(self, response, why, _loop=None):
         request = response.request
         active = self.routable_nodes()
         if not active:
@@ -49,13 +49,14 @@ class TwoEventRouter(ClusterRouter):
         frontend = node.frontend
         response.node_name = node.name
         response.n_routes += 1
-        if entry is None:
-            entry = frontend.register_request(response, x)
+        if why is None:
+            frontend.register_request(response)
             self.loop.schedule(
-                self.loop.now, partial(frontend.deliver, entry), label="arrive"
+                self.loop.now, partial(frontend.deliver, response),
+                label="arrive",
             )
         else:
-            frontend.readmit(entry, response)
+            frontend.readmit(response)
         self._arm_timeout(response)
         return node
 
@@ -73,7 +74,7 @@ def recorded_resolutions():
 
     def recording(response, status, shed_reason=None):
         log.append((response.request.request_id, status, shed_reason))
-        resolve(response, status, shed_reason)
+        return resolve(response, status, shed_reason)
 
     ServingResponse.resolve = recording
     try:

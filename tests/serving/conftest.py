@@ -14,8 +14,19 @@ from repro.ocl.context import Context
 from repro.ocl.platform import get_all_devices
 from repro.sched.dispatcher import Dispatcher
 from repro.sched.scheduler import OnlineScheduler
+from repro.serving.frontend import ServingResponse
+from repro.workloads.requests import InferenceRequest
 
 SERVING_SPECS = {s.name: s for s in (SIMPLE, MNIST_SMALL)}
+
+
+def queued(request: InferenceRequest, seq: int, enqueued_s=None) -> ServingResponse:
+    """A handle stamped the way a frontend registers it: ``enqueued_s``
+    (the arrival by default) and its submission ``seq``."""
+    response = ServingResponse(request)
+    response.enqueued_s = request.arrival_s if enqueued_s is None else enqueued_s
+    response.seq = seq
+    return response
 
 
 def build_scheduler(predictors) -> OnlineScheduler:

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.serving.admission import AdmissionController
-from repro.serving.queues import FIFOQueue, QueueEntry
+from repro.serving.queues import FIFOQueue
 from repro.workloads.requests import InferenceRequest
+from tests.serving.conftest import queued
 
 
 def request(deadline=None):
@@ -17,12 +18,9 @@ def filled_queue(n, capacity):
     q = FIFOQueue("m", capacity=capacity)
     for i in range(n):
         q.push(
-            QueueEntry(
-                request=InferenceRequest(
-                    request_id=i, arrival_s=0.0, model="m", batch=8
-                ),
-                enqueued_s=0.0,
-                seq=i,
+            queued(
+                InferenceRequest(request_id=i, arrival_s=0.0, model="m", batch=8),
+                i,
             )
         )
     return q

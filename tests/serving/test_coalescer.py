@@ -3,17 +3,17 @@
 import pytest
 
 from repro.serving.coalescer import BatchCoalescer, CoalescedBatch
-from repro.serving.queues import FIFOQueue, QueueEntry
+from repro.serving.queues import FIFOQueue
 from repro.workloads.requests import InferenceRequest
+from tests.serving.conftest import queued
 
 
 def entry(seq, arrival=0.0, batch=8, model="m"):
-    return QueueEntry(
-        request=InferenceRequest(
+    return queued(
+        InferenceRequest(
             request_id=seq, arrival_s=arrival, model=model, batch=batch
         ),
-        enqueued_s=arrival,
-        seq=seq,
+        seq,
     )
 
 
@@ -83,12 +83,11 @@ class TestTake:
         co = BatchCoalescer(queue, max_batch=64, max_wait_s=1.0)
         queue.push(entry(0, arrival=0.5, batch=8))
         queue.push(
-            QueueEntry(
-                request=InferenceRequest(
+            queued(
+                InferenceRequest(
                     request_id=1, arrival_s=0.7, model="m", batch=8, deadline_s=1.0
                 ),
-                enqueued_s=0.7,
-                seq=1,
+                1,
             )
         )
         batch = co.take(0.8, "timeout")

@@ -120,13 +120,14 @@ class TestOracleEquivalence:
                 default_slo=SLO,
             )
             responses = [ServingResponse(r) for r in requests]
-            entries = [fe.register_request(r) for r in responses]
+            for response in responses:
+                fe.register_request(response)
             if batched:
                 assert fe.begin_arrival_batch()
                 assert not fe.begin_arrival_batch()  # already armed
             try:
-                for entry in entries:
-                    fe.deliver(entry)
+                for response in responses:
+                    fe.deliver(response)
             finally:
                 if batched:
                     fe.end_arrival_batch()

@@ -7,19 +7,18 @@ import pytest
 
 from repro.errors import SchedulerError
 from repro.serving import ServingFrontend, SLOConfig
-from repro.serving.queues import EDFQueue, FIFOQueue, QueueEntry, make_queue
+from repro.serving.queues import EDFQueue, FIFOQueue, make_queue
 from repro.workloads.requests import InferenceRequest, RequestTrace
-from tests.serving.conftest import SERVING_SPECS, build_scheduler
+from tests.serving.conftest import SERVING_SPECS, build_scheduler, queued
 
 
 def entry(seq, arrival=0.0, batch=8, deadline=None, model="m"):
-    return QueueEntry(
-        request=InferenceRequest(
+    return queued(
+        InferenceRequest(
             request_id=seq, arrival_s=arrival, model=model, batch=batch,
             deadline_s=deadline,
         ),
-        enqueued_s=arrival,
-        seq=seq,
+        seq,
     )
 
 
@@ -223,14 +222,13 @@ class TestBulkOps:
                     if rng.random() < 0.3:
                         enqueued = max(0.0, now - 0.001 * int(rng.integers(1, 4)))
                     deadline = None if rng.random() < 0.3 else now + float(rng.random())
-                    run.append(QueueEntry(
-                        request=InferenceRequest(
+                    run.append(queued(
+                        InferenceRequest(
                             request_id=seq, arrival_s=enqueued,
                             model="m", batch=int(rng.choice([1, 8, 64, 300])),
                             deadline_s=deadline,
                         ),
-                        enqueued_s=enqueued,
-                        seq=seq,
+                        seq,
                     ))
                     seq += 1
                 bulk.push_many(run)

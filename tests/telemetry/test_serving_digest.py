@@ -51,7 +51,7 @@ def test_long_run_percentiles_stay_exact():
     [
         lambda x: LatencyDigest().add(x),
         lambda x: RollingLatencyWindow().add(x),
-        lambda x: ServingTelemetry().record_latency(x),
+        lambda x: ServingTelemetry().record_latency([x]),
         lambda x: TenantStats().record_served(x),
     ],
     ids=["digest", "window", "serving", "tenant"],
@@ -59,6 +59,20 @@ def test_long_run_percentiles_stay_exact():
 def test_non_finite_latency_raises(record, bad):
     with pytest.raises(ValueError, match="latency_s"):
         record(bad)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.5])
+@pytest.mark.parametrize("at", [0, 2, 4])
+def test_a_bad_sample_stores_none_of_its_batch(bad, at):
+    telemetry = ServingTelemetry()
+    telemetry.record_latency([0.010, 0.020])
+    batch = [0.001, 0.002, 0.003, 0.004, 0.005]
+    batch[at] = bad
+    with pytest.raises(ValueError, match=f"latency_s .* got {bad}"):
+        telemetry.record_latency(batch)
+    assert telemetry.latency.samples == telemetry.recent.samples == (0.010, 0.020)
+    telemetry.record_latency(batch[:at])
+    assert len(telemetry.latency) == len(telemetry.recent) == 2 + at
 
 
 def test_negative_depth_raises():
