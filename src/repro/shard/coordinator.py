@@ -36,6 +36,7 @@ its process sentinel, so a worker dying mid-window surfaces as a
 from __future__ import annotations
 
 import bisect
+import math
 import time
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -55,20 +56,23 @@ from repro.shard.digest import digest_rows
 from repro.shard.messages import (
     Finalize,
     Ready,
+    ShardWorkerError,
     StaticAssign,
     WindowAssign,
     WindowDone,
     WorkerFailure,
     WorkerResult,
 )
-from repro.shard.worker import GroupConfig, GroupRuntime, WorkerConfig, worker_main
+from repro.shard.worker import (
+    GroupConfig,
+    GroupRuntime,
+    WorkerConfig,
+    handle,
+    worker_main,
+)
 from repro.workloads.requests import RequestTrace
 
 __all__ = ["ShardWorkerError", "ShardPlan", "ShardResult", "run_sharded"]
-
-
-class ShardWorkerError(SchedulerError):
-    """A shard worker process failed (died, errored, or timed out)."""
 
 
 @dataclass(frozen=True)
@@ -122,9 +126,10 @@ class ShardPlan:
                 f"n_workers must be an integer in [1, n_groups="
                 f"{len(self.groups)}], got {self.n_workers!r}"
             )
-        if not self.lookahead_s > 0.0:
+        if not 0.0 < self.lookahead_s < math.inf:
             raise SchedulerError(
-                f"lookahead must be positive, got {self.lookahead_s}"
+                f"lookahead_s must be positive and finite, got "
+                f"{self.lookahead_s}"
             )
         if self.front_tier not in FRONT_TIERS:
             known = ", ".join(sorted(FRONT_TIERS))
@@ -177,6 +182,12 @@ class ShardResult:
     (routing, windows, drain, result collection) — not worker startup or
     the merge itself, mirroring how the monolithic benches time
     ``serve_trace`` but not fleet construction.
+
+    ``group_telemetry`` maps each group to its router's
+    ``FleetTelemetry.snapshot()``; ``group_utilization`` maps it to its
+    event loop's :meth:`~repro.sim.engine.EventLoop.utilization` counters
+    (events fired, runs, window stalls, ...), so shard imbalance shows
+    without a profiler.
     """
 
     n_requests: int
@@ -232,31 +243,14 @@ class _InlineWorker:
     """
 
     def __init__(self, cfg: WorkerConfig):
-        self._cfg = cfg
+        self.worker = cfg.worker
         self._runtimes = {g.group: GroupRuntime(g, cfg) for g in cfg.groups}
         self._replies: list = []
 
     def send(self, msg) -> None:
-        cfg = self._cfg
-        if isinstance(msg, Finalize):
-            outcomes = tuple(rt.finalize() for rt in self._runtimes.values())
-            self._replies.append(WorkerResult(cfg.worker, outcomes))
-            return
-        if isinstance(msg, StaticAssign):
-            for group, indices in msg.requests.items():
-                self._runtimes[group].feed(indices)
-            return
-        if cfg.fail_at_window is not None and msg.window >= cfg.fail_at_window:
-            raise ShardWorkerError(
-                f"shard worker {cfg.worker} hit its fail_at_window test hook"
-            )
-        for group, indices in msg.requests.items():
-            self._runtimes[group].feed(indices)
-        summaries = []
-        for rt in self._runtimes.values():
-            rt.run_window(msg.until_s)
-            summaries.append(rt.summary())
-        self._replies.append(WindowDone(cfg.worker, msg.window, tuple(summaries)))
+        reply = handle(self.worker, self._runtimes, msg)
+        if reply is not None:
+            self._replies.append(reply)
 
     def recv(self, timeout_s: float):
         return self._replies.pop(0)
@@ -269,8 +263,6 @@ class _PipeWorker:
     """A forked worker process plus its coordinator-side pipe end."""
 
     def __init__(self, ctx, cfg: WorkerConfig, groups: tuple[int, ...]):
-        from multiprocessing import connection  # noqa: F401  (import check)
-
         self.worker = cfg.worker
         self.groups = groups
         self.conn, child_conn = ctx.Pipe(duplex=True)
@@ -324,18 +316,44 @@ class _PipeWorker:
 
 
 def _window_slices(trace: RequestTrace, lookahead_s: float):
-    """Split trace indices into windows ``[k*L, (k+1)*L)`` by arrival."""
+    """Split trace indices into windows ``[k*L, (k+1)*L)`` by arrival.
+
+    Windows run to ``int(horizon / L) + 1`` at least, and on until every
+    arrival is placed: the last boundary can round down onto the last
+    arrival, which then belongs to one window more.
+    """
     arrivals = [r.arrival_s for r in trace]
     n_windows = int(trace.horizon_s / lookahead_s) + 1 if arrivals else 0
     slices = []
     lo = 0
-    for k in range(n_windows):
-        until = (k + 1) * lookahead_s
+    while len(slices) < n_windows or lo < len(arrivals):
+        until = (len(slices) + 1) * lookahead_s
         hi = bisect.bisect_left(arrivals, until, lo)
         slices.append((until, lo, hi))
         lo = hi
-    assert lo == len(arrivals), "window split lost arrivals"
     return slices
+
+
+def _route(front, requests, indices, plan: ShardPlan) -> list:
+    """Per worker: each of its groups' front-tier-routed ``indices``."""
+    per_group: "list[list[int]]" = [[] for _ in range(plan.n_groups)]
+    for i in indices:
+        per_group[front.choose(requests[i])].append(i)
+    return [
+        {g: np.asarray(per_group[g], dtype=np.int64) for g in plan.worker_groups(w)}
+        for w in range(plan.n_workers)
+    ]
+
+
+def _receive(worker, kind: type, timeout_s: float):
+    """The worker's next reply, which the protocol says is a ``kind``."""
+    msg = worker.recv(timeout_s)
+    if not isinstance(msg, kind):
+        raise ShardWorkerError(
+            f"shard worker {worker.worker} sent {type(msg).__name__} where "
+            f"{kind.__name__} was due"
+        )
+    return msg
 
 
 def run_sharded(
@@ -356,11 +374,21 @@ def run_sharded(
     window protocol (no fork) — for tests and platforms without the
     ``fork`` start method.  ``profile`` makes each worker dump
     ``<profile>.shard<i>`` cProfile stats.  ``fail_at=(worker, window)``
-    is the crash-safety test hook: that worker hard-exits at that window.
+    is the crash-safety test hook: that forked worker hard-exits at that
+    window (inline runs reject it: there is no process to kill).
 
     Raises :class:`ShardWorkerError` — never hangs — when a worker dies,
-    errors, or goes silent past ``timeout_s``.
+    errors, or goes silent past ``timeout_s`` (positive and finite).
     """
+    if not 0.0 < timeout_s < math.inf:
+        raise SchedulerError(
+            f"timeout_s must be positive and finite, got {timeout_s}"
+        )
+    if inline and fail_at is not None:
+        raise SchedulerError(
+            f"fail_at={fail_at!r} simulates a worker process death, which "
+            "needs forked workers; it cannot be used with inline=True"
+        )
     front = make_front_tier(plan.front_tier, plan.n_groups)
     group_cfgs = plan.group_configs()
     workers: list = []
@@ -398,24 +426,16 @@ def run_sharded(
                 for w in range(plan.n_workers)
             ]
             for worker in workers:
-                msg = worker.recv(timeout_s)
-                assert isinstance(msg, Ready), msg
+                _receive(worker, Ready, timeout_s)
 
         requests = trace.requests
         t0 = time.perf_counter()
 
         if not front.uses_summaries:
             # Static assignment: route everything upfront, zero windows.
-            per_group: "dict[int, list[int]]" = {
-                g: [] for g in range(plan.n_groups)
-            }
-            for i, request in enumerate(requests):
-                per_group[front.choose(request)].append(i)
-            for w, worker in enumerate(workers):
-                worker.send(StaticAssign(requests={
-                    g: np.asarray(per_group[g], dtype=np.int64)
-                    for g in plan.worker_groups(w)
-                }))
+            shares = _route(front, requests, range(len(requests)), plan)
+            for worker, share in zip(workers, shares):
+                worker.send(StaticAssign(requests=share))
             n_windows = 0
         else:
             slices = _window_slices(trace, plan.lookahead_s)
@@ -423,29 +443,27 @@ def run_sharded(
             summaries = _initial_summaries(plan.n_groups)
             for k, (until, lo, hi) in enumerate(slices):
                 front.begin_window(summaries)
-                per_group = {g: [] for g in range(plan.n_groups)}
-                for i in range(lo, hi):
-                    per_group[front.choose(requests[i])].append(i)
-                for w, worker in enumerate(workers):
-                    worker.send(WindowAssign(window=k, until_s=until, requests={
-                        g: np.asarray(per_group[g], dtype=np.int64)
-                        for g in plan.worker_groups(w)
-                    }))
+                shares = _route(front, requests, range(lo, hi), plan)
+                for worker, share in zip(workers, shares):
+                    worker.send(
+                        WindowAssign(window=k, until_s=until, requests=share)
+                    )
                 by_group: "dict[int, ShardSummary]" = {}
                 for worker in workers:
-                    done = worker.recv(timeout_s)
-                    assert isinstance(done, WindowDone) and done.window == k
-                    for summary in done.summaries:
-                        by_group[summary.group] = summary
+                    done = _receive(worker, WindowDone, timeout_s)
+                    if done.window != k:
+                        raise ShardWorkerError(
+                            f"shard worker {worker.worker} answered window "
+                            f"{done.window} where {k} was due"
+                        )
+                    by_group.update((s.group, s) for s in done.summaries)
                 summaries = tuple(by_group[g] for g in range(plan.n_groups))
 
         for worker in workers:
             worker.send(Finalize())
         outcomes = []
         for worker in workers:
-            result = worker.recv(timeout_s)
-            assert isinstance(result, WorkerResult), result
-            outcomes.extend(result.outcomes)
+            outcomes.extend(_receive(worker, WorkerResult, timeout_s).outcomes)
         wall_s = time.perf_counter() - t0
     finally:
         for worker in workers:
@@ -455,7 +473,7 @@ def run_sharded(
     group_telemetry: "dict[int, dict]" = {}
     group_utilization: "dict[int, dict]" = {}
     for outcome in outcomes:
-        rows.extend(outcome.rows())
+        rows.extend(outcome.rows)
         group_telemetry[outcome.group] = outcome.telemetry
         group_utilization[outcome.group] = outcome.utilization
     rows.sort(key=lambda row: row[0])

@@ -3,16 +3,11 @@
 Everything crossing a :class:`multiprocessing.Pipe` is defined here, and
 everything is deliberately small: assignments carry *indices into the
 shared trace* (the trace itself is inherited by fork, copy-on-write, so a
-million requests never serialize), and outcomes come back as numpy
-columns with interned string tables — a handful of arrays per group, not
-a million python objects.
-
-The per-group :class:`GroupOutcome` round-trips every field the
-determinism digest hashes (see :mod:`repro.shard.digest`), so the
-coordinator can merge worker results by request id and produce a digest
-bit-identical to what a single-process replay computes over its own
-responses: each row is one routed
-:class:`~repro.serving.frontend.ServingResponse`'s ``outcome_tuple()``.
+million requests never serialize), and outcomes come back as the
+digest's own rows — one routed
+:class:`~repro.serving.frontend.ServingResponse`'s ``outcome_tuple()``
+each (see :mod:`repro.shard.digest`), which the coordinator merges by
+request id into a digest bit-identical to a single-process replay's.
 """
 
 from __future__ import annotations
@@ -22,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.balancers import ShardSummary
+from repro.errors import SchedulerError
 
 __all__ = [
+    "ShardWorkerError",
     "Ready",
     "StaticAssign",
     "WindowAssign",
@@ -32,8 +29,11 @@ __all__ = [
     "GroupOutcome",
     "WorkerResult",
     "WorkerFailure",
-    "encode_outcomes",
 ]
+
+
+class ShardWorkerError(SchedulerError):
+    """A shard worker died, errored, went silent or broke the protocol."""
 
 
 @dataclass(frozen=True)
@@ -88,58 +88,18 @@ class Finalize:
 
 @dataclass(frozen=True)
 class GroupOutcome:
-    """One group's resolved outcomes as columns plus its telemetry.
+    """One group's resolved outcomes plus its telemetry.
 
-    ``status``/``node``/``device``/``shed_reason`` are int32 codes into
-    the matching tables (-1 encodes None); ``end_s`` uses NaN for None
-    (a served request always has a finite completion time, so the
-    encoding is lossless).
+    ``rows`` holds each routed response's ``outcome_tuple()`` in the
+    order the group admitted them — exactly the rows the digest hashes,
+    so the coordinator merges them as they arrive.  ``utilization`` is
+    the group's :meth:`~repro.sim.engine.EventLoop.utilization`.
     """
 
     group: int
-    request_id: np.ndarray
-    status: np.ndarray
-    node: np.ndarray
-    device: np.ndarray
-    end_s: np.ndarray
-    shed_reason: np.ndarray
-    status_table: tuple[str, ...]
-    node_table: tuple[str, ...]
-    device_table: tuple[str, ...]
-    reason_table: tuple[str, ...]
+    rows: "list[tuple]"
     telemetry: dict
     utilization: dict
-
-    def __len__(self) -> int:
-        return int(self.request_id.size)
-
-    def rows(self) -> "list[tuple]":
-        """Decode back to outcome tuples (request order preserved)."""
-        status_table = self.status_table
-        node_table = self.node_table
-        device_table = self.device_table
-        reason_table = self.reason_table
-        end_list = self.end_s.tolist()
-        out = []
-        for k, (rid, st, nd, dv, rs) in enumerate(
-            zip(
-                self.request_id.tolist(),
-                self.status.tolist(),
-                self.node.tolist(),
-                self.device.tolist(),
-                self.shed_reason.tolist(),
-            )
-        ):
-            end = end_list[k]
-            out.append((
-                rid,
-                status_table[st],
-                node_table[nd] if nd >= 0 else None,
-                device_table[dv] if dv >= 0 else None,
-                None if end != end else end,   # NaN -> None
-                reason_table[rs] if rs >= 0 else None,
-            ))
-        return out
 
 
 @dataclass(frozen=True)
@@ -156,58 +116,3 @@ class WorkerFailure:
 
     worker: int
     detail: str
-
-
-def _intern(values: "list[str | None]") -> "tuple[np.ndarray, tuple[str, ...]]":
-    table: list[str] = []
-    index: dict[str, int] = {}
-    codes = np.empty(len(values), dtype=np.int32)
-    for i, value in enumerate(values):
-        if value is None:
-            codes[i] = -1
-            continue
-        code = index.get(value)
-        if code is None:
-            code = index[value] = len(table)
-            table.append(value)
-        codes[i] = code
-    return codes, tuple(table)
-
-
-def encode_outcomes(
-    group: int, responses, telemetry: dict, utilization: dict
-) -> GroupOutcome:
-    """Pack resolved routed responses' outcome tuples into one block."""
-    rids = np.empty(len(responses), dtype=np.int64)
-    end_s = np.empty(len(responses), dtype=np.float64)
-    statuses: "list[str | None]" = []
-    nodes: "list[str | None]" = []
-    devices: "list[str | None]" = []
-    reasons: "list[str | None]" = []
-    for i, response in enumerate(responses):
-        rid, status, node, device, end, reason = response.outcome_tuple()
-        rids[i] = rid
-        end_s[i] = np.nan if end is None else end
-        statuses.append(status)
-        nodes.append(node)
-        devices.append(device)
-        reasons.append(reason)
-    status_codes, status_table = _intern(statuses)
-    node_codes, node_table = _intern(nodes)
-    device_codes, device_table = _intern(devices)
-    reason_codes, reason_table = _intern(reasons)
-    return GroupOutcome(
-        group=group,
-        request_id=rids,
-        status=status_codes,
-        node=node_codes,
-        device=device_codes,
-        end_s=end_s,
-        shed_reason=reason_codes,
-        status_table=status_table,
-        node_table=node_table,
-        device_table=device_table,
-        reason_table=reason_table,
-        telemetry=telemetry,
-        utilization=utilization,
-    )

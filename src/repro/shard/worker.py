@@ -18,14 +18,19 @@ Determinism inputs per group, all derived from the plan:
 * its traffic: the coordinator's front tier decides, identically for
   every worker count.
 
-``worker_main`` is the subprocess entry point: a blocking receive loop
-over the coordinator pipe.  :class:`GroupRuntime` holds the in-process
-logic so the coordinator's inline mode (tests, property suites) can
-drive the identical code without forking.
+:func:`handle` is the worker protocol: it applies one coordinator
+message to a worker's groups and returns the reply, or None.
+``worker_main`` (the subprocess entry point, a blocking receive loop over
+the coordinator pipe) and the coordinator's inline driver (tests,
+property suites) both call it, so the two drive identical code.
+Outcomes ship as each response's ``outcome_tuple()`` row, the very rows
+the digest hashes.
 """
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,15 +42,15 @@ from repro.shard.messages import (
     Finalize,
     GroupOutcome,
     Ready,
+    ShardWorkerError,
     StaticAssign,
     WindowAssign,
     WindowDone,
     WorkerFailure,
     WorkerResult,
-    encode_outcomes,
 )
 
-__all__ = ["GroupConfig", "WorkerConfig", "GroupRuntime", "worker_main"]
+__all__ = ["GroupConfig", "WorkerConfig", "GroupRuntime", "handle", "worker_main"]
 
 
 @dataclass(frozen=True)
@@ -70,9 +75,10 @@ class WorkerConfig:
 
     ``trace``/``predictors``/``model_specs`` are big and read-only; the
     coordinator forks workers, so they arrive by copy-on-write page
-    sharing, never through the pipe.  ``fail_at_window`` is a test hook:
-    the worker hard-exits (``os._exit``) at the start of that window,
-    simulating a mid-replay process death for the crash-safety tests.
+    sharing, never through the pipe.  ``fail_at_window`` is a test hook
+    of :func:`worker_main` only: the forked worker hard-exits
+    (``os._exit``) at the start of that window, simulating a mid-replay
+    process death for the crash-safety tests.
     """
 
     worker: int
@@ -103,7 +109,6 @@ class GroupRuntime:
         self.router = ClusterRouter(
             fleet, balancer=cfg.balancer, rng=np.random.default_rng(cfg.seed_seq)
         )
-        self.router.telemetry.attach_loop(self.loop)
         self._requests = shared.trace.requests
         self._responses: list = []
 
@@ -113,37 +118,57 @@ class GroupRuntime:
         batch = [requests[i] for i in indices.tolist()]
         self._responses.extend(self.router.feed_requests(batch))
 
-    def run_window(self, until_s: float) -> None:
-        """Advance this group's loop to the conservative boundary."""
-        self.loop.run(until=until_s)
-
-    def summary(self):
-        return self.router.shard_summary(self.group)
-
     def finalize(self) -> GroupOutcome:
-        """Drain to completion and pack outcomes for the merge."""
+        """Drain to completion and ship the outcome rows for the merge."""
         self.router.run()
         pending = self.router.n_pending
         if pending:
             raise RuntimeError(
                 f"group {self.group} drained with {pending} requests unresolved"
             )
-        return encode_outcomes(
+        return GroupOutcome(
             self.group,
-            self._responses,
+            [r.outcome_tuple() for r in self._responses],
             self.router.telemetry.snapshot(),
             self.loop.utilization(),
         )
 
 
+def handle(worker: int, runtimes: "dict[int, GroupRuntime]", msg):
+    """Apply one coordinator message to ``worker``'s groups.
+
+    Returns the reply to send back — a :class:`WindowDone` for a
+    :class:`WindowAssign`, a :class:`WorkerResult` for :class:`Finalize` —
+    or None for a :class:`StaticAssign`, which needs no answer.
+    """
+    if isinstance(msg, Finalize):
+        return WorkerResult(
+            worker, tuple(rt.finalize() for rt in runtimes.values())
+        )
+    if not isinstance(msg, (StaticAssign, WindowAssign)):
+        raise ShardWorkerError(
+            f"shard worker {worker} got an unknown message {msg!r}"
+        )
+    for group, indices in msg.requests.items():
+        runtimes[group].feed(indices)
+    if isinstance(msg, StaticAssign):
+        return None
+    summaries = []
+    for rt in runtimes.values():
+        rt.loop.run(until=msg.until_s)   # advance to the window boundary
+        summaries.append(rt.router.shard_summary(rt.group))
+    return WindowDone(worker, msg.window, tuple(summaries))
+
+
 def worker_main(conn, cfg: WorkerConfig) -> None:
     """Subprocess entry point: serve the coordinator until Finalize.
 
-    Protocol: send :class:`Ready`, then handle :class:`StaticAssign` /
-    :class:`WindowAssign` messages until :class:`Finalize` arrives, and
-    answer it with a :class:`WorkerResult`.  Any exception is reported as
-    a :class:`WorkerFailure` before the process dies, so the coordinator
-    can attach the traceback to its own error.
+    Protocol: send :class:`Ready`, then pass every message to
+    :func:`handle` and send back its reply, until the
+    :class:`WorkerResult` that answers :class:`Finalize` has gone out.
+    Any exception is reported as a :class:`WorkerFailure` before the
+    process dies, so the coordinator can attach the traceback to its own
+    error.
     """
     profiler = None
     if cfg.profile:
@@ -151,34 +176,21 @@ def worker_main(conn, cfg: WorkerConfig) -> None:
 
         profiler = cProfile.Profile()
         profiler.enable()
+    fail_at = math.inf if cfg.fail_at_window is None else cfg.fail_at_window
     try:
         runtimes = {g.group: GroupRuntime(g, cfg) for g in cfg.groups}
         conn.send(Ready(cfg.worker, tuple(runtimes)))
-        while True:
+        reply = None
+        while not isinstance(reply, WorkerResult):
             msg = conn.recv()
-            if isinstance(msg, Finalize):
-                outcomes = tuple(rt.finalize() for rt in runtimes.values())
-                if profiler is not None:
-                    profiler.disable()
-                    profiler.dump_stats(f"{cfg.profile}.shard{cfg.worker}")
-                conn.send(WorkerResult(cfg.worker, outcomes))
-                return
-            if isinstance(msg, StaticAssign):
-                for group, indices in msg.requests.items():
-                    runtimes[group].feed(indices)
-                continue
-            assert isinstance(msg, WindowAssign), msg
-            if cfg.fail_at_window is not None and msg.window >= cfg.fail_at_window:
-                import os
-
+            if isinstance(msg, WindowAssign) and msg.window >= fail_at:
                 os._exit(3)
-            for group, indices in msg.requests.items():
-                runtimes[group].feed(indices)
-            summaries = []
-            for rt in runtimes.values():
-                rt.run_window(msg.until_s)
-                summaries.append(rt.summary())
-            conn.send(WindowDone(cfg.worker, msg.window, tuple(summaries)))
+            reply = handle(cfg.worker, runtimes, msg)
+            if isinstance(reply, WorkerResult) and profiler is not None:
+                profiler.disable()   # dump before the coordinator may reap us
+                profiler.dump_stats(f"{cfg.profile}.shard{cfg.worker}")
+            if reply is not None:
+                conn.send(reply)
     except Exception:
         import traceback
 

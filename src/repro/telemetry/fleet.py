@@ -55,9 +55,6 @@ class FleetTelemetry:
         # (a repro.cascade CascadeTelemetry), set by a CascadeExecutor
         # serving through the cluster router; surfaced in snapshot().
         self.cascade: "object | None" = None
-        # Optional event-loop attachment (see attach_loop): the loop whose
-        # utilization counters this fleet's snapshot should surface.
-        self._loop: "object | None" = None
         # Availability accounting: observed downtime per node, in virtual
         # seconds.  Down/up marks come from the router at crash *detection*
         # and probe-passed revival, so availability measures what clients
@@ -73,18 +70,6 @@ class FleetTelemetry:
         if existing is not None and existing is not telemetry:
             raise ValueError(f"node {name!r} already attached to a different sink")
         self._nodes[name] = telemetry
-
-    def attach_loop(self, loop) -> None:
-        """Surface an event loop's utilization counters in :meth:`snapshot`.
-
-        Opt-in (a shard worker attaches its group's loop so imbalance and
-        window stalls are observable per shard): snapshots without an
-        attachment are unchanged, which keeps the equivalence comparisons
-        of ``serve_trace`` against a ``submit_request`` loop — whose event
-        *counts* legitimately differ — byte-identical.  ``loop`` needs only a ``utilization() -> dict``
-        (see :meth:`repro.sim.engine.EventLoop.utilization`).
-        """
-        self._loop = loop
 
     def node(self, name: str) -> ServingTelemetry:
         """One node's sink (KeyError with the known names otherwise)."""
@@ -309,8 +294,6 @@ class FleetTelemetry:
             out["resilience"] = asdict(self.resilience)
         if self.cascade is not None:
             out["cascade"] = self.cascade.snapshot()
-        if self._loop is not None:
-            out["event_loop"] = self._loop.utilization()
         tenants = self.tenant_snapshot()
         if tenants:
             out["tenants"] = tenants

@@ -105,19 +105,3 @@ def test_depth_series_and_snapshot(fleet):
     assert snap["p99_ms"] == pytest.approx(fleet.p99_s * 1e3)
     assert set(snap["per_node"]) == {"a", "b"}
     assert snap["per_node"]["a"]["served"] == 3
-
-
-def test_attach_loop_surfaces_utilization_opt_in(fleet):
-    from repro.sim.engine import EventLoop
-
-    # Without an attachment the snapshot is unchanged — that absence is
-    # what keeps serve_trace vs submit_request-oracle telemetry exact.
-    assert "event_loop" not in fleet.snapshot()
-
-    loop = EventLoop()
-    loop.schedule(0.5, lambda lp: None)
-    loop.run()
-    fleet.attach_loop(loop)
-    snap = fleet.snapshot()
-    assert snap["event_loop"] == loop.utilization()
-    assert snap["event_loop"]["events_fired"] == 1

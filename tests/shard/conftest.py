@@ -54,10 +54,11 @@ def shard_trace():
 
 
 def run_plan(predictors, trace, *, n_workers=1, groups=SHARD_GROUPS,
-             front_tier="least-loaded", seed=20220530, inline=True, **kwargs):
+             front_tier="least-loaded", seed=20220530, inline=True,
+             lookahead_s=0.25, **kwargs):
     """One sharded replay with the suite's defaults folded in."""
     plan = ShardPlan(
-        groups=groups, n_workers=n_workers, lookahead_s=0.25,
+        groups=groups, n_workers=n_workers, lookahead_s=lookahead_s,
         front_tier=front_tier, balancer="least-ect", seed=seed,
     )
     return run_sharded(

@@ -41,6 +41,8 @@ def test_defaults_and_n_groups():
         ({"groups": G2, "n_workers": 1.5}, "n_workers"),
         ({"groups": G2, "n_workers": 2.0}, "n_workers"),
         ({"groups": G2, "n_workers": True}, "n_workers"),
+        ({"groups": G2, "lookahead_s": float("inf")}, "lookahead_s"),
+        ({"groups": G2, "lookahead_s": float("nan")}, "lookahead_s"),
     ],
 )
 def test_invalid_plans_fail_loudly(kwargs, fragment):
