@@ -87,15 +87,6 @@ class LoadBalancer:
     #: it to admission when nothing can run between the two.
     probed_delay: "float | None" = None
 
-    def invalidate(self) -> None:
-        """Fleet membership or predictor state changed: drop any memos.
-
-        The router calls this on every activate/drain so a policy that
-        keeps cross-request state never acts on a stale fleet view.  The
-        built-in policies keep no such memos, so this is a no-op.
-        """
-        return None
-
     def prepare(
         self, nodes: "list[ClusterNode]", requests: "Iterable[InferenceRequest]"
     ) -> None:

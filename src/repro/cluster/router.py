@@ -35,6 +35,7 @@ from functools import partial
 
 import numpy as np
 
+from repro.checks import require_host_batch
 from repro.errors import SchedulerError
 from repro.cluster.balancers import LoadBalancer, ShardSummary, make_balancer
 from repro.cluster.node import ClusterNode, NodeState
@@ -218,7 +219,7 @@ class ClusterRouter:
             request_id=self._seq,
             arrival_s=arrival,
             model=model,
-            batch=int(batch),
+            batch=batch,
             deadline_s=None if deadline_s is None else arrival + deadline_s,
         )
         return self.submit_request(request)
@@ -232,8 +233,12 @@ class ClusterRouter:
         clock — the policy reads fleet load at that moment — and so does
         admission on the chosen node, in the same event when nothing else
         is due then (see :meth:`_place`).  Request ids must be unique per
-        router (they key the exactly-once ledger).
+        router (they key the exactly-once ledger).  ``x``, when given, must
+        hold ``request.batch`` rows of the model's input.
         """
+        spec = self.specs.get(request.model)
+        if x is not None and spec is not None:
+            require_host_batch(x, spec, request.batch)
         if request.arrival_s < self.loop.now:
             raise SchedulerError(
                 f"cannot submit into the past: arrival {request.arrival_s} "
@@ -338,7 +343,6 @@ class ClusterRouter:
         """Bring a standby node into the serving set."""
         node = self.node(name)
         node.activate()
-        self.balancer.invalidate()
         self._log("scale_up", node.name)
         return node
 
@@ -351,7 +355,6 @@ class ClusterRouter:
         """
         node = self.node(name)
         drained = node.start_drain()
-        self.balancer.invalidate()
         self._log("drain_start", node.name, f"{len(drained)} re-routed")
         for response in drained:
             target = self._place(response, "drain")
@@ -497,8 +500,6 @@ class ClusterRouter:
             if node.state is NodeState.DOWN:
                 restored = node.revive()
                 self.telemetry.mark_node_up(node.name, now)
-                if restored is NodeState.ACTIVE:
-                    self.balancer.invalidate()
                 self._log("node_up", node.name, f"restored {restored.value}")
 
     def _handle_crash(self, node: ClusterNode) -> None:
@@ -509,7 +510,6 @@ class ClusterRouter:
         if node.state is not NodeState.DOWN:
             self.telemetry.mark_node_down(node.name, now)
         node.mark_down()
-        self.balancer.invalidate()
         lost = node.frontend.collect_lost()
         self._log("node_down", node.name, f"{len(lost)} orphaned")
         # Orphans are redelivered immediately — their time already burned

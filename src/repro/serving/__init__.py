@@ -13,7 +13,8 @@ discrete-event engine:
 * :mod:`repro.serving.admission` — bounded queues, estimated-completion
   rejection from learned service times, and a degrade-to-cheapest path.
 * :mod:`repro.serving.workers` — per-device execution stages that launch
-  coalesced batches and feed realized service times back.
+  coalesced batches and feed realized service times back; each landed
+  batch becomes one :class:`LaunchRecord` its served handles share.
 * :mod:`repro.serving.frontend` — the :class:`ServingFrontend` façade
   (``submit(model, x, deadline_s, policy)`` → future-like
   :class:`ServingResponse`) plus per-model :class:`SLOConfig`;
@@ -35,7 +36,7 @@ from repro.serving.frontend import (
     SLOConfig,
 )
 from repro.serving.queues import EDFQueue, FIFOQueue, RequestQueue, make_queue
-from repro.serving.workers import DeviceWorker
+from repro.serving.workers import DeviceWorker, LaunchRecord
 
 __all__ = [
     "RequestQueue",
@@ -47,6 +48,7 @@ __all__ = [
     "AdmissionController",
     "AdmissionDecision",
     "DeviceWorker",
+    "LaunchRecord",
     "SLOConfig",
     "IMMEDIATE_DISPATCH",
     "ServingFrontend",

@@ -52,10 +52,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
-from repro.checks import require_count, require_finite
+from repro.checks import require_count, require_finite, require_host_batch
 from repro.errors import SchedulerError
 from repro.nn.builders import ModelSpec
 from repro.ocl.event import Event
@@ -66,7 +67,7 @@ from repro.serving.admission import AdmissionController, AdmissionDecision
 from repro.serving.coalescer import BatchCoalescer, CoalescedBatch
 from repro.serving.outcomes import Outcomes, meets_deadline
 from repro.serving.queues import RequestQueue, make_queue
-from repro.serving.workers import DeviceWorker
+from repro.serving.workers import DeviceWorker, LaunchRecord
 from repro.sim.engine import EventLoop, TraceCursor, check_arrival_order
 from repro.telemetry.serving import ServingTelemetry
 from repro.workloads.requests import InferenceRequest, RequestTrace
@@ -158,6 +159,12 @@ class _Segment:
         self.telemetry.record_depth(self.model, len(queue))
 
 
+def _launched(name: str) -> property:
+    """A read-only view of one :class:`LaunchRecord` field, None until served."""
+    get = attrgetter(name)
+    return property(lambda self: None if self.launch is None else get(self.launch))
+
+
 class ServingResponse:
     """The one future-like handle for one request, standalone or routed.
 
@@ -171,6 +178,11 @@ class ServingResponse:
     there) when it registers or readmits the handle, never while the
     handle is queued; :attr:`x` holds the host samples until resolution.
 
+    A served handle holds its batch's shared :class:`LaunchRecord` in
+    :attr:`launch` (None while pending, shed or failed); ``device``,
+    ``end_s`` and the other launch fields read through to it, None
+    without one, and :attr:`energy_j` is its sample share of the energy.
+
     A routed request keeps this handle across every drain, retry and
     crash re-adoption: the router creates it, sets :attr:`node_name` and
     counts placements in :attr:`n_routes` (None and 0 on a standalone
@@ -181,11 +193,20 @@ class ServingResponse:
     """
 
     __slots__ = (
-        "request", "status", "node_name", "n_routes", "device", "device_name",
-        "gpu_state", "trigger", "batch_id", "batch_size", "dispatched_s",
-        "start_s", "end_s", "energy_j", "scores", "degraded", "shed_reason",
-        "on_done", "_ledger", "enqueued_s", "seq", "x",
+        "request", "status", "node_name", "n_routes", "launch", "scores",
+        "degraded", "shed_reason", "on_done", "_ledger", "enqueued_s", "seq",
+        "x",
     )
+
+    device = _launched("device")               # device-class value
+    device_name = _launched("device_name")
+    gpu_state = _launched("gpu_state")         # dGPU state probed at placement
+    trigger = _launched("trigger")             # what dispatched its batch
+    batch_id = _launched("batch_id")           # which coalesced batch served it
+    batch_size = _launched("size")             # coalesced launch size
+    dispatched_s = _launched("dispatched_s")   # when its batch was formed
+    start_s = _launched("start_s")
+    end_s = _launched("end_s")
 
     def __init__(self, request: InferenceRequest, ledger=None):
         self.request = request
@@ -193,16 +214,7 @@ class ServingResponse:
         self.enqueued_s = self.seq = self.x = None  # see the class docstring
         self.node_name: "str | None" = None       # routed: the serving node
         self.n_routes = 0                         # routed: placements so far
-        self.device: "str | None" = None          # device-class value
-        self.device_name: "str | None" = None
-        self.gpu_state: "str | None" = None       # dGPU state probed at placement
-        self.trigger: "str | None" = None         # what dispatched its batch
-        self.batch_id: "int | None" = None        # which coalesced batch served it
-        self.batch_size: "int | None" = None      # coalesced launch size
-        self.dispatched_s: "float | None" = None  # when its batch was formed
-        self.start_s: "float | None" = None
-        self.end_s: "float | None" = None
-        self.energy_j: "float | None" = None      # batch energy x sample share
+        self.launch: "LaunchRecord | None" = None
         self.scores: "np.ndarray | None" = None
         self.degraded = False
         self.shed_reason: "str | None" = None
@@ -212,12 +224,12 @@ class ServingResponse:
     def resolve(self, status: str, shed_reason: "str | None" = None) -> bool:
         """The one resolution point: leave 'pending' as 'ok' or 'shed'.
 
-        Served fields are set before the call.  Drops the host samples,
-        moves the owning router's ledger counters, then fires (and
-        consumes) ``on_done``; returns whether a served request missed its
-        deadline, the one verdict both ledgers count.  A second resolution
-        raises: every move path takes the request off its old frontend
-        before handing it on, so no stale attempt stays live.
+        A served handle has its :attr:`launch` set before the call.  Drops
+        the host samples, moves the owning router's ledger counters, then
+        fires (and consumes) ``on_done``; returns whether a served request
+        missed its deadline, the one verdict both ledgers count.  A second
+        resolution raises: every move path takes the request off its old
+        frontend before handing it on, so no stale attempt stays live.
         """
         if self.status != "pending":
             raise SchedulerError(
@@ -227,9 +239,8 @@ class ServingResponse:
         self.status = status
         self.shed_reason = shed_reason
         self.x = None
-        late = (
-            status == "ok"
-            and meets_deadline(self.end_s, self.request.deadline_s) is False
+        late = status == "ok" and (
+            meets_deadline(self.launch.end_s, self.request.deadline_s) is False
         )
         ledger = self._ledger
         if ledger is not None:
@@ -265,6 +276,14 @@ class ServingResponse:
         return float("inf") if deadline is None else deadline - now
 
     @property
+    def energy_j(self) -> "float | None":
+        """This request's share of its launch's energy, by samples."""
+        launch = self.launch
+        if launch is None:
+            return None
+        return launch.energy_j * self.request.batch / launch.size
+
+    @property
     def inner(self) -> "ServingResponse":
         """This handle itself: a read-only alias only ``perfbench/`` uses."""
         return self
@@ -276,12 +295,13 @@ class ServingResponse:
         None on a standalone frontend: the fields the determinism digests
         hash (:mod:`repro.shard.digest`) and sharded workers ship.
         """
+        launch = self.launch
         return (
             self.request.request_id,
             self.status,
             self.node_name,
-            self.device,
-            self.end_s,
+            None if launch is None else launch.device,
+            None if launch is None else launch.end_s,
             self.shed_reason,
         )
 
@@ -296,14 +316,14 @@ class ServingResponse:
         """
         if not self.served:
             raise SchedulerError(f"request is {self.status}, has no latency")
-        return self.end_s - self.request.effective_arrival_s
+        return self.launch.end_s - self.request.effective_arrival_s
 
     @property
     def deadline_met(self) -> "bool | None":
         """Whether the SLO held (None if best-effort or not served)."""
         if not self.served:
             return None
-        return meets_deadline(self.end_s, self.request.deadline_s)
+        return meets_deadline(self.launch.end_s, self.request.deadline_s)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -483,7 +503,8 @@ class ServingFrontend:
     ) -> ServingResponse:
         """Submit one request; returns immediately with a pending response.
 
-        ``x`` is either a host batch (real scores come back) or a bare
+        ``x`` is either a host batch (real scores come back), whose rows
+        must match the model's input shape, or a bare positive integer
         batch size (timing/energy only).  ``deadline_s`` is the *relative*
         SLO from arrival; omitted, the model's configured default applies.
         ``policy`` must be the frontend's placement policy (one frontend
@@ -498,9 +519,10 @@ class ServingFrontend:
                 f"placement policy {placement_policy.value!r}"
             )
         if isinstance(x, np.ndarray):
-            batch, data = int(x.shape[0]), x
+            require_host_batch(x, spec)
+            batch, data = x.shape[0], x
         else:
-            batch, data = int(x), None
+            batch, data = x, None
         arrival = self.loop.now if arrival_s is None else float(arrival_s)
         cfg = self.slo_for(model)
         relative = deadline_s if deadline_s is not None else cfg.deadline_s
@@ -520,9 +542,12 @@ class ServingFrontend:
         """Submit a pre-built trace request (its own deadline wins).
 
         Requests without a deadline inherit the model's configured default
-        SLO, so plain traces can still drive deadline-aware serving.
+        SLO, so plain traces can still drive deadline-aware serving.  ``x``,
+        when given, must hold ``request.batch`` rows of the model's input.
         """
-        self._require_spec(request.model)
+        spec = self._require_spec(request.model)
+        if x is not None:
+            require_host_batch(x, spec, request.batch)
         if request.arrival_s < self.loop.now:
             raise SchedulerError(
                 f"cannot submit into the past: arrival {request.arrival_s} "
@@ -882,14 +907,16 @@ class ServingFrontend:
     ) -> None:
         """Resolve a landed batch's handles in order (or fail one on a
         transient-fault draw), then record the served ones once."""
-        end, started = event.time_ended, event.time_started
+        end = event.time_ended
         scores = event.meta.get("scores")
-        total, energy = batch.total_samples, event.energy.total_j
-        batch_id = self._n_batches
+        total = batch.total_samples
+        launch = LaunchRecord(
+            placement.device, placement.device_name, placement.gpu_state,
+            batch.trigger, self._n_batches, total, batch.formed_s,
+            event.time_started, end, event.energy.total_j,
+        )
         self._n_batches += 1
         pending, profile = self._pending, self.fault_profile
-        device, device_name = placement.device, placement.device_name
-        gpu_state, trigger = placement.gpu_state, batch.trigger
         latencies, lates = [], []
         offset = 0
         for response in batch.entries:
@@ -900,16 +927,7 @@ class ServingFrontend:
                 offset += samples
                 self._fail_request(response, "inference_error")
                 continue
-            response.device = device
-            response.device_name = device_name
-            response.gpu_state = gpu_state
-            response.trigger = trigger
-            response.batch_id = batch_id
-            response.batch_size = total
-            response.dispatched_s = batch.formed_s
-            response.start_s = started
-            response.end_s = end
-            response.energy_j = energy * samples / total
+            response.launch = launch
             if scores is not None:
                 response.scores = scores[offset : offset + samples]
             offset += samples
@@ -973,15 +991,9 @@ class ServingFrontend:
         self.crashed = True
         for response in self.drain_queued():
             self._lost[response.seq] = response
-        for worker in self._workers.values():
-            for batch, _decision in worker.abort_in_flight():
-                for response in batch.entries:
-                    del self._pending[response.seq]
-                    self._lost[response.seq] = response
-        self._in_flight = 0
-        self._in_flight_samples = 0
-        for model in self._timer_at:
-            self._timer_at[model] = None
+        for name in self._workers:
+            for response in self.abort_device(name):
+                self._lost[response.seq] = response
 
     def restart(self) -> None:
         """Bring a crashed frontend back up (empty queues, cold timers).
@@ -1150,7 +1162,7 @@ class ServingFrontend:
         """
         worker = self.worker_for(device_name)
         collected: "list[ServingResponse]" = []
-        for batch, _decision in worker.abort_in_flight():
+        for batch in worker.abort_in_flight():
             for response in batch.entries:
                 self._in_flight -= 1
                 self._in_flight_samples -= response.request.batch

@@ -14,7 +14,7 @@ on the in-order queue, so the queue's clock running ahead of ``loop.now``
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,7 +24,22 @@ from repro.sched.dispatcher import Dispatcher
 from repro.serving.coalescer import CoalescedBatch
 from repro.sim.engine import EventLoop
 
-__all__ = ["DeviceWorker"]
+__all__ = ["DeviceWorker", "LaunchRecord"]
+
+
+class LaunchRecord(NamedTuple):
+    """One landed batch, shared by every handle it served (energy by share)."""
+
+    device: str             # device-class value
+    device_name: str
+    gpu_state: str          # dGPU state probed at placement
+    trigger: str            # what dispatched the batch
+    batch_id: int           # completion order on its frontend
+    size: int               # samples in the launch
+    dispatched_s: float     # when the batch was formed
+    start_s: float
+    end_s: float
+    energy_j: float         # the whole launch's energy
 
 
 class DeviceWorker:
@@ -61,12 +76,11 @@ class DeviceWorker:
         # counts busy sibling partitions.  None (the default) leaves the
         # launch path untouched.
         self.contention = None
-        # In-flight ledger: launch id -> (batch, decision, event, handle).
+        # In-flight ledger: launch id -> (batch, completion handle).
         # Completion pops its entry; a crash aborts every entry and cancels
         # the pending completion callbacks, so aborted work can be
         # re-adopted elsewhere without ever completing twice.
         self._inflight: "dict[int, tuple]" = {}
-        self._launch_ids = iter(range(0, 2**62))
 
     def backlog_s(self, now: float) -> float:
         """Seconds of already-dispatched work still ahead of ``now``."""
@@ -120,13 +134,13 @@ class DeviceWorker:
         self.n_samples += batch.total_samples
         self.busy_s += event.duration_s
 
-        launch_id = next(self._launch_ids)
+        launch_id = self.n_batches
         handle = self.loop.schedule(
             event.time_ended,
             partial(self._fire_complete, launch_id, batch, decision, event),
             label="complete",
         )
-        self._inflight[launch_id] = (batch, decision, event, handle)
+        self._inflight[launch_id] = (batch, handle)
         return event
 
     def _fire_complete(
@@ -141,17 +155,17 @@ class DeviceWorker:
             return  # aborted by a crash; the work was re-adopted elsewhere
         self.on_complete(batch, decision, event)
 
-    def abort_in_flight(self) -> "list[tuple[CoalescedBatch, BacklogDecision]]":
+    def abort_in_flight(self) -> "list[CoalescedBatch]":
         """Abandon every launch that has not completed yet (node crash).
 
         Cancels the pending completion callbacks and empties the ledger;
-        returns the (batch, decision) pairs so the caller can put their
-        requests back into play exactly once.
+        returns the aborted batches so the caller can put their requests
+        back into play exactly once.
         """
         aborted = []
-        for batch, decision, _event, handle in self._inflight.values():
+        for batch, handle in self._inflight.values():
             self.loop.cancel(handle)
-            aborted.append((batch, decision))
+            aborted.append(batch)
         self._inflight.clear()
         self.n_aborted += len(aborted)
         return aborted

@@ -42,10 +42,10 @@ class InferenceRequest:
 
     def __post_init__(self) -> None:
         # Comparisons are written so NaN fails them: every one is False.
-        if not isinstance(self.batch, (int, np.integer)) or self.batch <= 0:
-            raise ValueError(
-                f"batch must be a positive integer, got {self.batch!r}"
-            )
+        # A bool is an int: True is refused by identity, False by the bound.
+        batch = self.batch
+        if not isinstance(batch, (int, np.integer)) or batch is True or batch <= 0:
+            raise ValueError(f"batch must be a positive integer, got {batch!r}")
         if not 0.0 <= self.arrival_s < math.inf:
             raise ValueError(
                 f"arrival_s must be finite and >= 0, got {self.arrival_s}"

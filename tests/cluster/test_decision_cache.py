@@ -5,19 +5,13 @@ end-to-end: a least-ECT fleet riding out an overload must produce the
 *same simulated-time story* — per-request statuses, nodes, devices,
 latencies, tail percentiles, shed rate — as the same fleet placing
 through the uncached reference walk (``tests/placement_oracle.py``),
-while the telemetry rollup actually surfaces the hit counters.  The
-router must also tell its balancer about membership changes, and a drain
+while the telemetry rollup actually surfaces the hit counters.  A drain
 mid-trace must leave least-ECT's decisions equal to the no-prime oracle's.
 """
 
 import pytest
 
-from repro.cluster import (
-    ClusterRouter,
-    LeastECTBalancer,
-    NodeSpec,
-    RoundRobinBalancer,
-)
+from repro.cluster import ClusterRouter, LeastECTBalancer
 from repro.faults import FaultInjector
 from repro.nn.zoo import MNIST_SMALL
 from repro.sched.policies import Policy
@@ -224,36 +218,10 @@ class TestOnlineClusterEquivalence:
         assert "online" not in router.stats()
 
 
-class _RecordingBalancer(RoundRobinBalancer):
-    def __init__(self):
-        super().__init__()
-        self.invalidations = 0
-
-    def invalidate(self):
-        self.invalidations += 1
-
-
 class TestMembershipInvalidation:
-    def test_activate_and_drain_invalidate_the_balancer(self, serving_predictors):
-        specs = [
-            NodeSpec("node-a"),
-            NodeSpec("node-b"),
-            NodeSpec("node-spare", active=False),
-        ]
-        balancer = _RecordingBalancer()
-        router = ClusterRouter(
-            build_fleet(serving_predictors, node_specs=specs),
-            balancer=balancer,
-        )
-        assert balancer.invalidations == 0
-        router.activate_node("node-spare")
-        assert balancer.invalidations == 1
-        router.drain_node("node-b")
-        assert balancer.invalidations == 2
-
     def test_least_ect_memo_survives_invalidate_correctly(self, online_dataset):
-        """A drain mid-trace (which invalidates the balancer) still resolves
-        every request, and every decision matches the no-prime oracle."""
+        """A drain mid-trace still resolves every request, and every
+        decision matches the no-prime oracle."""
         stream = OverloadStream(
             horizon_s=0.5, slo_s=0.3, normal_rate_hz=200,
             overload_rate_hz=2000, overload_start_s=0.1, overload_end_s=0.2,

@@ -22,7 +22,7 @@ from repro.faults import (
     ResilienceConfig,
     RetryPolicy,
 )
-from repro.serving import ServingResponse, SLOConfig
+from repro.serving import LaunchRecord, ServingResponse, SLOConfig
 from repro.telemetry.fleet import FleetTelemetry
 from repro.telemetry.serving import ServingTelemetry
 from repro.workloads.requests import InferenceRequest
@@ -442,7 +442,10 @@ class TestAvailabilityGoodput:
             if i < 2:
                 r.resolve("shed", "queue_full")
             elif i < 10:
-                r.end_s = 2.0 if i == 2 else 0.5
+                end = 2.0 if i == 2 else 0.5
+                r.launch = LaunchRecord(
+                    "cpu", "cpu", "idle", "full", i, 1, 0.0, 0.0, end, 0.0
+                )
                 r.resolve("ok")
             responses.append(r)
         result = ClusterResult(responses=responses)

@@ -1,5 +1,6 @@
 """ClusterRouter: construction guards, routing, drains, and bookkeeping."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SchedulerError
@@ -74,6 +75,35 @@ def test_submit_into_the_past(serving_predictors):
     router.run()
     with pytest.raises(SchedulerError, match="into the past"):
         router.submit("simple", 8, arrival_s=0.1)
+
+
+@pytest.mark.parametrize("batch", [2.5, True, "3"])
+def test_submit_non_integer_batch(serving_predictors, batch):
+    """A bare batch size is taken as given, never truncated."""
+    router = ClusterRouter(
+        build_fleet(serving_predictors, node_specs=(NodeSpec("solo"),))
+    )
+    with pytest.raises(ValueError, match="batch"):
+        router.submit("simple", batch)
+    assert router.result().responses == []
+
+
+def test_submit_misshaped_host_batch(serving_predictors):
+    """Host rows that do not fit the model's input raise at submit; a
+    well-formed request submitted alongside is still served."""
+    router = ClusterRouter(
+        build_fleet(serving_predictors, node_specs=(NodeSpec("solo"),))
+    )
+    good = router.submit_request(
+        InferenceRequest(0, 0.0, "mnist-small", 2),
+        x=np.zeros((2, 784), dtype=np.float32),
+    )
+    for rows, x in ((3, np.zeros((3, 7))), (3, np.zeros((2, 784))), (1, np.zeros(()))):
+        with pytest.raises(ValueError, match=rf"x for model 'mnist-small'.*\({rows}, 784\)"):
+            router.submit_request(InferenceRequest(1, 0.0, "mnist-small", rows), x=x)
+    router.run()
+    assert good.served and good.scores.shape[0] == 2
+    assert router.result().responses == [good]
 
 
 # -- routing -----------------------------------------------------------------

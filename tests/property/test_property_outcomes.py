@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.cascade.chain import CascadeChain, CascadeResult
 from repro.cluster import ClusterResult
 from repro.errors import SchedulerError
-from repro.serving import ServingResponse, ServingResult
+from repro.serving import LaunchRecord, ServingResponse, ServingResult
 from repro.workloads.requests import InferenceRequest
 
 outcome_specs = st.lists(
@@ -43,7 +43,11 @@ def make_responses(specs) -> "list[ServingResponse]":
         ))
         r.node_name, r.n_routes = node, routes
         if status == "ok":
-            r.device, r.end_s, r.energy_j = device, arrival + latency, latency
+            r.launch = LaunchRecord(
+                device=device, device_name=device, gpu_state="idle",
+                trigger="full", batch_id=i, size=1, dispatched_s=arrival,
+                start_s=arrival, end_s=arrival + latency, energy_j=latency,
+            )
             r.resolve("ok")
         elif status == "shed":
             r.resolve("shed", "queue_full")

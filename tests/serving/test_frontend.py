@@ -9,7 +9,7 @@ import pytest
 from tests.serving.conftest import SERVING_SPECS, build_scheduler
 from repro.errors import SchedulerError
 from repro.serving import IMMEDIATE_DISPATCH, ServingFrontend, SLOConfig
-from repro.workloads.requests import RequestTrace, make_trace
+from repro.workloads.requests import InferenceRequest, RequestTrace, make_trace
 from repro.workloads.streams import OverloadStream
 
 
@@ -97,6 +97,37 @@ class TestSubmit:
         fe.run()
         with pytest.raises(SchedulerError, match="past"):
             fe.submit("simple", 8, arrival_s=0.5)
+
+    @pytest.mark.parametrize("batch", [2.5, True, "3"])
+    def test_non_integer_batch_rejected(self, scheduler, batch):
+        """A bare batch size is taken as given, never truncated."""
+        fe = make_frontend(scheduler)
+        with pytest.raises(ValueError, match="batch"):
+            fe.submit("simple", batch)
+        assert fe.n_pending == 0
+
+    def test_numpy_integer_batch_accepted(self, scheduler):
+        fe = make_frontend(scheduler, max_wait_s=0.01)
+        response = fe.submit("simple", np.int64(3))
+        fe.run()
+        assert response.served and response.batch == 3
+
+    def test_misshaped_host_batch_rejected_at_submit(self, scheduler):
+        """Host rows that do not fit the model's input raise at submit,
+        naming ``x``, the model and the expected shape; a well-formed
+        request submitted alongside is still served."""
+        fe = make_frontend(scheduler, max_wait_s=0.01)
+        good = fe.submit("mnist-small", np.zeros((2, 784), dtype=np.float32))
+        for bad in (np.zeros((3, 7)), np.zeros(())):
+            with pytest.raises(ValueError, match=r"x for model 'mnist-small'.*\(n, 784\)"):
+                fe.submit("mnist-small", bad)
+        request = InferenceRequest(1, 0.0, "mnist-small", 3)
+        with pytest.raises(ValueError, match=r"x for model 'mnist-small'.*\(3, 784\)"):
+            fe.submit_request(request, np.zeros((2, 784), dtype=np.float32))
+        assert fe.n_pending == 1
+        fe.run()
+        assert good.served and good.scores.shape[0] == 2
+        assert fe.n_pending == 0
 
 
 class TestCoalescingTriggers:

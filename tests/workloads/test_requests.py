@@ -30,6 +30,7 @@ class TestRequest:
             ("deadline_s", math.nan),
             ("deadline_s", math.inf),
             ("batch", 8.5),
+            ("batch", True),
             ("origin_arrival_s", math.nan),
         ],
     )
