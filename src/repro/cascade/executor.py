@@ -205,9 +205,11 @@ class CascadeExecutor:
             policy=self.policy,
             x=x,
         )
+        # Recorded only once stage 0 has accepted it: a refused submit
+        # must not leave a chain pending forever.
+        self._submit_stage(chain, 0, batch, x, arrival)
         self.chains.append(chain)
         self.telemetry.n_chains += 1
-        self._submit_stage(chain, 0, batch, x, arrival)
         return chain
 
     def serve_trace(

@@ -35,7 +35,7 @@ and never the other way around.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -297,16 +297,17 @@ class ShardSummary:
 
 
 class FrontTier:
-    """Base shard-selection policy: ``choose`` maps a request to a group.
+    """Base shard-selection policy: ``choose`` maps requests to groups.
 
     The coordinator calls :meth:`begin_window` with the freshly-exchanged
     summaries (ordered by group id) before routing each window, then
-    :meth:`choose` once per arrival in that window.  Policies that ignore
+    :meth:`choose` once with that window's arrivals.  Policies that ignore
     the summaries (``uses_summaries = False``) are *static*: the whole
-    trace can be routed upfront and the shards run to completion with no
-    window synchronization at all — which is also what makes a
+    trace is routed by one upfront call and the shards run to completion
+    with no window synchronization at all — which is also what makes a
     single-group static replay bit-identical to the monolithic
-    ``serve_trace``.
+    ``serve_trace``.  Splitting a window over several calls routes it
+    exactly as one call would.
     """
 
     name = "abstract"
@@ -324,7 +325,8 @@ class FrontTier:
         """Install the summaries taken at the window's opening boundary."""
         return None
 
-    def choose(self, request: InferenceRequest) -> int:
+    def choose(self, requests: "Sequence[InferenceRequest]") -> np.ndarray:
+        """One group id per request (int64), in request order."""
         raise NotImplementedError
 
 
@@ -334,7 +336,8 @@ class HashFrontTier(FrontTier):
     The splitmix64 finalizer spreads even sequential ids uniformly, so
     traffic shares stay balanced without any load feedback — and the
     assignment is a pure function of (request_id, n_groups), reproducible
-    anywhere.
+    anywhere.  It runs over the ids as one ``uint64`` array, whose
+    arithmetic wraps mod 2**64 exactly as the finalizer specifies.
     """
 
     name = "hash"
@@ -342,11 +345,12 @@ class HashFrontTier(FrontTier):
 
     _MASK = (1 << 64) - 1
 
-    def choose(self, request):
-        z = (request.request_id + 0x9E3779B97F4A7C15) & self._MASK
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & self._MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & self._MASK
-        return int((z ^ (z >> 31)) % self.n_groups)
+    def choose(self, requests):
+        z = np.array([r.request_id & self._MASK for r in requests], dtype=np.uint64)
+        z += np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return ((z ^ (z >> np.uint64(31))) % np.uint64(self.n_groups)).astype(np.int64)
 
 
 class RoundRobinFrontTier(FrontTier):
@@ -359,10 +363,11 @@ class RoundRobinFrontTier(FrontTier):
         super().__init__(n_groups)
         self._turn = 0
 
-    def choose(self, request):
-        group = self._turn % self.n_groups
-        self._turn += 1
-        return group
+    def choose(self, requests):
+        n = len(requests)
+        groups = np.arange(self._turn, self._turn + n, dtype=np.int64) % self.n_groups
+        self._turn += n
+        return groups
 
 
 class LeastLoadedFrontTier(FrontTier):
@@ -380,9 +385,9 @@ class LeastLoadedFrontTier(FrontTier):
 
     def __init__(self, n_groups: int):
         super().__init__(n_groups)
-        self._summaries: "tuple[ShardSummary, ...] | None" = None
-        self._pending = [0] * n_groups
-        self._pending_samples = [0] * n_groups
+        # Per group: summary outstanding plus this window's assignments.
+        self._samples: "list[int] | None" = None
+        self._counts: "list[int] | None" = None
 
     def begin_window(self, summaries):
         if len(summaries) != self.n_groups or any(
@@ -392,33 +397,29 @@ class LeastLoadedFrontTier(FrontTier):
                 f"front tier expects one summary per group 0..{self.n_groups - 1} "
                 f"in order, got groups {[s.group for s in summaries]}"
             )
-        self._summaries = tuple(summaries)
-        self._pending = [0] * self.n_groups
-        self._pending_samples = [0] * self.n_groups
+        self._samples = [s.outstanding_samples for s in summaries]
+        self._counts = [s.outstanding for s in summaries]
 
-    def choose(self, request):
-        summaries = self._summaries
-        if summaries is None:
+    def choose(self, requests):
+        samples, counts = self._samples, self._counts
+        if samples is None:
             raise SchedulerError(
                 "least-loaded front tier has no summaries yet; call "
                 "begin_window() before routing a window"
             )
-        pending = self._pending
-        pending_samples = self._pending_samples
-        best = 0
-        best_key = None
-        for g in range(self.n_groups):
-            s = summaries[g]
-            key = (
-                s.outstanding_samples + pending_samples[g],
-                s.outstanding + pending[g],
-                g,
-            )
-            if best_key is None or key < best_key:
-                best, best_key = g, key
-        pending[best] += 1
-        pending_samples[best] += request.batch
-        return best
+        rest = range(1, self.n_groups)
+        out = []
+        for request in requests:
+            # Lexicographic min of (samples, count, group id).
+            best, best_s, best_c = 0, samples[0], counts[0]
+            for g in rest:
+                s = samples[g]
+                if s < best_s or (s == best_s and counts[g] < best_c):
+                    best, best_s, best_c = g, s, counts[g]
+            samples[best] = best_s + request.batch
+            counts[best] = best_c + 1
+            out.append(best)
+        return np.array(out, dtype=np.int64)
 
 
 FRONT_TIERS = {

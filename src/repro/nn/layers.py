@@ -13,10 +13,13 @@ Design notes
   ``forward_train``/``backward`` (training with cached intermediates), so
   the zoo models are trained with real gradients rather than shipped with
   random weights.
+* ``build`` propagates shapes only and ``init_params`` draws the weights,
+  so a model's size is known before (or without) allocating it.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 import numpy as np
@@ -34,13 +37,21 @@ class Layer:
     #: Human-readable type tag used in reprs and FLOP reports.
     kind: str = "layer"
 
-    def build(self, input_shape: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
-        """Allocate parameters for ``input_shape`` (without the batch axis).
+    def build(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
+        """Propagate ``input_shape`` (without the batch axis); allocate nothing.
 
         Returns the output shape (without the batch axis).  Must be called
-        exactly once before ``forward``.
+        exactly once, then :meth:`init_params`, before ``forward``.
         """
         raise NotImplementedError
+
+    def init_params(self, rng: np.random.Generator) -> None:
+        """Draw the parameters :meth:`param_shapes` describes from ``rng``."""
+        return None
+
+    def param_shapes(self) -> tuple[tuple[int, ...], ...]:
+        """Shapes of the trainable parameters, in :meth:`params` order."""
+        return ()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Inference pass; does not retain intermediates."""
@@ -64,15 +75,49 @@ class Layer:
 
     @property
     def n_params(self) -> int:
-        """Total trainable scalar parameters."""
-        return sum(int(p.size) for _, p in self.params())
+        """Total trainable scalar parameters (from the built shapes)."""
+        return sum(math.prod(shape) for shape in self.param_shapes())
 
     def _check_built(self) -> None:
         if getattr(self, "output_shape", None) is None:
             raise ShapeError(f"{type(self).__name__} used before build()")
 
 
-class Dense(Layer):
+class _Weighted(Layer):
+    """A layer with one weight matrix ``w`` (drawn) and one bias ``b`` (zeros)."""
+
+    def __init__(self, activation: "str | Activation", kernel_init: str):
+        self.activation = get_activation(activation)
+        self._init_name = kernel_init
+        self.w: np.ndarray | None = None
+        self.b: np.ndarray | None = None
+        self.dw: np.ndarray | None = None
+        self.db: np.ndarray | None = None
+        self.input_shape: tuple[int, ...] | None = None
+        self.output_shape: tuple[int, ...] | None = None
+        self._cache: tuple[np.ndarray, np.ndarray] | None = None
+
+    def _fan_out(self) -> int:
+        raise NotImplementedError
+
+    def init_params(self, rng: np.random.Generator) -> None:
+        w_shape, b_shape = self.param_shapes()
+        init = get_initializer(self._init_name)
+        self.w = init(w_shape, w_shape[0], self._fan_out(), rng)
+        self.b = zeros(b_shape)
+
+    def params(self) -> Iterator[tuple[str, np.ndarray]]:
+        if self.w is not None:
+            yield "w", self.w
+            yield "b", self.b
+
+    def grads(self) -> Iterator[tuple[str, np.ndarray]]:
+        if self.dw is not None:
+            yield "w", self.dw
+            yield "b", self.db
+
+
+class Dense(_Weighted):
     """Fully-connected layer: ``y = act(x @ W + b)``.
 
     This is the perceptron-layer of §II-B1: each output node aggregates the
@@ -85,29 +130,23 @@ class Dense(Layer):
                  kernel_init: str = "he_normal"):
         if units <= 0:
             raise ValueError(f"units must be positive, got {units}")
+        super().__init__(activation, kernel_init)
         self.units = int(units)
-        self.activation = get_activation(activation)
-        self._init_name = kernel_init
-        self.w: np.ndarray | None = None
-        self.b: np.ndarray | None = None
-        self.dw: np.ndarray | None = None
-        self.db: np.ndarray | None = None
-        self.input_shape: tuple[int, ...] | None = None
-        self.output_shape: tuple[int, ...] | None = None
-        self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
-    def build(self, input_shape: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
+    def build(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(input_shape) != 1:
             raise ShapeError(
                 f"Dense expects flat input, got shape {input_shape}; add Flatten first"
             )
-        fan_in = int(input_shape[0])
-        init = get_initializer(self._init_name)
-        self.w = init((fan_in, self.units), fan_in, self.units, rng)
-        self.b = zeros((self.units,))
         self.input_shape = input_shape
         self.output_shape = (self.units,)
         return self.output_shape
+
+    def param_shapes(self) -> tuple[tuple[int, ...], ...]:
+        return (int(self.input_shape[0]), self.units), (self.units,)
+
+    def _fan_out(self) -> int:
+        return self.units
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._check_built()
@@ -128,16 +167,6 @@ class Dense(Layer):
         self.db = dz.sum(axis=0)
         self._cache = None
         return dz @ self.w.T
-
-    def params(self) -> Iterator[tuple[str, np.ndarray]]:
-        if self.w is not None:
-            yield "w", self.w
-            yield "b", self.b
-
-    def grads(self) -> Iterator[tuple[str, np.ndarray]]:
-        if self.dw is not None:
-            yield "w", self.dw
-            yield "b", self.db
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Dense(units={self.units}, activation={self.activation.name!r})"
@@ -167,7 +196,7 @@ def im2col_indices(
     return rows, cols
 
 
-class Conv2D(Layer):
+class Conv2D(_Weighted):
     """Valid (unpadded) 2-D convolution with ``filters`` output channels.
 
     The paper's CNN kernels use 3x3 filters exclusively; this layer is
@@ -188,24 +217,16 @@ class Conv2D(Layer):
             raise ValueError(f"stride must be positive, got {stride}")
         if padding not in ("valid", "same"):
             raise ValueError(f"padding must be 'valid' or 'same', got {padding!r}")
+        super().__init__(activation, kernel_init)  # w: (kh*kw*C_in, filters)
         self.filters = int(filters)
         self.kernel_size = int(kernel_size)
         self.stride = int(stride)
         self.padding = padding
         self._pad: tuple[int, int] = (0, 0)
-        self.activation = get_activation(activation)
-        self._init_name = kernel_init
-        self.w: np.ndarray | None = None  # (kh*kw*C_in, filters)
-        self.b: np.ndarray | None = None
-        self.dw: np.ndarray | None = None
-        self.db: np.ndarray | None = None
-        self.input_shape: tuple[int, ...] | None = None
-        self.output_shape: tuple[int, ...] | None = None
         self._rows: np.ndarray | None = None
         self._cols: np.ndarray | None = None
-        self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
-    def build(self, input_shape: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
+    def build(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(input_shape) != 3:
             raise ShapeError(f"Conv2D expects (H, W, C) input, got {input_shape}")
         h, w, c_in = map(int, input_shape)
@@ -220,14 +241,16 @@ class Conv2D(Layer):
         self._rows, self._cols = im2col_indices(ph, pw, k, k, self.stride)
         out_h = (ph - k) // self.stride + 1
         out_w = (pw - k) // self.stride + 1
-        fan_in = k * k * c_in
-        fan_out = k * k * self.filters
-        init = get_initializer(self._init_name)
-        self.w = init((fan_in, self.filters), fan_in, fan_out, rng)
-        self.b = zeros((self.filters,))
         self.input_shape = (h, w, c_in)
         self.output_shape = (out_h, out_w, self.filters)
         return self.output_shape
+
+    def param_shapes(self) -> tuple[tuple[int, ...], ...]:
+        fan_in = self.kernel_size * self.kernel_size * self.input_shape[2]
+        return (fan_in, self.filters), (self.filters,)
+
+    def _fan_out(self) -> int:
+        return self.kernel_size * self.kernel_size * self.filters
 
     def _padded(self, x: np.ndarray) -> np.ndarray:
         if self._pad == (0, 0):
@@ -289,16 +312,6 @@ class Conv2D(Layer):
                 f"Conv2D built for input {self.input_shape}, got array of shape {x.shape}"
             )
 
-    def params(self) -> Iterator[tuple[str, np.ndarray]]:
-        if self.w is not None:
-            yield "w", self.w
-            yield "b", self.b
-
-    def grads(self) -> Iterator[tuple[str, np.ndarray]]:
-        if self.dw is not None:
-            yield "w", self.dw
-            yield "b", self.db
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"Conv2D(filters={self.filters}, kernel_size={self.kernel_size}, "
@@ -319,7 +332,7 @@ class MaxPool2D(Layer):
         self.output_shape: tuple[int, ...] | None = None
         self._cache: tuple[np.ndarray, np.ndarray] | None = None
 
-    def build(self, input_shape: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
+    def build(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         if len(input_shape) != 3:
             raise ShapeError(f"MaxPool2D expects (H, W, C) input, got {input_shape}")
         h, w, c = map(int, input_shape)
@@ -378,7 +391,7 @@ class Flatten(Layer):
         self.input_shape: tuple[int, ...] | None = None
         self.output_shape: tuple[int, ...] | None = None
 
-    def build(self, input_shape: tuple[int, ...], rng: np.random.Generator) -> tuple[int, ...]:
+    def build(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         self.input_shape = tuple(map(int, input_shape))
         self.output_shape = (int(np.prod(input_shape)),)
         return self.output_shape

@@ -38,6 +38,7 @@ class Sequential:
         self.name = name
         self.input_shape: tuple[int, ...] | None = None
         self.output_shape: tuple[int, ...] | None = None
+        self._undrawn: np.random.Generator | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -46,18 +47,34 @@ class Sequential:
         input_shape: tuple[int, ...],
         rng: "int | np.random.Generator | None" = None,
     ) -> "Sequential":
-        """Propagate ``input_shape`` (sans batch axis) through all layers."""
+        """Propagate ``input_shape`` (sans batch axis) through all layers.
+
+        A shared ``Generator`` is drawn from now, so it advances as the
+        caller expects.  An int seed or None draws the same numbers later,
+        on the first read of the parameters (forward, forward_train,
+        params): a model that only runs virtual launches never allocates.
+        """
         gen = ensure_rng(rng)
         shape = tuple(int(s) for s in input_shape)
         self.input_shape = shape
         for layer in self.layers:
-            shape = layer.build(shape, gen)
+            shape = layer.build(shape)
         self.output_shape = shape
+        self._undrawn = gen
+        if gen is rng:
+            self._draw()
         return self
+
+    def _draw(self) -> None:
+        """Draw the deferred parameters, once (see :meth:`build`)."""
+        gen, self._undrawn = self._undrawn, None
+        if gen is not None:
+            for layer in self.layers:
+                layer.init_params(gen)
 
     @property
     def built(self) -> bool:
-        """Whether build() has run (shapes propagated, weights allocated)."""
+        """Whether build() has run (shapes propagated)."""
         return self.output_shape is not None
 
     def _require_built(self) -> None:
@@ -74,6 +91,7 @@ class Sequential:
                 f"model {self.name!r} expects input {self.input_shape}, "
                 f"got array of shape {x.shape}"
             )
+        self._draw()
         out = np.ascontiguousarray(x, dtype=np.float32)
         for layer in self.layers:
             out = layer.forward(out)
@@ -109,6 +127,7 @@ class Sequential:
     def forward_train(self, x: np.ndarray) -> np.ndarray:
         """Training-mode forward pass retaining per-layer caches."""
         self._require_built()
+        self._draw()
         out = np.ascontiguousarray(x, dtype=np.float32)
         for layer in self.layers:
             out = layer.forward_train(out)
@@ -125,6 +144,7 @@ class Sequential:
 
     def params(self) -> Iterator[tuple[str, np.ndarray]]:
         """Yield ``("<i>.<name>", array)`` for all trainable parameters."""
+        self._draw()
         for i, layer in enumerate(self.layers):
             for name, p in layer.params():
                 yield f"{i}.{name}", p
@@ -136,8 +156,13 @@ class Sequential:
 
     @property
     def n_params(self) -> int:
-        """Total trainable scalar parameter count."""
-        return sum(int(p.size) for _, p in self.params())
+        """Total trainable scalar parameter count (from shapes; draws nothing)."""
+        return sum(layer.n_params for layer in self.layers)
+
+    @property
+    def param_nbytes(self) -> int:
+        """Bytes of all parameters (float32), the weight-upload size."""
+        return 4 * self.n_params
 
     def get_weights(self) -> dict[str, np.ndarray]:
         """Export weights as a flat dict (copies, safe to mutate)."""

@@ -29,8 +29,8 @@ class InferenceKernel:
         The model architecture (drives the cost model).
     model:
         A built :class:`~repro.nn.model.Sequential` with (ideally trained)
-        weights.  ``None`` builds one lazily with default-initialized
-        weights on first execution.
+        weights.  ``None`` builds a seed-0 default one, whose weights are
+        drawn on its first forward pass.
     """
 
     def __init__(self, spec: ModelSpec, model: Sequential | None = None):
@@ -43,19 +43,12 @@ class InferenceKernel:
                     f"!= spec input {tuple(spec.input_shape)}"
                 )
         self.spec = spec
-        self._model = model
+        self.model = build_model(spec, rng=0) if model is None else model
 
     @property
     def name(self) -> str:
         """The model architecture's name."""
         return self.spec.name
-
-    @property
-    def model(self) -> Sequential:
-        """The bound network, building a default-weight one on demand."""
-        if self._model is None:
-            self._model = build_model(self.spec, rng=0)
-        return self._model
 
     def bind_weights(self, weights: dict[str, np.ndarray]) -> None:
         """Load trained weights (the Weights Building hand-off of Fig. 2)."""

@@ -27,13 +27,13 @@ __all__ = ["Dispatcher"]
 
 
 class Dispatcher:
-    """Owns built models, their weights, and per-device kernel instances."""
+    """Owns built models and per-device kernel instances."""
 
     def __init__(self, context: Context):
         self.context = context
         self._models: dict[str, Sequential] = {}
         self._specs: dict[str, ModelSpec] = {}
-        self._weights: dict[str, dict[str, np.ndarray]] = {}
+        self._weighted: set[str] = set()  # names whose weights are set
         # kernels[device_name][model_name] -> InferenceKernel
         self._kernels: dict[str, dict[str, InferenceKernel]] = {
             d.name: {} for d in context.devices
@@ -55,11 +55,11 @@ class Dispatcher:
         """Step (3)+(4): Weights Building module -> Dispatcher.
 
         Validates against the built model (allocating "the appropriate
-        buffers"), then stores the weight set for device loading.
+        buffers") and installs the weight set for device loading.
         """
         model = self._require_model(spec.name)
         model.set_weights(weights)  # validates names/shapes and installs
-        self._weights[spec.name] = model.get_weights()
+        self._weighted.add(spec.name)
 
     def deploy(self, spec: ModelSpec) -> None:
         """Step (5): load model + weights into every available device.
@@ -81,14 +81,15 @@ class Dispatcher:
     ) -> Sequential:
         """Convenience: build + deploy with freshly initialized weights."""
         model = self.build_model(spec, rng=rng)
-        self._weights[spec.name] = model.get_weights()
+        self._weighted.add(spec.name)
         self.deploy(spec)
         return model
 
     @staticmethod
     def _upload_cost(device: Device, model: Sequential) -> float:
-        param_bytes = sum(int(p.nbytes) for _, p in model.params())
-        return device.cost_model.transfer.transfer_time(param_bytes, pinned=True)
+        return device.cost_model.transfer.transfer_time(
+            model.param_nbytes, pinned=True
+        )
 
     # -- device topology (partition split/merge) ------------------------------
 
@@ -148,7 +149,7 @@ class Dispatcher:
 
     def deployed_models(self) -> list[str]:
         """Names of models that are built, weighted and deployed."""
-        return sorted(self._models.keys() & self._weights.keys())
+        return sorted(self._models.keys() & self._weighted)
 
     def _require_model(self, name: str) -> Sequential:
         try:

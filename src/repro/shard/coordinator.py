@@ -12,13 +12,14 @@ Protocol per window ``k`` (dynamic front tiers)::
 
     workers --(WindowDone: ShardSummary per group @ T_k)--> coordinator
     coordinator: front_tier.begin_window(summaries)
-                 choose() per arrival in [T_k, T_k + L)
+                 choose(arrivals in [T_k, T_k + L)), one call per window
     coordinator --(WindowAssign: trace indices, until=T_k + L)--> workers
     workers: inject arrivals, run(until=T_k + L), summarize
 
 Static front tiers (``hash``, ``round-robin``) collapse the whole thing:
-the assignment is a pure function of the request stream, so the entire
-trace ships upfront and the shards run to completion independently.
+the assignment is a pure function of the request stream, so one
+``choose`` call routes the entire trace, it ships upfront, and the
+shards run to completion independently.
 
 Determinism: the unit of partitioning is the logical group, not the
 process — group ``g`` gets the same RNG (child ``SeedSequence`` of the
@@ -40,6 +41,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from numbers import Integral
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -322,25 +324,24 @@ def _window_slices(trace: RequestTrace, lookahead_s: float):
     arrival is placed: the last boundary can round down onto the last
     arrival, which then belongs to one window more.
     """
-    arrivals = [r.arrival_s for r in trace]
-    n_windows = int(trace.horizon_s / lookahead_s) + 1 if arrivals else 0
+    requests = trace.requests
+    n_windows = int(trace.horizon_s / lookahead_s) + 1 if requests else 0
     slices = []
     lo = 0
-    while len(slices) < n_windows or lo < len(arrivals):
+    while len(slices) < n_windows or lo < len(requests):
         until = (len(slices) + 1) * lookahead_s
-        hi = bisect.bisect_left(arrivals, until, lo)
+        hi = bisect.bisect_left(requests, until, lo, key=attrgetter("arrival_s"))
         slices.append((until, lo, hi))
         lo = hi
     return slices
 
 
-def _route(front, requests, indices, plan: ShardPlan) -> list:
-    """Per worker: each of its groups' front-tier-routed ``indices``."""
-    per_group: "list[list[int]]" = [[] for _ in range(plan.n_groups)]
-    for i in indices:
-        per_group[front.choose(requests[i])].append(i)
+def _route(front, requests, lo: int, hi: int, plan: ShardPlan) -> list:
+    """Per worker: its groups' trace indices in ``[lo, hi)``, one ``choose``."""
+    groups = front.choose(requests[lo:hi])
+    indices = np.arange(lo, hi, dtype=np.int64)
     return [
-        {g: np.asarray(per_group[g], dtype=np.int64) for g in plan.worker_groups(w)}
+        {g: indices[groups == g] for g in plan.worker_groups(w)}
         for w in range(plan.n_workers)
     ]
 
@@ -433,7 +434,7 @@ def run_sharded(
 
         if not front.uses_summaries:
             # Static assignment: route everything upfront, zero windows.
-            shares = _route(front, requests, range(len(requests)), plan)
+            shares = _route(front, requests, 0, len(requests), plan)
             for worker, share in zip(workers, shares):
                 worker.send(StaticAssign(requests=share))
             n_windows = 0
@@ -443,7 +444,7 @@ def run_sharded(
             summaries = _initial_summaries(plan.n_groups)
             for k, (until, lo, hi) in enumerate(slices):
                 front.begin_window(summaries)
-                shares = _route(front, requests, range(lo, hi), plan)
+                shares = _route(front, requests, lo, hi, plan)
                 for worker, share in zip(workers, shares):
                     worker.send(
                         WindowAssign(window=k, until_s=until, requests=share)
@@ -476,7 +477,7 @@ def run_sharded(
         rows.extend(outcome.rows)
         group_telemetry[outcome.group] = outcome.telemetry
         group_utilization[outcome.group] = outcome.utilization
-    rows.sort(key=lambda row: row[0])
+    rows.sort(key=itemgetter(0))
     if len(rows) != len(trace):
         raise SchedulerError(
             f"sharded merge resolved {len(rows)} outcomes for a "

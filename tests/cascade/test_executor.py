@@ -79,6 +79,19 @@ class TestSubmit:
         with pytest.raises(SchedulerError, match="disagrees"):
             ex.submit(batch=8, x=np.zeros((4, 784), dtype=np.float32))
 
+    def test_refused_submit_records_no_chain(self, cascade_frontend, cascade_profile):
+        ex = make_executor(cascade_frontend, cascade_profile, rng=7)
+        with pytest.raises(ValueError, match="x"):
+            ex.submit(x=np.zeros((3, 7), dtype=np.float32))
+        assert ex.chains == []
+        assert ex.n_pending == 0
+        assert ex.telemetry.n_chains == 0
+        # The executor still serves the next chain, numbered from zero.
+        chain = ex.submit(batch=8)
+        cascade_frontend.run()
+        assert chain.chain_id == 0 and chain.served
+        assert ex.n_pending == 0 and ex.telemetry.n_chains == 1
+
     def test_rejects_undeployed_models(self, cascade_predictors, cascade_profile):
         lean = build_cascade_frontend(
             cascade_predictors, specs={MNIST_SMALL.name: MNIST_SMALL}

@@ -77,12 +77,14 @@ class TestDenseGradients:
     @pytest.mark.parametrize("act", ["linear", "relu", "tanh", "sigmoid"])
     def test_input_grad(self, x_dense, act):
         layer = Dense(3, act)
-        layer.build((6,), np.random.default_rng(0))
+        layer.build((6,))
+        layer.init_params(np.random.default_rng(0))
         check_input_grad(layer, x_dense)
 
     def test_param_grads(self, x_dense):
         layer = Dense(3, "tanh")
-        layer.build((6,), np.random.default_rng(0))
+        layer.build((6,))
+        layer.init_params(np.random.default_rng(0))
         check_param_grads(layer, x_dense)
 
 
@@ -90,26 +92,28 @@ class TestConvGradients:
     @pytest.mark.parametrize("padding", ["valid", "same"])
     def test_input_grad(self, x_img, padding):
         layer = Conv2D(2, 3, activation="tanh", padding=padding)
-        layer.build((5, 5, 2), np.random.default_rng(1))
+        layer.build((5, 5, 2))
+        layer.init_params(np.random.default_rng(1))
         check_input_grad(layer, x_img)
 
     def test_param_grads(self, x_img):
         layer = Conv2D(2, 3, activation="linear", padding="same")
-        layer.build((5, 5, 2), np.random.default_rng(1))
+        layer.build((5, 5, 2))
+        layer.init_params(np.random.default_rng(1))
         check_param_grads(layer, x_img)
 
 
 class TestPoolGradients:
     def test_input_grad(self, x_img):
         layer = MaxPool2D(2)
-        layer.build((5, 5, 2), np.random.default_rng(0))
+        layer.build((5, 5, 2))
         check_input_grad(layer, x_img)
 
 
 class TestFlattenGradients:
     def test_input_grad(self, x_img):
         layer = Flatten()
-        layer.build((5, 5, 2), np.random.default_rng(0))
+        layer.build((5, 5, 2))
         check_input_grad(layer, x_img)
 
 

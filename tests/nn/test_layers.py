@@ -8,7 +8,8 @@ from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, im2col_indices
 
 
 def built(layer, shape, seed=0):
-    layer.build(tuple(shape), np.random.default_rng(seed))
+    layer.build(tuple(shape))
+    layer.init_params(np.random.default_rng(seed))
     return layer
 
 

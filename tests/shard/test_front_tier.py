@@ -44,8 +44,11 @@ def test_registry_and_factory():
 def test_hash_tier_is_static_deterministic_and_spread():
     tier = HashFrontTier(4)
     assert tier.uses_summaries is False
-    choices = [tier.choose(req(i)) for i in range(1000)]
-    assert choices == [HashFrontTier(4).choose(req(i)) for i in range(1000)]
+    reqs = [req(i) for i in range(1000)]
+    choices = tier.choose(reqs).tolist()
+    assert choices == HashFrontTier(4).choose(reqs).tolist()
+    # The same ids in another window cut route the same way.
+    assert choices == tier.choose(reqs[:300]).tolist() + tier.choose(reqs[300:]).tolist()
     counts = [choices.count(g) for g in range(4)]
     # splitmix64 over sequential ids spreads well; no shard starves.
     assert min(counts) > 150, counts
@@ -53,14 +56,16 @@ def test_hash_tier_is_static_deterministic_and_spread():
 
 def test_round_robin_cycles():
     tier = RoundRobinFrontTier(3)
-    assert [tier.choose(req(i)) for i in range(7)] == [0, 1, 2, 0, 1, 2, 0]
+    assert tier.choose([req(i) for i in range(4)]).tolist() == [0, 1, 2, 0]
+    # The turn carries over into the next call.
+    assert tier.choose([req(i) for i in range(4, 7)]).tolist() == [1, 2, 0]
 
 
 def test_least_loaded_requires_summaries_first():
     tier = LeastLoadedFrontTier(2)
     assert tier.uses_summaries is True
     with pytest.raises(SchedulerError, match="begin_window"):
-        tier.choose(req(0))
+        tier.choose([req(0)])
 
 
 def test_least_loaded_validates_summary_order():
@@ -80,12 +85,31 @@ def test_least_loaded_picks_lightest_and_tracks_pending():
     ))
     # Lightest shard first; its pending correction then steers the next
     # arrivals away instead of herding everything onto shard 1.
-    first = tier.choose(req(0, batch=300))
-    assert first == 1
-    assert tier.choose(req(1, batch=1)) == 2
+    assert tier.choose([req(0, batch=300), req(1, batch=1)]).tolist() == [1, 2]
+    # A later call in the same window keeps the correction.
+    assert tier.choose([req(2, batch=1)]).tolist() == [2]
     # New window resets the pending correction.
     tier.begin_window((summary(0), summary(1), summary(2)))
-    assert tier.choose(req(2)) == 0
+    assert tier.choose([req(3)]).tolist() == [0]
+
+
+def test_least_loaded_ties_break_by_count_then_group():
+    tier = LeastLoadedFrontTier(3)
+    tier.begin_window((
+        summary(0, outstanding=4, samples=10),
+        summary(1, outstanding=2, samples=10),
+        summary(2, outstanding=2, samples=10),
+    ))
+    # Equal samples: fewer requests wins, then the lower group id.
+    assert tier.choose([req(0, batch=5)]).tolist() == [1]
+    assert tier.choose([req(1, batch=5)]).tolist() == [2]
+
+
+def test_empty_window_routes_nothing():
+    for name in FRONT_TIERS:
+        tier = make_front_tier(name, 3)
+        tier.begin_window((summary(0), summary(1), summary(2)))
+        assert tier.choose([]).tolist() == []
 
 
 def test_front_tier_rejects_bad_group_count():
