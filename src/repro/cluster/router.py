@@ -633,20 +633,22 @@ class ClusterRouter:
         O(#nodes) counter reads — cheap enough to take at every window
         boundary of a sharded replay.
         """
-        queued = outstanding = outstanding_samples = 0
+        queued = outstanding = outstanding_samples = served = shed = 0
         for node in self.nodes:
             frontend = node.frontend
             queued += frontend.queued
             outstanding += frontend.outstanding
             outstanding_samples += frontend.outstanding_samples
+            served += frontend.telemetry.n_served
+            shed += frontend.telemetry.n_shed
         return ShardSummary(
             group=group,
             virtual_time_s=self.loop.now,
             outstanding=outstanding,
             outstanding_samples=outstanding_samples,
             queued=queued,
-            served=self.telemetry.n_served,
-            shed=self.telemetry.n_shed,
+            served=served,
+            shed=shed,
         )
 
     def _route_run(self, responses: "list[ServingResponse]", i: int, j: int) -> None:

@@ -36,6 +36,8 @@ class Layer:
 
     #: Human-readable type tag used in reprs and FLOP reports.
     kind: str = "layer"
+    #: Attribute names of the trainable parameters, in :meth:`params` order.
+    param_names: tuple[str, ...] = ()
 
     def build(self, input_shape: tuple[int, ...]) -> tuple[int, ...]:
         """Propagate ``input_shape`` (without the batch axis); allocate nothing.
@@ -85,6 +87,8 @@ class Layer:
 
 class _Weighted(Layer):
     """A layer with one weight matrix ``w`` (drawn) and one bias ``b`` (zeros)."""
+
+    param_names = ("w", "b")
 
     def __init__(self, activation: "str | Activation", kernel_init: str):
         self.activation = get_activation(activation)

@@ -170,23 +170,33 @@ class Sequential:
         return {name: p.copy() for name, p in self.params()}
 
     def set_weights(self, weights: dict[str, np.ndarray]) -> None:
-        """Import weights produced by :meth:`get_weights` (in-place)."""
+        """Install copies of weights produced by :meth:`get_weights`,
+        after checking names and shapes against the layers' parameter
+        shapes: nothing is drawn, and nothing changes on a mismatch."""
         self._require_built()
-        own = dict(self.params())
-        missing = own.keys() - weights.keys()
-        extra = weights.keys() - own.keys()
+        shapes = {
+            f"{i}.{name}": shape
+            for i, layer in enumerate(self.layers)
+            for name, shape in zip(layer.param_names, layer.param_shapes())
+        }
+        missing = shapes.keys() - weights.keys()
+        extra = weights.keys() - shapes.keys()
         if missing or extra:
             raise BuildError(
                 f"weight dict mismatch for {self.name!r}: "
                 f"missing={sorted(missing)}, unexpected={sorted(extra)}"
             )
-        for name, p in own.items():
-            src = np.asarray(weights[name], dtype=p.dtype)
-            if src.shape != p.shape:
+        arrays = {}
+        for name, shape in shapes.items():
+            array = arrays[name] = np.array(weights[name], dtype=np.float32)
+            if array.shape != shape:
                 raise ShapeError(
-                    f"weight {name!r}: expected shape {p.shape}, got {src.shape}"
+                    f"weight {name!r}: expected shape {shape}, got {array.shape}"
                 )
-            p[...] = src
+        self._undrawn = None
+        for i, layer in enumerate(self.layers):
+            for name in layer.param_names:
+                setattr(layer, name, arrays[f"{i}.{name}"])
 
     def save_weights(self, path) -> None:
         """Persist weights to an ``.npz`` file."""

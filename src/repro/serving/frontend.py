@@ -144,7 +144,7 @@ class _Segment:
     model: str
     queue: RequestQueue
     admission: AdmissionController
-    telemetry: ServingTelemetry
+    sinks: "tuple[ServingTelemetry, ...]"
     capacity: int                 # max_queue_depth; sys.maxsize if unbounded
     max_batch: int
     pending: "list[ServingResponse]" = field(default_factory=list)
@@ -156,7 +156,9 @@ class _Segment:
         queue = self.queue
         queue.push_many(self.pending)
         self.pending.clear()
-        self.telemetry.record_depth(self.model, len(queue))
+        depth = len(queue)
+        for sink in self.sinks:
+            sink.record_depth(self.model, depth)
 
 
 def _launched(name: str) -> property:
@@ -372,9 +374,10 @@ class ServingFrontend:
         Bring-your-own event loop (e.g. to co-simulate other actors).
     tenants:
         Optional :class:`~repro.partition.tenants.TenantSet` attributing
-        requests to tenants by model ownership.  With one installed the
-        telemetry keeps a per-tenant isolation ledger (served / shed /
-        violations / tails); without one, nothing tenant-shaped is
+        requests to tenants by model ownership.  With one installed,
+        every outcome of a tenant's model is also deposited in that
+        tenant's ledger (``telemetry.tenants[name]``, a full
+        :class:`ServingTelemetry`); without one, nothing tenant-shaped is
         recorded and snapshots stay byte-identical.
     """
 
@@ -402,14 +405,19 @@ class ServingFrontend:
         self.telemetry.online = self.backlog.online_stats
 
         self.tenants = tenants
+        # Every deposit for a model goes to each of its sinks: this
+        # frontend's telemetry, plus the owning tenant's ledger.
+        self._sinks = {name: (self.telemetry,) for name in self.specs}
         if tenants is not None:
             unknown = set(tenants.model_names) - set(self.specs)
             if unknown:
                 raise SchedulerError(
                     f"tenant models not deployed: {sorted(unknown)}"
                 )
-            for tenant in tenants:
-                self.telemetry.tenant(tenant.name)  # ledger exists from t=0
+            for tenant in tenants:   # every ledger exists from t=0
+                ledger = self.telemetry.tenants[tenant.name] = ServingTelemetry()
+                for model in tenant.models:
+                    self._sinks[model] = (self.telemetry, ledger)
 
         self._slo = dict(slo or {})
         unknown = set(self._slo) - set(self.specs)
@@ -430,7 +438,7 @@ class ServingFrontend:
                 degrade=cfg.degrade, ect_margin=cfg.ect_margin
             )
             self._segments[name] = _Segment(
-                name, queue, self._admission[name], self.telemetry,
+                name, queue, self._admission[name], self._sinks[name],
                 cfg.max_queue_depth or sys.maxsize, cfg.max_batch,
             )
 
@@ -441,6 +449,9 @@ class ServingFrontend:
 
         self._seq = 0
         self._n_batches = 0
+        # Handles this frontend still answers for, by seq: registered and
+        # not yet resolved here or handed on (arriving, queued, in an open
+        # run's segment, in flight, or in the crash limbo).
         self._pending: dict[int, ServingResponse] = {}
         self._timer_at: dict[str, "float | None"] = {name: None for name in self.specs}
         self._in_flight = 0          # requests dispatched, not yet completed
@@ -786,7 +797,9 @@ class ServingFrontend:
     ) -> None:
         """Push one admitted handle; dispatch a full batch or arm its timer."""
         queue.push(response)
-        self.telemetry.record_depth(model, len(queue))
+        depth = len(queue)
+        for sink in self._sinks[model]:
+            sink.record_depth(model, depth)
         if self._coalescers[model].ready(now) == "full":
             self._flush(model, "full")
         else:
@@ -797,7 +810,8 @@ class ServingFrontend:
     ) -> None:
         """Resolve a refused arrival: shed it, or degrade it."""
         if decision.action == "degrade":
-            self.telemetry.n_degraded += 1
+            for sink in self._sinks[response.request.model]:
+                sink.n_degraded += 1
             self._run_degraded(response)
             return
         if self._run:
@@ -856,13 +870,15 @@ class ServingFrontend:
             self._est_memo.clear()
         coalescer = self._coalescers[model]
         spec = self.specs[model]
+        sinks = self._sinks[model]
         while True:
             batch = coalescer.take(now, trigger)
             placement = self.backlog.decide(spec, batch.total_samples, arrival_s=now)
             self._workers[placement.device_name].execute(batch, placement)
             self._in_flight += len(batch)
             self._in_flight_samples += batch.total_samples
-            self.telemetry.batch_sizes.add(batch.total_samples)
+            for sink in sinks:
+                sink.batch_sizes.add(batch.total_samples)
             # Leftovers can themselves already fill a batch (e.g. a flood
             # arriving between timer firings); drain every full batch now.
             if coalescer.ready(now) != "full":
@@ -937,16 +953,8 @@ class ServingFrontend:
         self._in_flight -= len(batch.entries)
         self._in_flight_samples -= total
         if latencies:
-            telemetry = self.telemetry
-            telemetry.record_latency(latencies)
-            telemetry.n_served += len(latencies)
-            telemetry.n_violations += sum(lates)
-            if self.tenants is not None:
-                tenant = self.tenants.tenant_for(batch.model)
-                if tenant is not None:
-                    stats = telemetry.tenant(tenant.name)
-                    for latency, late in zip(latencies, lates):
-                        stats.record_served(latency, late)
+            for sink in self._sinks[batch.model]:
+                sink.record_served(latencies, lates)
 
         self.backlog.record_service(
             batch.model, total, placement.gpu_state, placement.device,
@@ -960,19 +968,17 @@ class ServingFrontend:
         ownership (retry with backoff, or shed); standalone frontends shed
         locally — resolved either way, never lost.
         """
-        self.telemetry.n_failed += 1
+        for sink in self._sinks[response.request.model]:
+            sink.n_failed += 1
         hook = self.on_request_failed
         if hook is not None and hook(response, reason):
             return
         self._shed(response, reason)
 
     def _shed(self, response: ServingResponse, reason: str) -> None:
-        """Count one shed here (fleet and tenant ledgers), then resolve."""
-        self.telemetry.n_shed += 1
-        if self.tenants is not None:
-            tenant = self.tenants.tenant_for(response.request.model)
-            if tenant is not None:
-                self.telemetry.tenant(tenant.name).record_shed()
+        """Count one shed in every sink of its model, then resolve."""
+        for sink in self._sinks[response.request.model]:
+            sink.n_shed += 1
         response.resolve("shed", reason)
 
     # -- fault handling (crash / dropout / throttle) -----------------------
@@ -989,11 +995,12 @@ class ServingFrontend:
         if self.crashed:
             raise SchedulerError("frontend is already crashed")
         self.crashed = True
-        for response in self.drain_queued():
-            self._lost[response.seq] = response
+        lost = self.drain_queued()
         for name in self._workers:
-            for response in self.abort_device(name):
-                self._lost[response.seq] = response
+            lost.extend(self.abort_device(name))
+        for response in lost:
+            # Limboed handles are still this frontend's to answer for.
+            self._lost[response.seq] = self._pending[response.seq] = response
 
     def restart(self) -> None:
         """Bring a crashed frontend back up (empty queues, cold timers).
@@ -1013,7 +1020,7 @@ class ServingFrontend:
         """
         lost = sorted(self._lost.values(), key=lambda r: r.seq)
         for response in lost:
-            self._pending.pop(response.seq, None)
+            del self._pending[response.seq]
         self._lost.clear()
         return lost
 
@@ -1096,12 +1103,12 @@ class ServingFrontend:
         for queue in self._queues.values():
             response = queue.remove(request_id)
             if response is not None:
-                self._pending.pop(response.seq, None)
+                del self._pending[response.seq]
                 return response
         for seq, response in self._lost.items():
             if response.request.request_id == request_id:
                 del self._lost[seq]
-                self._pending.pop(seq, None)
+                del self._pending[seq]
                 return response
         return None
 
@@ -1223,7 +1230,9 @@ class ServingFrontend:
 
     @property
     def n_pending(self) -> int:
-        """Requests submitted but not yet resolved (queued or in flight)."""
+        """Handles this frontend still answers for: registered here and
+        not yet resolved or handed on — arriving, queued, in flight, or
+        in the crash limbo."""
         return len(self._pending)
 
     @property

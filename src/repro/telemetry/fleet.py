@@ -3,10 +3,11 @@
 Each cluster node owns a :class:`~repro.telemetry.serving.ServingTelemetry`
 that its serving frontend deposits into.  :class:`FleetTelemetry` holds a
 read-through reference to every node's sink and answers cluster-level
-questions — exact merged latency percentiles, total shed rate, the
-fleet's recent tail, peak queue depth — without copying anything until
-asked.  Attach once at node registration; the aggregates always reflect
-the nodes' live state.
+questions without copying anything until asked: :meth:`FleetTelemetry.merged`
+is the one rollup of outcomes (counters, exact percentiles, peak depths,
+tenant ledgers), and :meth:`FleetTelemetry.recent_p99_s` the cheap
+recent tail the autoscaler polls.  Attach once at node registration; the
+aggregates always reflect the nodes' live state.
 """
 
 from __future__ import annotations
@@ -120,58 +121,15 @@ class FleetTelemetry:
         total_down = sum(self.downtime_s(name, now) for name in self._nodes)
         return 1.0 - total_down / (len(self._nodes) * float(now))
 
-    # -- cluster counters --------------------------------------------------
+    # -- rollups -----------------------------------------------------------
 
-    @property
-    def n_served(self) -> int:
-        return sum(t.n_served for t in self._nodes.values())
-
-    @property
-    def n_shed(self) -> int:
-        return sum(t.n_shed for t in self._nodes.values())
-
-    @property
-    def n_degraded(self) -> int:
-        return sum(t.n_degraded for t in self._nodes.values())
-
-    @property
-    def n_violations(self) -> int:
-        return sum(t.n_violations for t in self._nodes.values())
-
-    @property
-    def shed_rate(self) -> float:
-        """Fraction of fleet-admitted traffic shed at the node layer."""
-        total = self.n_served + self.n_shed
-        return self.n_shed / total if total else 0.0
-
-    # -- cluster latency ---------------------------------------------------
-
-    def latency_samples(self) -> list[float]:
-        """Every node's recorded latencies, concatenated in node order."""
-        out: list[float] = []
-        for name in sorted(self._nodes):
-            out.extend(self._nodes[name].latency.samples)
-        return out
-
-    def percentile(self, q: float) -> float:
-        """q-th percentile latency across the whole fleet, in seconds:
-        :func:`np.percentile` over every node's merged samples."""
-        samples = self.latency_samples()
-        if not samples:
-            raise ValueError("no latency samples recorded fleet-wide")
-        return float(np.percentile(samples, q))
-
-    @property
-    def p50_s(self) -> float:
-        return self.percentile(50.0)
-
-    @property
-    def p95_s(self) -> float:
-        return self.percentile(95.0)
-
-    @property
-    def p99_s(self) -> float:
-        return self.percentile(99.0)
+    def merged(self) -> ServingTelemetry:
+        """Every node's outcomes in one sink, merged in node-name order:
+        fleet counters, exact percentiles over every sample, peak depths,
+        and each tenant's ledger merged across nodes."""
+        return ServingTelemetry.merge(
+            self._nodes[name] for name in sorted(self._nodes)
+        )
 
     def recent_p99_s(self) -> "float | None":
         """Tail of the fleet's *recent* windows (None before any service).
@@ -186,41 +144,6 @@ class FleetTelemetry:
         if not merged:
             return None
         return float(np.percentile(merged, 99.0))
-
-    # -- per-node views ----------------------------------------------------
-
-    @property
-    def max_queue_depth(self) -> int:
-        """Peak per-model queue depth observed anywhere in the fleet."""
-        return max((t.max_queue_depth for t in self._nodes.values()), default=0)
-
-    # -- tenant isolation --------------------------------------------------
-
-    def tenant_snapshot(self) -> dict:
-        """Fleet-wide per-tenant rollup (empty without tenant telemetry).
-
-        Counters sum across nodes; the recent tail merges every node's
-        rolling window for the tenant, mirroring :meth:`recent_p99_s` —
-        the signal a repartitioner compares against the tenant's SLO.
-        """
-        merged: dict[str, dict] = {}
-        windows: dict[str, list[float]] = {}
-        for name in sorted(self._nodes):
-            for tenant, stats in self._nodes[name].tenants.items():
-                agg = merged.setdefault(
-                    tenant, {"served": 0, "shed": 0, "violations": 0}
-                )
-                agg["served"] += stats.n_served
-                agg["shed"] += stats.n_shed
-                agg["violations"] += stats.n_violations
-                windows.setdefault(tenant, []).extend(stats.recent.samples)
-        for tenant, agg in merged.items():
-            total = agg["served"] + agg["shed"]
-            agg["shed_rate"] = agg["shed"] / total if total else 0.0
-            samples = windows[tenant]
-            if samples:
-                agg["recent_p99_ms"] = float(np.percentile(samples, 99.0)) * 1e3
-        return merged
 
     def online_snapshot(self) -> dict:
         """Fleet-wide online-predictor rollup (empty without one).
@@ -269,34 +192,15 @@ class FleetTelemetry:
         }
 
     def snapshot(self) -> dict:
-        """Cluster rollup plus one sub-snapshot per node."""
-        out: dict = {
-            "nodes": len(self),
-            "served": self.n_served,
-            "shed": self.n_shed,
-            "degraded": self.n_degraded,
-            "violations": self.n_violations,
-            "shed_rate": self.shed_rate,
-            "max_queue_depth": self.max_queue_depth,
-        }
-        if any(len(t.latency) for t in self._nodes.values()):
-            out.update(
-                p50_ms=self.p50_s * 1e3,
-                p95_ms=self.p95_s * 1e3,
-                p99_ms=self.p99_s * 1e3,
-            )
-        recent = self.recent_p99_s()
-        if recent is not None:
-            out["recent_p99_ms"] = recent * 1e3
+        """The merged rollup (see :meth:`merged`) plus the fleet-only
+        blocks and one sub-snapshot per node."""
+        out: dict = {"nodes": len(self), **self.merged().snapshot()}
         # Fault-free snapshots stay byte-identical: the resilience block
         # only appears once something was actually recorded.
         if self.resilience.any():
             out["resilience"] = asdict(self.resilience)
         if self.cascade is not None:
             out["cascade"] = self.cascade.snapshot()
-        tenants = self.tenant_snapshot()
-        if tenants:
-            out["tenants"] = tenants
         online = self.online_snapshot()
         if online:
             out["online"] = online

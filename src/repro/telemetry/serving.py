@@ -23,7 +23,6 @@ __all__ = [
     "LatencyDigest",
     "RollingLatencyWindow",
     "BatchHistogram",
-    "TenantStats",
     "ServingTelemetry",
 ]
 
@@ -170,58 +169,6 @@ class BatchHistogram:
         return self._total / self._n
 
 
-class TenantStats:
-    """One tenant's serving outcomes (multi-tenant partition placement).
-
-    The isolation ledger: when tenants share (or are pinned apart on) one
-    accelerator, per-tenant tails are the quantity the placement defends —
-    a fleet-level p99 hides a latency tenant drowning under a batch
-    tenant's flood.  Collected only when the frontend is given a tenant
-    set, so single-tenant runs stay byte-identical.
-    """
-
-    __slots__ = ("n_served", "n_shed", "n_violations", "latency", "recent")
-
-    def __init__(self) -> None:
-        self.n_served = 0
-        self.n_shed = 0
-        self.n_violations = 0
-        self.latency = LatencyDigest()
-        self.recent = RollingLatencyWindow()
-
-    def record_served(self, latency_s: float, violated: bool = False) -> None:
-        """Record one served request attributed to this tenant."""
-        self.latency.add(latency_s)
-        self.recent.add(latency_s)
-        self.n_served += 1
-        if violated:
-            self.n_violations += 1
-
-    def record_shed(self) -> None:
-        self.n_shed += 1
-
-    @property
-    def shed_rate(self) -> float:
-        total = self.n_served + self.n_shed
-        return self.n_shed / total if total else 0.0
-
-    def snapshot(self) -> dict:
-        out: dict = {
-            "served": self.n_served,
-            "shed": self.n_shed,
-            "violations": self.n_violations,
-            "shed_rate": self.shed_rate,
-        }
-        if len(self.latency):
-            out.update(
-                p50_ms=self.latency.p50_s * 1e3,
-                p99_ms=self.latency.p99_s * 1e3,
-            )
-        if len(self.recent):
-            out["recent_p99_ms"] = self.recent.p99_s * 1e3
-        return out
-
-
 @dataclass
 class ServingTelemetry:
     """Everything the serving frontend emits, in one sink.
@@ -231,6 +178,10 @@ class ServingTelemetry:
     * ``peak_depth`` — per-model peak queue depth.
     * ``batch_sizes`` — histogram of coalesced batch sizes.
     * counters — served / shed / degraded / SLO-violation totals.
+
+    A tenant's isolation ledger is one of these too (``tenants``), and
+    every rollup — a fleet over its nodes, a tenant over its nodes — is
+    one :meth:`merge`.
     """
 
     latency: LatencyDigest = field(default_factory=LatencyDigest)
@@ -246,10 +197,10 @@ class ServingTelemetry:
     # (a repro.cascade CascadeTelemetry).  Set by the CascadeExecutor when
     # a cascade serves through this frontend; surfaced in snapshot().
     cascade: "object | None" = None
-    # Per-tenant isolation ledger (multi-tenant partition placement).
-    # Populated only when the frontend is constructed with a TenantSet;
-    # empty otherwise, so single-tenant snapshots stay byte-identical.
-    tenants: dict[str, TenantStats] = field(default_factory=dict)
+    # Per-tenant isolation ledgers: every outcome of a tenant's models
+    # lands there too.  Empty unless the frontend was given a TenantSet,
+    # so single-tenant snapshots stay byte-identical.
+    tenants: "dict[str, ServingTelemetry]" = field(default_factory=dict)
     # Optional online-predictor attachment: a zero-arg callable returning
     # the online refresh stats dict, or None when no online predictor is
     # installed (see BacklogAwareScheduler.online_stats).  The frontend
@@ -273,11 +224,12 @@ class ServingTelemetry:
         if recent._memo:
             recent._memo.clear()
 
-    def tenant(self, name: str) -> TenantStats:
-        """The (auto-created) isolation ledger for one tenant."""
-        if name not in self.tenants:
-            self.tenants[name] = TenantStats()
-        return self.tenants[name]
+    def record_served(self, latencies_s, lates) -> None:
+        """Record one batch's served requests: their latencies and their
+        late flags (True where the request missed its deadline)."""
+        self.record_latency(latencies_s)
+        self.n_served += len(latencies_s)
+        self.n_violations += sum(lates)
 
     def record_depth(self, model: str, depth: int) -> None:
         """Record one model queue's current depth (keeps the peak)."""
@@ -285,6 +237,42 @@ class ServingTelemetry:
             raise ValueError(f"depth must be >= 0, got {depth}")
         if depth > self.peak_depth.get(model, 0):
             self.peak_depth[model] = int(depth)
+
+    @classmethod
+    def merge(cls, sinks) -> "ServingTelemetry":
+        """One sink holding every given sink's outcomes.
+
+        Counters and batch histograms sum; latency samples and recent
+        windows concatenate in the given order (the merged window is as
+        long as all of them together, so it keeps every recent sample);
+        each model's peak depth is the largest; tenant ledgers merge per
+        tenant.  Attachments (cascade, online) are not carried over.
+        """
+        sinks = list(sinks)
+        merged = cls(recent=RollingLatencyWindow(
+            max(1, sum(s.recent.maxlen for s in sinks))
+        ))
+        hist, peak = merged.batch_sizes, merged.peak_depth
+        for sink in sinks:
+            merged.latency._samples.extend(sink.latency._samples)
+            merged.recent._window.extend(sink.recent._window)
+            for model, depth in sink.peak_depth.items():
+                peak[model] = max(depth, peak.get(model, 0))
+            other = sink.batch_sizes
+            for bucket, n in other._counts.items():
+                hist._counts[bucket] = hist._counts.get(bucket, 0) + n
+            hist._n += other._n
+            hist._total += other._total
+            merged.n_served += sink.n_served
+            merged.n_shed += sink.n_shed
+            merged.n_degraded += sink.n_degraded
+            merged.n_violations += sink.n_violations
+            merged.n_failed += sink.n_failed
+        merged.tenants = {
+            name: cls.merge(s.tenants[name] for s in sinks if name in s.tenants)
+            for name in dict.fromkeys(name for s in sinks for name in s.tenants)
+        }
+        return merged
 
     @property
     def max_queue_depth(self) -> int:

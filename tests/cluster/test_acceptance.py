@@ -91,7 +91,7 @@ def test_mid_trace_drain_loses_nothing(serving_predictors, overload_trace):
     # counted each served request exactly once.
     ids = [r.request.request_id for r in result.served]
     assert len(ids) == len(set(ids))
-    assert router.telemetry.n_served == len(result.served)
+    assert router.telemetry.merged().n_served == len(result.served)
     # The drain re-routed live work and completed.
     assert rerouted > 0
     assert router.node("node-a").state is NodeState.STANDBY

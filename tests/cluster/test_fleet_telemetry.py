@@ -9,8 +9,7 @@ from repro.telemetry.serving import ServingTelemetry
 
 def node_sink(latencies, shed=0, degraded=0, violations=0) -> ServingTelemetry:
     t = ServingTelemetry()
-    t.record_latency(latencies)
-    t.n_served += len(latencies)
+    t.record_served(latencies, [False] * len(latencies))
     t.n_shed = shed
     t.n_degraded = degraded
     t.n_violations = violations
@@ -26,21 +25,23 @@ def fleet():
 
 
 def test_counters_sum_across_nodes(fleet):
-    assert fleet.n_served == 5
-    assert fleet.n_shed == 2
-    assert fleet.n_degraded == 1
-    assert fleet.n_violations == 1
-    assert fleet.shed_rate == pytest.approx(2 / 7)
+    merged = fleet.merged()
+    assert merged.n_served == 5
+    assert merged.n_shed == 2
+    assert merged.n_degraded == 1
+    assert merged.n_violations == 1
+    assert merged.shed_rate == pytest.approx(2 / 7)
     assert len(fleet) == 2
     assert fleet.node_names == ["a", "b"]
 
 
 def test_percentiles_merge_all_samples(fleet):
     merged = [0.010, 0.020, 0.030, 0.100, 0.200]
-    assert sorted(fleet.latency_samples()) == merged
+    latency = fleet.merged().latency
+    assert sorted(latency.samples) == merged
     for q in (50.0, 95.0, 99.0):
-        assert fleet.percentile(q) == pytest.approx(float(np.percentile(merged, q)))
-    assert fleet.p50_s <= fleet.p95_s <= fleet.p99_s
+        assert latency.percentile(q) == pytest.approx(float(np.percentile(merged, q)))
+    assert latency.p50_s <= latency.p95_s <= latency.p99_s
     assert fleet.recent_p99_s() == pytest.approx(
         float(np.percentile(merged, 99.0))
     )
@@ -53,19 +54,21 @@ def test_long_run_fleet_percentile_merges_every_sample():
     ft = FleetTelemetry()
     ft.attach("fast", node_sink(fast))
     ft.attach("slow", node_sink(slow))
-    assert ft.p99_s == float(np.percentile(fast + slow, 99.0))
-    assert ft.p99_s == pytest.approx(0.100)
-    assert ft.p50_s == float(np.percentile(fast + slow, 50.0))
+    latency = ft.merged().latency
+    assert latency.p99_s == float(np.percentile(fast + slow, 99.0))
+    assert latency.p99_s == pytest.approx(0.100)
+    assert latency.p50_s == float(np.percentile(fast + slow, 50.0))
 
 
 def test_empty_fleet_degenerates_cleanly():
     ft = FleetTelemetry()
-    assert ft.n_served == 0
-    assert ft.shed_rate == 0.0
+    merged = ft.merged()
+    assert merged.n_served == 0
+    assert merged.shed_rate == 0.0
     assert ft.recent_p99_s() is None
-    assert ft.max_queue_depth == 0
+    assert merged.max_queue_depth == 0
     with pytest.raises(ValueError, match="no latency samples"):
-        ft.percentile(99.0)
+        merged.latency.percentile(99.0)
     snap = ft.snapshot()
     assert snap["nodes"] == 0
     assert "p99_ms" not in snap and "recent_p99_ms" not in snap
@@ -87,7 +90,7 @@ def test_recent_window_is_bounded_per_node():
     # The 1.0s outliers rolled off: the recent tail is the recent tail.
     assert ft.recent_p99_s() == pytest.approx(0.001)
     # ...while the all-time digest still remembers them.
-    assert ft.p99_s > 0.5
+    assert ft.merged().latency.p99_s > 0.5
 
 
 def test_depth_series_and_snapshot(fleet):
@@ -95,13 +98,13 @@ def test_depth_series_and_snapshot(fleet):
     fleet.node("a").record_depth("simple", 7)
     fleet.node("a").record_depth("simple", 1)
     fleet.node("b").record_depth("simple", 2)
-    assert fleet.max_queue_depth == 7
+    assert fleet.merged().max_queue_depth == 7
     assert fleet.node("a").peak_depth == {"simple": 7}
     assert fleet.node("b").peak_depth == {"simple": 2}
 
     snap = fleet.snapshot()
     assert snap["served"] == 5 and snap["shed"] == 2
     assert snap["max_queue_depth"] == 7
-    assert snap["p99_ms"] == pytest.approx(fleet.p99_s * 1e3)
+    assert snap["p99_ms"] == pytest.approx(fleet.merged().latency.p99_s * 1e3)
     assert set(snap["per_node"]) == {"a", "b"}
     assert snap["per_node"]["a"]["served"] == 3

@@ -258,3 +258,26 @@ def test_batch_telemetry_matches_the_served_handles(serving_predictors):
         recent = telemetry.recent
         assert len(recent) == min(len(mine), recent.maxlen)
         assert recent.samples == samples[len(samples) - len(recent):]
+
+
+def test_fleet_merge_equals_the_sum_over_nodes(serving_predictors):
+    """After a crash, a dGPU drop, a throttle and a degrading node, the
+    fleet rollup is exactly the per-node ledgers added up."""
+    router, nodes, _ = faulted_run(serving_predictors, lambda nodes: None)
+    merged = router.telemetry.merged()
+    sinks = [node.frontend.telemetry for node in sorted(nodes, key=lambda n: n.name)]
+    for name in ("n_served", "n_shed", "n_degraded", "n_violations", "n_failed"):
+        assert getattr(merged, name) == sum(getattr(s, name) for s in sinks), name
+    assert merged.n_served == len(router.result().served)
+    assert merged.latency.samples == sum((s.latency.samples for s in sinks), ())
+    assert merged.recent.samples == sum((s.recent.samples for s in sinks), ())
+    assert merged.peak_depth == {
+        model: max(s.peak_depth.get(model, 0) for s in sinks)
+        for model in {m for s in sinks for m in s.peak_depth}
+    }
+    assert len(merged.batch_sizes) == sum(len(s.batch_sizes) for s in sinks)
+    assert sum(merged.batch_sizes.counts.values()) == len(merged.batch_sizes)
+    snap = router.stats()
+    for key, value in merged.snapshot().items():
+        assert snap[key] == value, key
+    assert snap["recent_p99_ms"] == router.telemetry.recent_p99_s() * 1e3

@@ -3,7 +3,10 @@
 import pytest
 
 from repro.errors import SchedulerError
-from repro.cluster import NodeSpec, NodeState, build_node, make_fleet
+from repro.cluster import (
+    ClusterRouter, NodeSpec, NodeState, build_node, make_fleet,
+)
+from repro.faults import ResilienceConfig
 from repro.serving import SLOConfig
 from repro.sim.engine import EventLoop
 from tests.cluster.conftest import build_fleet
@@ -188,3 +191,53 @@ def test_activate_refuses_mid_drain_with_inflight(serving_predictors):
     assert node.state is NodeState.STANDBY
     node.activate()                # standby -> active is always legal
     assert node.state is NodeState.ACTIVE
+
+
+def test_crash_mid_drain_keeps_limboed_launches_pending(serving_predictors):
+    """A draining node that crashes with launches in flight still answers
+    for them: they wait in its limbo, so no sweep may call the drain done
+    (and so re-activate a dead node) until the router collects them."""
+    flush_now = SLOConfig(max_queue_depth=None, max_batch=8, max_wait_s=10.0)
+    fleet = build_fleet(
+        serving_predictors,
+        node_specs=(NodeSpec("a"), NodeSpec("b")),
+        default_slo=flush_now,
+    )
+    router = ClusterRouter(fleet, resilience=ResilienceConfig())
+    node, fe = fleet[0], fleet[0].frontend
+    responses = [fe.submit("simple", 8, arrival_s=0.0) for _ in range(3)]
+    fe.run(until=1e-6)
+    assert fe.outstanding - fe.queued == 3
+
+    assert router.drain_node("a") == 0    # nothing queued: all in flight
+    node.crash()
+    assert fe.n_pending == 3              # aborted into the limbo
+    assert router.sweep_drains() == 0
+    assert node.state is NodeState.DRAINING
+    assert "drain_complete" not in [e.kind for e in router.events]
+    with pytest.raises(SchedulerError, match="still draining"):
+        node.activate()
+
+    router.health_check()                 # detects the crash, re-adopts
+    assert node.state is NodeState.DOWN
+    assert fe.n_pending == 0
+    router.run()
+    assert all(r.served and r.node_name == "b" for r in responses)
+
+
+def test_n_pending_counts_arrivals_into_the_limbo(serving_predictors):
+    (node,) = build_fleet(
+        serving_predictors, node_specs=(NodeSpec("solo"),), default_slo=LONG_WAIT
+    )
+    fe = node.frontend
+    for _ in range(5):
+        fe.submit("simple", 8, arrival_s=0.0)
+    fe.run(until=0.001)
+    assert fe.queued == 5
+    node.crash()
+    for _ in range(3):
+        fe.submit("simple", 8, arrival_s=0.002)
+    fe.run(until=0.003)
+    assert fe.n_pending == 8
+    assert len(fe.collect_lost()) == 8
+    assert fe.n_pending == 0

@@ -157,7 +157,7 @@ def test_drain_reroutes_exactly_once(serving_predictors):
     assert len(result.served) + len(result.shed) == n
     ids = [r.request.request_id for r in result.served]
     assert len(ids) == len(set(ids))
-    assert router.telemetry.n_served == len(result.served)
+    assert router.telemetry.merged().n_served == len(result.served)
     # Rerouted requests landed elsewhere; the drain reached standby.
     assert all(r.node_name != "node-a" for r in result.rerouted)
     assert router.node("node-a").state is NodeState.STANDBY

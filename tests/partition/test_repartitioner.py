@@ -64,9 +64,7 @@ class TestDecisions:
         return fe, accel, Repartitioner(accel, config)
 
     def record(self, fe, latency_s, n=20):
-        stats = fe.telemetry.tenant("rt")
-        for _ in range(n):
-            stats.record_served(latency_s)
+        fe.telemetry.tenants["rt"].record_served([latency_s] * n, [False] * n)
 
     def test_no_samples_no_action(self, serving_predictors, pspec):
         _, accel, rp = self.make(serving_predictors, pspec)

@@ -64,7 +64,7 @@ def assert_exactly_once(router, n):
     assert len(served_ids) == len(set(served_ids))
     # Node telemetries agree: each served request was counted on exactly
     # one node (a duplicated execution would inflate the fleet total).
-    assert router.telemetry.n_served == len(result.served)
+    assert router.telemetry.merged().n_served == len(result.served)
 
 
 @settings(max_examples=10, deadline=None)

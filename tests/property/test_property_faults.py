@@ -110,7 +110,7 @@ def test_exactly_once_under_random_crash_recover(
     assert router.n_pending == 0
     # Fleet telemetry agrees with the router's ledger on served counts —
     # a double execution would inflate the per-node sum.
-    assert router.telemetry.n_served == len(result.served)
+    assert router.telemetry.merged().n_served == len(result.served)
 
 
 @settings(max_examples=10, deadline=None)

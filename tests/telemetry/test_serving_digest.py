@@ -7,7 +7,6 @@ from repro.telemetry.serving import (
     LatencyDigest,
     RollingLatencyWindow,
     ServingTelemetry,
-    TenantStats,
 )
 
 
@@ -52,7 +51,7 @@ def test_long_run_percentiles_stay_exact():
         lambda x: LatencyDigest().add(x),
         lambda x: RollingLatencyWindow().add(x),
         lambda x: ServingTelemetry().record_latency([x]),
-        lambda x: TenantStats().record_served(x),
+        lambda x: ServingTelemetry().record_served([x], [False]),
     ],
     ids=["digest", "window", "serving", "tenant"],
 )
