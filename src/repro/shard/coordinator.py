@@ -40,6 +40,7 @@ import bisect
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Integral
 from operator import attrgetter, itemgetter
 
@@ -179,10 +180,12 @@ class ShardResult:
 
     ``rows`` are the canonical outcome tuples
     ``(request_id, status, node, device, end_s, shed_reason)``;
-    ``digest`` hashes them in id order with the same line format the
-    single-process benches use.  ``wall_s`` covers the replay protocol
-    (routing, windows, drain, result collection) — not worker startup or
-    the merge itself, mirroring how the monolithic benches time
+    :attr:`digest` hashes them in id order with the same line format the
+    single-process benches use.  It is computed on first read and kept:
+    the replay itself hashes nothing, just as the monolithic
+    ``serve_trace`` computes no digest.  ``wall_s`` covers the replay
+    protocol (routing, windows, drain, result collection) — not worker
+    startup or the merge itself, mirroring how the monolithic benches time
     ``serve_trace`` but not fleet construction.
 
     ``group_telemetry`` maps each group to its router's
@@ -198,9 +201,13 @@ class ShardResult:
     n_windows: int
     wall_s: float
     rows: "list[tuple]" = field(repr=False)
-    digest: str = ""
     group_telemetry: "dict[int, dict]" = field(default_factory=dict, repr=False)
     group_utilization: "dict[int, dict]" = field(default_factory=dict, repr=False)
+
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 over :attr:`rows` (:func:`~repro.shard.digest.digest_rows`)."""
+        return digest_rows(self.rows)
 
     @property
     def n_served(self) -> int:
@@ -225,6 +232,10 @@ class ShardResult:
         return float(np.percentile(samples, q))
 
 
+def _worker_error(worker: int, groups, why: str) -> ShardWorkerError:
+    return ShardWorkerError(f"shard worker {worker} (groups {list(groups)}) {why}")
+
+
 def _initial_summaries(n_groups: int) -> tuple[ShardSummary, ...]:
     """The trivially-known state of freshly-built shards at t=0."""
     return tuple(
@@ -241,7 +252,9 @@ class _InlineWorker:
 
     Used by ``inline=True`` (fast tests, hypothesis suites) and pinned
     against the multiprocess path by the equivalence tests — the two must
-    produce identical digests.
+    produce identical digests.  A failure inside a group surfaces as the
+    forked driver reports it: a :class:`ShardWorkerError` naming the
+    worker and its groups, the original exception chained.
     """
 
     def __init__(self, cfg: WorkerConfig):
@@ -250,7 +263,13 @@ class _InlineWorker:
         self._replies: list = []
 
     def send(self, msg) -> None:
-        reply = handle(self.worker, self._runtimes, msg)
+        try:
+            reply = handle(self.worker, self._runtimes, msg)
+        except Exception as exc:
+            raise _worker_error(
+                self.worker, self._runtimes,
+                f"failed: {type(exc).__name__}: {exc}",
+            ) from exc
         if reply is not None:
             self._replies.append(reply)
 
@@ -278,9 +297,7 @@ class _PipeWorker:
         child_conn.close()
 
     def _die(self, why: str) -> None:
-        raise ShardWorkerError(
-            f"shard worker {self.worker} (groups {list(self.groups)}) {why}"
-        )
+        raise _worker_error(self.worker, self.groups, why)
 
     def send(self, msg) -> None:
         try:
@@ -344,6 +361,34 @@ def _route(front, requests, lo: int, hi: int, plan: ShardPlan) -> list:
         {g: indices[groups == g] for g in plan.worker_groups(w)}
         for w in range(plan.n_workers)
     ]
+
+
+def _merge(outcomes, n_requests: int) -> "list[tuple]":
+    """Every group's outcome columns as one row list, sorted by request id.
+
+    Raises :class:`SchedulerError` when a group's columns differ in
+    length, when the rows do not number ``n_requests``, or when one
+    request resolved in two groups.
+    """
+    rows: "list[tuple]" = []
+    for outcome in outcomes:
+        try:
+            rows.extend(zip(*outcome.columns, strict=True))
+        except ValueError as exc:
+            raise SchedulerError(
+                f"group {outcome.group} shipped outcome columns of unequal "
+                f"length ({exc})"
+            ) from exc
+    rows.sort(key=itemgetter(0))
+    if len(rows) != n_requests:
+        raise SchedulerError(
+            f"sharded merge resolved {len(rows)} outcomes for a "
+            f"{n_requests}-request trace"
+        )
+    for a, b in zip(rows, rows[1:]):
+        if a[0] == b[0]:
+            raise SchedulerError(f"request {a[0]} resolved on two shards")
+    return rows
 
 
 def _receive(worker, kind: type, timeout_s: float):
@@ -470,30 +515,13 @@ def run_sharded(
         for worker in workers:
             worker.shutdown()
 
-    rows: "list[tuple]" = []
-    group_telemetry: "dict[int, dict]" = {}
-    group_utilization: "dict[int, dict]" = {}
-    for outcome in outcomes:
-        rows.extend(outcome.rows)
-        group_telemetry[outcome.group] = outcome.telemetry
-        group_utilization[outcome.group] = outcome.utilization
-    rows.sort(key=itemgetter(0))
-    if len(rows) != len(trace):
-        raise SchedulerError(
-            f"sharded merge resolved {len(rows)} outcomes for a "
-            f"{len(trace)}-request trace"
-        )
-    for a, b in zip(rows, rows[1:]):
-        if a[0] == b[0]:
-            raise SchedulerError(f"request {a[0]} resolved on two shards")
     return ShardResult(
         n_requests=len(trace),
         n_groups=plan.n_groups,
         n_workers=plan.n_workers,
         n_windows=n_windows,
         wall_s=wall_s,
-        rows=rows,
-        digest=digest_rows(rows),
-        group_telemetry=group_telemetry,
-        group_utilization=group_utilization,
+        rows=_merge(outcomes, len(trace)),
+        group_telemetry={o.group: o.telemetry for o in outcomes},
+        group_utilization={o.group: o.utilization for o in outcomes},
     )

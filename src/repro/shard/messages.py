@@ -3,11 +3,14 @@
 Everything crossing a :class:`multiprocessing.Pipe` is defined here, and
 everything is deliberately small: assignments carry *indices into the
 shared trace* (the trace itself is inherited by fork, copy-on-write, so a
-million requests never serialize), and outcomes come back as the
-digest's own rows — one routed
+million requests never serialize), and outcomes come back as six plain
+columns per group — the fields of each routed
 :class:`~repro.serving.frontend.ServingResponse`'s ``outcome_tuple()``
-each (see :mod:`repro.shard.digest`), which the coordinator merges by
-request id into a digest bit-identical to a single-process replay's.
+(see :mod:`repro.shard.digest`), one list per field.  Columns of strings,
+ints and floats allocate no per-request tuple on the worker and pickle
+smaller than rows; the coordinator zips them back into rows and merges
+them by request id into a digest bit-identical to a single-process
+replay's.
 """
 
 from __future__ import annotations
@@ -90,14 +93,15 @@ class Finalize:
 class GroupOutcome:
     """One group's resolved outcomes plus its telemetry.
 
-    ``rows`` holds each routed response's ``outcome_tuple()`` in the
-    order the group admitted them — exactly the rows the digest hashes,
-    so the coordinator merges them as they arrive.  ``utilization`` is
-    the group's :meth:`~repro.sim.engine.EventLoop.utilization`.
+    ``columns`` holds six lists — request_id, status, node, device,
+    end_s, shed_reason — in the order the group admitted its requests:
+    ``zip(*columns)`` yields each routed response's ``outcome_tuple()``,
+    exactly the rows the digest hashes.  ``utilization`` is the group's
+    :meth:`~repro.sim.engine.EventLoop.utilization`.
     """
 
     group: int
-    rows: "list[tuple]"
+    columns: "tuple[list, ...]"
     telemetry: dict
     utilization: dict
 

@@ -23,8 +23,10 @@ message to a worker's groups and returns the reply, or None.
 ``worker_main`` (the subprocess entry point, a blocking receive loop over
 the coordinator pipe) and the coordinator's inline driver (tests,
 property suites) both call it, so the two drive identical code.
-Outcomes ship as each response's ``outcome_tuple()`` row, the very rows
-the digest hashes.
+Outcomes ship as six columns per group, one list per field of
+``outcome_tuple()`` (:class:`~repro.shard.messages.GroupOutcome`): a
+worker builds no per-request tuple, and the coordinator zips the columns
+back into the very rows the digest hashes.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -119,16 +122,30 @@ class GroupRuntime:
         self._responses.extend(self.router.feed_requests(batch))
 
     def finalize(self) -> GroupOutcome:
-        """Drain to completion and ship the outcome rows for the merge."""
+        """Drain to completion and ship the outcome columns for the merge.
+
+        The columns are ``outcome_tuple()`` field for field, in admission
+        order, read with C-level getters: no per-request object is built.
+        """
         self.router.run()
         pending = self.router.n_pending
         if pending:
             raise RuntimeError(
                 f"group {self.group} drained with {pending} requests unresolved"
             )
+        responses = self._responses
+        launches = list(map(attrgetter("launch"), responses))
+        columns = (
+            list(map(attrgetter("request.request_id"), responses)),
+            list(map(attrgetter("status"), responses)),
+            list(map(attrgetter("node_name"), responses)),
+            [None if launch is None else launch.device for launch in launches],
+            [None if launch is None else launch.end_s for launch in launches],
+            list(map(attrgetter("shed_reason"), responses)),
+        )
         return GroupOutcome(
             self.group,
-            [r.outcome_tuple() for r in self._responses],
+            columns,
             self.router.telemetry.snapshot(),
             self.loop.utilization(),
         )

@@ -261,3 +261,24 @@ def test_reply_of_the_wrong_kind_names_the_worker():
 def test_handler_rejects_an_unknown_message_naming_the_worker():
     with pytest.raises(ShardWorkerError, match="worker 5 got an unknown message"):
         handle(5, {}, WindowDone(5, 0, ()))
+
+
+def test_inline_group_failure_names_the_worker(
+    serving_predictors, shard_trace, monkeypatch
+):
+    """Inline reports a failing group as the forked driver does."""
+    drain = coordinator.GroupRuntime.finalize
+
+    def finalize(self):
+        if self.group == 3:
+            raise RuntimeError("group 3 drained with 3 requests unresolved")
+        return drain(self)
+
+    monkeypatch.setattr(coordinator.GroupRuntime, "finalize", finalize)
+    with pytest.raises(
+        ShardWorkerError,
+        match=r"shard worker 1 \(groups \[1, 3\]\) failed: RuntimeError: "
+              r"group 3 drained with 3 requests unresolved",
+    ) as err:
+        run_plan(serving_predictors, shard_trace, n_workers=2)
+    assert isinstance(err.value.__cause__, RuntimeError)

@@ -1,4 +1,7 @@
-"""Outcome blocks cross a pipe carrying every field the digest hashes."""
+"""Outcome blocks cross a pipe carrying every field the digest hashes.
+
+A block ships six columns; the coordinator zips them back into rows.
+"""
 
 from __future__ import annotations
 
@@ -17,10 +20,26 @@ ROWS = [
 ]
 
 
-def ship(rows=ROWS) -> GroupOutcome:
+class Received:
+    """A received outcome block with its columns zipped back into rows."""
+
+    def __init__(self, outcome: GroupOutcome):
+        self.group = outcome.group
+        self.telemetry = outcome.telemetry
+        self.utilization = outcome.utilization
+        self.rows = list(zip(*outcome.columns, strict=True))
+
+
+def columns_of(rows) -> tuple:
+    """The six outcome columns a worker ships for ``rows``."""
+    return tuple([row[i] for row in rows] for i in range(6))
+
+
+def ship(rows=ROWS) -> Received:
     """Send one worker's outcome block through a pipe and return it."""
     outcome = GroupOutcome(
-        0, list(rows), telemetry={"served": 3}, utilization={"events_fired": 9},
+        0, columns_of(rows), telemetry={"served": 3},
+        utilization={"events_fired": 9},
     )
     send, recv = Pipe()
     try:
@@ -30,7 +49,8 @@ def ship(rows=ROWS) -> GroupOutcome:
         send.close()
         recv.close()
     (received,) = result.outcomes
-    return received
+    assert len(received.columns) == 6
+    return Received(received)
 
 
 def test_rows_round_trip_exactly():
