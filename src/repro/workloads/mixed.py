@@ -81,7 +81,13 @@ class MixedTrace:
         truncates to the first n requests in merged order — the knob the
         million-request bench uses to hit an exact trace size.
         """
-        gen = ensure_rng(rng)
+        # The merge's numpy temporaries die with _columns, before the
+        # requests are built, so they add nothing to the build's peak memory.
+        columns = self._columns(ensure_rng(rng), n_requests)
+        return RequestTrace(requests=InferenceRequest.from_columns(*columns))
+
+    def _columns(self, gen: np.random.Generator, n_requests: "int | None") -> tuple:
+        """The merged trace as ``InferenceRequest.from_columns`` columns."""
         children = spawn(gen, len(self.components))
         all_t: list[np.ndarray] = []
         all_batch: list[np.ndarray] = []
@@ -112,25 +118,28 @@ class MixedTrace:
             if n_requests < 0:
                 raise ValueError(f"n_requests must be >= 0, got {n_requests}")
             order = order[:n_requests]
-        names = [c.model_names for c in self.components]
-        slos = [c.process.slo_s for c in self.components]
+        comp_idx = comp_idx[order]
+        arrivals = t[order]
+        # Component ci's model j sits at flat[first[ci] + j].
+        pools = [c.model_names for c in self.components]
+        flat = [name for pool in pools for name in pool]
+        first = np.cumsum([0] + [len(pool) for pool in pools[:-1]])
+        flat_idx = first[comp_idx] + model_idx[order]
+        models = list(map(flat.__getitem__, flat_idx.tolist()))
         policies = [c.policy for c in self.components]
-        requests = []
-        for rid, k in enumerate(order.tolist()):
-            ci = int(comp_idx[k])
-            arrival = float(t[k])
-            slo = slos[ci]
-            requests.append(
-                InferenceRequest(
-                    request_id=rid,
-                    arrival_s=arrival,
-                    model=names[ci][int(model_idx[k])],
-                    batch=int(batch[k]),
-                    policy=policies[ci],
-                    deadline_s=None if slo is None else arrival + slo,
-                )
-            )
-        return RequestTrace(requests=tuple(requests))
+        policies = list(map(policies.__getitem__, comp_idx.tolist()))
+        slos = np.array(
+            [np.nan if c.process.slo_s is None else c.process.slo_s
+             for c in self.components],
+            dtype=np.float64,
+        )
+        deadlines = (arrivals + slos[comp_idx]).tolist()
+        for i in np.flatnonzero(np.isnan(slos)[comp_idx]).tolist():
+            deadlines[i] = None
+        return (
+            range(order.size), arrivals.tolist(), models,
+            batch[order].tolist(), policies, deadlines,
+        )
 
 
 def split_trace(
@@ -156,7 +165,11 @@ def split_trace(
         )
     buckets: list[list[InferenceRequest]] = [[] for _ in range(n_shards)]
     for request, shard in zip(trace, assignment):
-        shard = int(shard)
+        if isinstance(shard, bool) or not isinstance(shard, (int, np.integer)):
+            raise ValueError(
+                f"request {request.request_id} assigned to shard {shard!r}, "
+                "which is not an integer"
+            )
         if not 0 <= shard < n_shards:
             raise ValueError(
                 f"request {request.request_id} assigned to shard {shard}, "

@@ -8,6 +8,7 @@ data volume and velocity vary together under bursts/diurnal patterns).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,31 @@ __all__ = [
     "FlashCrowdStream",
     "SessionStream",
 ]
+
+
+def _positive(name: str, value) -> None:
+    # Written so NaN fails: every comparison with NaN is False.
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def _non_negative(name: str, value) -> None:
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be >= 0 and finite, got {value!r}")
+
+
+def _positive_int(name: str, value) -> None:
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value <= 0
+    ):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _quantum(value) -> None:
+    if value is not None:
+        _positive("quantum_s", value)
 
 
 def _clip_batch(values: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -75,22 +101,21 @@ class ArrivalProcess:
     slo_s: "float | None" = None
 
     def __post_init__(self) -> None:
-        # Validate at construction so a bad horizon can never silently
-        # yield an empty trace (or empty burst_windows()).
-        if self.horizon_s <= 0.0:
-            raise ValueError(f"horizon_s must be positive, got {self.horizon_s}")
-        if self.slo_s is not None and self.slo_s <= 0.0:
-            raise ValueError(f"slo_s must be positive, got {self.slo_s}")
+        # Validate at construction so a bad field can never silently yield
+        # an empty trace, a batch-0 request or a generator that never ends.
+        _positive("horizon_s", self.horizon_s)
+        if self.slo_s is not None:
+            _positive("slo_s", self.slo_s)
+        self._check_fields()
+
+    def _check_fields(self) -> None:
+        """Check the subclass's own fields (called at construction)."""
 
     def generate(
         self, rng: "int | np.random.Generator | None" = None
     ) -> list[tuple[float, int]]:
         """Return time-ordered ``(arrival_s, batch)`` pairs in [0, horizon)."""
         raise NotImplementedError
-
-    def _check(self) -> None:
-        if self.horizon_s <= 0.0:
-            raise ValueError(f"horizon_s must be positive, got {self.horizon_s}")
 
 
 @dataclass(frozen=True)
@@ -100,10 +125,11 @@ class ConstantStream(ArrivalProcess):
     interval_s: float = 0.1
     batch: int = 256
 
+    def _check_fields(self) -> None:
+        _positive("interval_s", self.interval_s)
+        _positive_int("batch", self.batch)
+
     def generate(self, rng=None) -> list[tuple[float, int]]:
-        self._check()
-        if self.interval_s <= 0.0 or self.batch <= 0:
-            raise ValueError("interval and batch must be positive")
         times = np.arange(0.0, self.horizon_s, self.interval_s)
         return [(float(t), self.batch) for t in times]
 
@@ -117,10 +143,13 @@ class PoissonStream(ArrivalProcess):
     batch_sigma: float = 1.0
     max_batch: int = 1 << 17
 
+    def _check_fields(self) -> None:
+        _positive("rate_hz", self.rate_hz)
+        _positive("mean_batch", self.mean_batch)
+        _non_negative("batch_sigma", self.batch_sigma)
+        _positive_int("max_batch", self.max_batch)
+
     def generate(self, rng=None) -> list[tuple[float, int]]:
-        self._check()
-        if self.rate_hz <= 0.0 or self.mean_batch <= 0:
-            raise ValueError("rate and mean batch must be positive")
         gen = ensure_rng(rng)
         n_expected = int(np.ceil(self.rate_hz * self.horizon_s * 1.5)) + 8
         gaps = gen.exponential(1.0 / self.rate_hz, size=n_expected)
@@ -149,10 +178,18 @@ class BurstStream(ArrivalProcess):
     base_batch: int = 64
     max_batch: int = 1 << 17
 
+    def _check_fields(self) -> None:
+        _positive("base_rate_hz", self.base_rate_hz)
+        if not 1.0 <= self.burst_factor < math.inf:
+            raise ValueError(
+                f"burst_factor must be >= 1 and finite, got {self.burst_factor!r}"
+            )
+        _non_negative("burst_duration_s", self.burst_duration_s)
+        _positive("burst_every_s", self.burst_every_s)
+        _positive_int("base_batch", self.base_batch)
+        _positive_int("max_batch", self.max_batch)
+
     def generate(self, rng=None) -> list[tuple[float, int]]:
-        self._check()
-        if self.burst_factor < 1.0:
-            raise ValueError("burst_factor must be >= 1")
         gen = ensure_rng(rng)
         out: list[tuple[float, int]] = []
         t = 0.0
@@ -188,10 +225,18 @@ class DiurnalStream(ArrivalProcess):
     peak_batch: int = 4096
     trough_batch: int = 8
 
+    def _check_fields(self) -> None:
+        _positive("period_s", self.period_s)
+        _positive("trough_rate_hz", self.trough_rate_hz)
+        if not self.trough_rate_hz <= self.peak_rate_hz < math.inf:
+            raise ValueError(
+                f"peak_rate_hz must be finite and >= trough_rate_hz "
+                f"{self.trough_rate_hz!r}, got {self.peak_rate_hz!r}"
+            )
+        _positive_int("peak_batch", self.peak_batch)
+        _positive_int("trough_batch", self.trough_batch)
+
     def generate(self, rng=None) -> list[tuple[float, int]]:
-        self._check()
-        if self.trough_rate_hz <= 0 or self.peak_rate_hz < self.trough_rate_hz:
-            raise ValueError("need 0 < trough_rate <= peak_rate")
         gen = ensure_rng(rng)
         out: list[tuple[float, int]] = []
         t = 0.0
@@ -231,10 +276,19 @@ class OverloadStream(ArrivalProcess):
     normal_batch: int = 32
     overload_batch: int = 8192
 
+    def _check_fields(self) -> None:
+        _positive("normal_rate_hz", self.normal_rate_hz)
+        _positive("overload_rate_hz", self.overload_rate_hz)
+        if not 0.0 <= self.overload_start_s < self.overload_end_s:
+            raise ValueError(
+                f"overload window [overload_start_s, overload_end_s) = "
+                f"[{self.overload_start_s!r}, {self.overload_end_s!r}) is "
+                "empty or negative"
+            )
+        _positive_int("normal_batch", self.normal_batch)
+        _positive_int("overload_batch", self.overload_batch)
+
     def generate(self, rng=None) -> list[tuple[float, int]]:
-        self._check()
-        if not (0.0 <= self.overload_start_s < self.overload_end_s):
-            raise ValueError("overload window is empty or negative")
         gen = ensure_rng(rng)
         out: list[tuple[float, int]] = []
         t = 0.0
@@ -273,25 +327,25 @@ class MMPPStream(ArrivalProcess):
     start_state: int = 0
     quantum_s: "float | None" = 1e-3
 
-    def generate(self, rng=None) -> list[tuple[float, int]]:
-        self._check()
+    def _check_fields(self) -> None:
         if len(self.rates_hz) != len(self.mean_sojourn_s) or not self.rates_hz:
             raise ValueError(
                 "rates_hz and mean_sojourn_s must be equal-length and non-empty"
             )
-        if any(r <= 0.0 for r in self.rates_hz):
-            raise ValueError(f"rates must be positive, got {self.rates_hz}")
-        if any(s <= 0.0 for s in self.mean_sojourn_s):
-            raise ValueError(f"sojourns must be positive, got {self.mean_sojourn_s}")
+        for i, (rate, sojourn) in enumerate(zip(self.rates_hz, self.mean_sojourn_s)):
+            _positive(f"rates_hz[{i}]", rate)
+            _positive(f"mean_sojourn_s[{i}]", sojourn)
         if not 0 <= self.start_state < len(self.rates_hz):
             raise ValueError(
                 f"start_state {self.start_state} out of range for "
                 f"{len(self.rates_hz)} states"
             )
-        if self.mean_batch <= 0:
-            raise ValueError(f"mean_batch must be positive, got {self.mean_batch}")
-        if self.quantum_s is not None and self.quantum_s <= 0.0:
-            raise ValueError(f"quantum_s must be positive, got {self.quantum_s}")
+        _positive("mean_batch", self.mean_batch)
+        _non_negative("batch_sigma", self.batch_sigma)
+        _positive_int("max_batch", self.max_batch)
+        _quantum(self.quantum_s)
+
+    def generate(self, rng=None) -> list[tuple[float, int]]:
         gen = ensure_rng(rng)
         n_states = len(self.rates_hz)
         segments: list[np.ndarray] = []
@@ -356,19 +410,22 @@ class FlashCrowdStream(ArrivalProcess):
             np.where(t < ramp_end, ramp, decay),
         )
 
-    def generate(self, rng=None) -> list[tuple[float, int]]:
-        self._check()
-        if not 0.0 < self.base_rate_hz <= self.peak_rate_hz:
+    def _check_fields(self) -> None:
+        _positive("base_rate_hz", self.base_rate_hz)
+        if not self.base_rate_hz <= self.peak_rate_hz < math.inf:
             raise ValueError(
-                f"need 0 < base_rate <= peak_rate, got "
-                f"{self.base_rate_hz}/{self.peak_rate_hz}"
+                f"peak_rate_hz must be finite and >= base_rate_hz "
+                f"{self.base_rate_hz!r}, got {self.peak_rate_hz!r}"
             )
-        if self.spike_at_s < 0.0 or self.ramp_s <= 0.0 or self.decay_tau_s <= 0.0:
-            raise ValueError("spike_at must be >= 0; ramp and decay_tau positive")
-        if self.mean_batch <= 0:
-            raise ValueError(f"mean_batch must be positive, got {self.mean_batch}")
-        if self.quantum_s is not None and self.quantum_s <= 0.0:
-            raise ValueError(f"quantum_s must be positive, got {self.quantum_s}")
+        _non_negative("spike_at_s", self.spike_at_s)
+        _positive("ramp_s", self.ramp_s)
+        _positive("decay_tau_s", self.decay_tau_s)
+        _positive("mean_batch", self.mean_batch)
+        _non_negative("batch_sigma", self.batch_sigma)
+        _positive_int("max_batch", self.max_batch)
+        _quantum(self.quantum_s)
+
+    def generate(self, rng=None) -> list[tuple[float, int]]:
         gen = ensure_rng(rng)
         candidates = _exp_offsets(gen, self.peak_rate_hz, self.horizon_s)
         keep = gen.random(candidates.size) < (
@@ -408,20 +465,18 @@ class SessionStream(ArrivalProcess):
     max_batch: int = 1 << 17
     quantum_s: "float | None" = 1e-3
 
-    def generate(self, rng=None) -> list[tuple[float, int]]:
-        self._check()
-        if self.session_rate_hz <= 0.0:
-            raise ValueError(
-                f"session_rate_hz must be positive, got {self.session_rate_hz}"
-            )
+    def _check_fields(self) -> None:
+        _positive("session_rate_hz", self.session_rate_hz)
         if not 0.0 < self.continue_p <= 1.0:
-            raise ValueError(f"continue_p must be in (0, 1], got {self.continue_p}")
-        if self.think_min_s <= 0.0 or self.think_alpha <= 0.0:
-            raise ValueError("think_min_s and think_alpha must be positive")
-        if self.mean_batch <= 0:
-            raise ValueError(f"mean_batch must be positive, got {self.mean_batch}")
-        if self.quantum_s is not None and self.quantum_s <= 0.0:
-            raise ValueError(f"quantum_s must be positive, got {self.quantum_s}")
+            raise ValueError(f"continue_p must be in (0, 1], got {self.continue_p!r}")
+        _positive("think_min_s", self.think_min_s)
+        _positive("think_alpha", self.think_alpha)
+        _positive("mean_batch", self.mean_batch)
+        _non_negative("batch_sigma", self.batch_sigma)
+        _positive_int("max_batch", self.max_batch)
+        _quantum(self.quantum_s)
+
+    def generate(self, rng=None) -> list[tuple[float, int]]:
         gen = ensure_rng(rng)
         starts = _exp_offsets(gen, self.session_rate_hz, self.horizon_s)
         if starts.size == 0:

@@ -38,8 +38,9 @@ def summaries_for(n_groups):
 def scenarios(draw):
     n_groups = draw(st.integers(1, 6))
     n = draw(st.integers(0, 80))
+    # Request ids are integers >= 0; the hash tier masks them to 64 bits.
     ids = draw(st.lists(
-        st.integers(-(2**63), 2**64 - 1), min_size=n, max_size=n
+        st.integers(0, 2**64 - 1), min_size=n, max_size=n
     ))
     batches = draw(st.lists(
         st.one_of(st.integers(1, 8), st.integers(1, 4096)), min_size=n, max_size=n

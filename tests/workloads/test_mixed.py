@@ -198,3 +198,23 @@ class TestSplitTrace:
             split_trace(trace, [0] * 9, 2)
         with pytest.raises(ValueError, match="valid range"):
             split_trace(trace, [2] * 10, 2)
+
+    @pytest.mark.parametrize("bad", [0.7, True, np.float64(1.0), np.True_, "1"])
+    def test_non_integer_shard_is_refused_naming_the_request(self, bad):
+        # 0.7 used to land in shard 0 and True in shard 1.
+        from repro.workloads import split_trace
+
+        trace = self._trace(10)
+        assignment = [0] * 10
+        assignment[4] = bad
+        with pytest.raises(
+            ValueError, match=r"request 4 assigned to shard .* not an integer"
+        ):
+            split_trace(trace, assignment, 2)
+
+    def test_numpy_integer_shards_are_accepted(self):
+        from repro.workloads import split_trace
+
+        trace = self._trace(10)
+        shards = split_trace(trace, np.arange(10) % 2, 2)
+        assert [len(s) for s in shards] == [5, 5]

@@ -278,3 +278,74 @@ class TestSession:
             SessionStream(horizon_s=1.0, think_min_s=0.0).generate(0)
         with pytest.raises(ValueError):
             SessionStream(horizon_s=1.0, think_alpha=-1.0).generate(0)
+
+
+class TestFieldChecks:
+    """Every stream refuses a bad field at construction, naming it.
+
+    Each case used to fail late (a bare ZeroDivisionError, a batch-0
+    request) or never (an endless loop), so every test here only builds
+    the stream: a refusal that went missing fails instead of hanging.
+    """
+
+    def test_zero_burst_period_is_refused(self):
+        # burst_windows() looped forever on burst_every_s=0.
+        with pytest.raises(ValueError, match="burst_every_s"):
+            BurstStream(horizon_s=1.0, burst_every_s=0.0)
+
+    @pytest.mark.parametrize(
+        "cls, field",
+        [
+            (BurstStream, "base_rate_hz"),
+            (DiurnalStream, "period_s"),
+            (OverloadStream, "normal_rate_hz"),
+        ],
+    )
+    def test_zero_rate_or_period_is_refused(self, cls, field):
+        # Each raised a bare ZeroDivisionError from generate().
+        with pytest.raises(ValueError, match=field):
+            cls(horizon_s=1.0, **{field: 0})
+
+    @pytest.mark.parametrize(
+        "cls", [MMPPStream, PoissonStream, FlashCrowdStream, SessionStream]
+    )
+    def test_zero_max_batch_is_refused(self, cls):
+        # Each emitted batch-0 pairs, refused only later as requests.
+        with pytest.raises(ValueError, match="max_batch"):
+            cls(horizon_s=1.0, max_batch=0)
+
+    def test_zero_normal_batch_is_refused(self):
+        with pytest.raises(ValueError, match="normal_batch"):
+            OverloadStream(horizon_s=1.0, normal_batch=0)
+
+    def test_nan_horizon_is_refused(self):
+        with pytest.raises(ValueError, match="horizon_s"):
+            PoissonStream(horizon_s=float("nan"))
+
+    def test_nan_slo_is_refused(self):
+        with pytest.raises(ValueError, match="slo_s"):
+            PoissonStream(horizon_s=1.0, slo_s=float("nan"))
+
+    @pytest.mark.parametrize(
+        "cls, field, value",
+        [
+            (ConstantStream, "batch", True),
+            (ConstantStream, "interval_s", float("inf")),
+            (PoissonStream, "batch_sigma", float("nan")),
+            (MMPPStream, "rates_hz", (200.0, float("nan"))),
+            (MMPPStream, "quantum_s", float("nan")),
+            (FlashCrowdStream, "peak_rate_hz", float("nan")),
+            (SessionStream, "think_alpha", float("nan")),
+            (DiurnalStream, "trough_batch", 2.5),
+        ],
+    )
+    def test_nan_inf_and_non_integer_fields_are_refused(self, cls, field, value):
+        with pytest.raises(ValueError, match=field):
+            cls(horizon_s=1.0, **{field: value})
+
+    def test_valid_streams_still_generate(self):
+        for cls in (
+            ConstantStream, PoissonStream, BurstStream, DiurnalStream,
+            OverloadStream, MMPPStream, FlashCrowdStream, SessionStream,
+        ):
+            check_sorted_within_horizon(cls(horizon_s=0.5))
