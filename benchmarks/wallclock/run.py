@@ -156,7 +156,11 @@ def _timed_trace(serve, trace, profile: "str | None"):
 
 
 def bench_serving(tiny: bool, profile: "str | None" = None) -> dict:
-    """One SLO-aware frontend riding out an overload flood."""
+    """One SLO-aware frontend riding out an overload flood.
+
+    ``serve_trace`` runs through the frontend's one-node ingress router,
+    so this times that router's per-arrival placement step as well.
+    """
     from repro.nn.zoo import MNIST_SMALL, SIMPLE
     from repro.ocl.context import Context
     from repro.ocl.platform import get_all_devices

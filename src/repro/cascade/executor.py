@@ -45,6 +45,7 @@ from repro.cascade.spec import CascadeSpec
 from repro.cascade.telemetry import CascadeTelemetry
 from repro.nn.activations import softmax
 from repro.rng import ensure_rng
+from repro.serving.frontend import INGRESS_NODE
 from repro.workloads.requests import InferenceRequest, RequestTrace
 
 __all__ = ["CascadeExecutor"]
@@ -52,9 +53,6 @@ __all__ = ["CascadeExecutor"]
 #: Default base for executor-allocated request ids, far above any trace's
 #: own ids so cascade requests never collide in a router's ledger.
 _ID_BASE = 1_000_000_000
-
-#: Node key used when the backend is a single frontend (no node names).
-_LOCAL_KEY = "serving"
 
 
 class CascadeExecutor:
@@ -141,13 +139,8 @@ class CascadeExecutor:
         """``(node_key, frontend)`` pairs the executor steers."""
         nodes = getattr(self.backend, "nodes", None)
         if nodes is None:
-            return [(_LOCAL_KEY, self.backend)]
+            return [(INGRESS_NODE, self.backend)]
         return [(node.name, node.frontend) for node in nodes]
-
-    @staticmethod
-    def _node_key(response) -> str:
-        """The controller key for the node that served a response."""
-        return response.node_name or _LOCAL_KEY
 
     def _alloc_id(self) -> int:
         rid = self._next_id
@@ -288,8 +281,7 @@ class CascadeExecutor:
 
         stage = self.cascade.stage(stage_index)
         rule = stage.exit_rule
-        key = self._node_key(response)
-        theta = self.threshold_for(stage_index, key)
+        theta = self.threshold_for(stage_index, response.node_name)
         scores = response.scores
 
         if scores is not None and chain.x is not None:
@@ -355,7 +347,7 @@ class CascadeExecutor:
         # remnant already has one, it just is not the heavy model's.
         prev = stage_index - 1
         rule = self.cascade.stage(prev).exit_rule
-        theta = self.threshold_for(prev, self._node_key(response))
+        theta = self.threshold_for(prev, response.node_name)
         self._record_exit(
             chain, prev, response.request.batch,
             agreement=self.profile.stage(prev).agreement_below(rule.kind, theta),

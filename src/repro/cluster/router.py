@@ -1,9 +1,12 @@
 """The fleet router: one ingress dispatching traces across many nodes.
 
-The router is the cluster-level twin of the serving frontend's façade:
-``submit_request`` schedules the routing decision *at the request's
-arrival instant* on the shared event loop (so the balancing policy sees
-node load as it is then, not as it was at trace submission).  Each
+The router is the simulator's one ingestion path: a standalone
+:class:`~repro.serving.frontend.ServingFrontend` is served as a one-node
+fleet, its ``ingress``.  ``submit_request`` schedules the routing
+decision *at the request's arrival instant* on the shared event loop (so
+the balancing policy sees node load as it is then, not as it was at
+trace submission), and the request is admitted after every event already
+due at that instant (the tie rule, see ``docs/workloads.md``).  Each
 request has one handle, a :class:`~repro.serving.frontend.ServingResponse`
 the router creates and ledgers by request id; the chosen node registers
 that same handle, and every later move (drain, retry, crash re-adoption)

@@ -6,7 +6,12 @@ scores, where the request ran and what it cost) running over the
 discrete-event engine so thousands of queued, coalesced, deadline-carrying
 requests replay deterministically:
 
-1. ``submit`` schedules an arrival on the :class:`~repro.sim.engine.EventLoop`;
+1. ``submit``, ``submit_request`` and ``serve_trace`` hand their requests
+   to the frontend's :attr:`~ServingFrontend.ingress`, a one-node
+   :class:`~repro.cluster.router.ClusterRouter`, which routes each one at
+   its arrival instant on the :class:`~repro.sim.engine.EventLoop` (one
+   ingestion path and one tie rule for a frontend alone or in a fleet;
+   see ``docs/workloads.md``);
 2. at arrival, the :class:`~repro.serving.admission.AdmissionController`
    accepts / sheds / degrades against the per-model SLO config, using the
    backlog scheduler's learned completion estimates;
@@ -22,18 +27,18 @@ requests replay deterministically:
    :class:`ServingResponse` and feeds the realized service time back into
    the scheduler's outcome table.
 
-A run of same-instant arrivals (one trace-cursor event, or one cluster
-delivery event) is admitted per model *segment* rather than per request:
-each arrival costs the shared admission check against a running count
-of the places left in its queue, and the accepted ones are appended to
-the segment and pushed in bulk when the run ends, or just before
-anything else can look at the queue (a ``full`` flush, a degrade, a
-shed's resolution hook).  The first push into an empty queue takes the
-per-request path, so its flush timer is armed exactly where one arrival
-event per request would arm it; every later push needs no timer,
-because a non-empty queue always has one armed no later than its oldest
-entry's ``max_wait_s``.  Outcomes, counters and event order are those of
-one :meth:`ServingFrontend.submit_request` per arrival.
+A run of same-instant arrivals (one router delivery event) is admitted
+per model *segment* rather than per request: each arrival costs the
+shared admission check against a running count of the places left in
+its queue, and the accepted ones are appended to the segment and pushed
+in bulk when the run ends, or just before anything else can look at the
+queue (a ``full`` flush, a degrade, a shed's resolution hook).  The
+first push into an empty queue takes the per-request path, so its flush
+timer is armed exactly where one arrival event per request would arm
+it; every later push needs no timer, because a non-empty queue always
+has one armed no later than its oldest entry's ``max_wait_s``.
+Outcomes, counters and event order are those of one :meth:`deliver
+<ServingFrontend.deliver>` per arrival.
 
 With :data:`IMMEDIATE_DISPATCH` and ``max_rank=1`` the frontend places
 every request alone, at its arrival, on the predictor's top-ranked device:
@@ -68,7 +73,7 @@ from repro.serving.coalescer import BatchCoalescer, CoalescedBatch
 from repro.serving.outcomes import Outcomes, meets_deadline
 from repro.serving.queues import RequestQueue, make_queue
 from repro.serving.workers import DeviceWorker, LaunchRecord
-from repro.sim.engine import EventLoop, TraceCursor, check_arrival_order
+from repro.sim.engine import EventLoop
 from repro.telemetry.serving import ServingTelemetry
 from repro.workloads.requests import InferenceRequest, RequestTrace
 
@@ -130,6 +135,10 @@ IMMEDIATE_DISPATCH = SLOConfig(
     deadline_s=None, max_queue_depth=None, max_batch=1, max_wait_s=0.0
 )
 
+#: Node name of a standalone frontend in its one-node ingress: the
+#: ``node_name`` its handles carry.
+INGRESS_NODE = "serving"
+
 
 @dataclass(slots=True)
 class _Segment:
@@ -168,7 +177,7 @@ def _launched(name: str) -> property:
 
 
 class ServingResponse:
-    """The one future-like handle for one request, standalone or routed.
+    """The one future-like handle for one request.
 
     Starts 'pending'; resolves to 'ok' when its batch completes or 'shed'
     when admission (or the cluster router) refuses it.  Degraded requests
@@ -185,10 +194,11 @@ class ServingResponse:
     ``end_s`` and the other launch fields read through to it, None
     without one, and :attr:`energy_j` is its sample share of the energy.
 
-    A routed request keeps this handle across every drain, retry and
-    crash re-adoption: the router creates it, sets :attr:`node_name` and
-    counts placements in :attr:`n_routes` (None and 0 on a standalone
-    frontend), and each move hands it to the next frontend's ``readmit``.
+    Every request is routed, a standalone frontend's through its one-node
+    ingress, and keeps this handle across every drain, retry and crash
+    re-adoption: the router creates it, sets :attr:`node_name` and counts
+    placements in :attr:`n_routes`, and each move hands it to the next
+    frontend's ``readmit``.
     ``on_done``, an optional hook set before the loop runs past the
     request, fires once from :meth:`resolve`; cascade executors chain
     stages through it.
@@ -214,8 +224,8 @@ class ServingResponse:
         self.request = request
         self.status = "pending"
         self.enqueued_s = self.seq = self.x = None  # see the class docstring
-        self.node_name: "str | None" = None       # routed: the serving node
-        self.n_routes = 0                         # routed: placements so far
+        self.node_name: "str | None" = None       # the serving node, once routed
+        self.n_routes = 0                         # placements so far
         self.launch: "LaunchRecord | None" = None
         self.scores: "np.ndarray | None" = None
         self.degraded = False
@@ -293,9 +303,9 @@ class ServingResponse:
     def outcome_tuple(self) -> tuple:
         """The resolved outcome, serialized for digesting and IPC.
 
-        ``(request_id, status, node, device, end_s, shed_reason)``, node
-        None on a standalone frontend: the fields the determinism digests
-        hash (:mod:`repro.shard.digest`) and sharded workers ship.
+        ``(request_id, status, node, device, end_s, shed_reason)``: the
+        fields the determinism digests hash (:mod:`repro.shard.digest`)
+        and sharded workers ship.
         """
         launch = self.launch
         return (
@@ -447,6 +457,7 @@ class ServingFrontend:
         # Degrade target: the lowest-power device (cheapest to burn).
         self._cheapest = min(context.devices, key=lambda d: d.spec.busy_watts)
 
+        self._ingress = None   # built on first submission, see ingress
         self._seq = 0
         self._n_batches = 0
         # Handles this frontend still answers for, by seq: registered and
@@ -462,8 +473,8 @@ class ServingFrontend:
         # nothing that estimate_completion reads can change at a fixed
         # instant, so one (model, batch) probe serves the run; every
         # dispatch path clears it (the dispatch moves command queues),
-        # which keeps admission decisions bit-identical to one
-        # submit_request per arrival.  The run list: segments holding
+        # which keeps admission decisions bit-identical to one deliver
+        # per arrival outside a run.  The run list: segments holding
         # admitted, not yet pushed entries (shared by every frontend of a
         # cluster delivery run), pushed by _materialize_run.
         self._est_memo: "dict[tuple[str, int], float] | None" = None
@@ -504,6 +515,25 @@ class ServingFrontend:
 
     # -- submission --------------------------------------------------------
 
+    @property
+    def ingress(self) -> "ClusterRouter":
+        """The one-node router that ingests this frontend's submissions.
+
+        A standalone frontend is served as a one-node fleet (node
+        :data:`INGRESS_NODE`): ``submit``, ``submit_request`` and
+        ``serve_trace`` hand their requests to this router, built on
+        first use, so they route, tie-break and ledger exactly as a
+        :class:`~repro.cluster.router.ClusterRouter` over this frontend
+        alone does.
+        """
+        if self._ingress is None:
+            # repro.cluster imports this module, so it loads at call time.
+            from repro.cluster.node import ClusterNode
+            from repro.cluster.router import ClusterRouter
+
+            self._ingress = ClusterRouter([ClusterNode(INGRESS_NODE, self)])
+        return self._ingress
+
     def submit(
         self,
         model: str,
@@ -520,7 +550,8 @@ class ServingFrontend:
         SLO from arrival; omitted, the model's configured default applies.
         ``policy`` must be the frontend's placement policy (one frontend
         places under one predictor); omitted, it is stamped on the request.
-        The work itself happens when the event loop runs past the arrival.
+        The request id is the ingress ledger's next free one.  The work
+        itself happens when the event loop runs past the arrival.
         """
         spec = self._require_spec(model)
         placement_policy = self.backlog.policy
@@ -537,53 +568,44 @@ class ServingFrontend:
         arrival = self.loop.now if arrival_s is None else float(arrival_s)
         cfg = self.slo_for(model)
         relative = deadline_s if deadline_s is not None else cfg.deadline_s
+        ingress = self.ingress
         request = InferenceRequest(
-            request_id=self._seq,
+            request_id=ingress._seq,   # one past the highest id ledgered
             arrival_s=arrival,
             model=spec.name,
             batch=batch,
             policy=placement_policy.value,
             deadline_s=None if relative is None else arrival + relative,
         )
-        return self.submit_request(request, data)
+        return ingress.submit_request(request, data)
 
     def submit_request(
         self, request: InferenceRequest, x: "np.ndarray | None" = None
     ) -> ServingResponse:
-        """Submit a pre-built trace request (its own deadline wins).
+        """Submit a pre-built trace request through the :attr:`ingress`.
 
-        Requests without a deadline inherit the model's configured default
-        SLO, so plain traces can still drive deadline-aware serving.  ``x``,
-        when given, must hold ``request.batch`` rows of the model's input.
+        Its own deadline wins; requests without one inherit the model's
+        configured default SLO when they arrive, so plain traces can still
+        drive deadline-aware serving.  ``x``, when given, must hold
+        ``request.batch`` rows of the model's input.  Ids are unique per
+        frontend: a repeated one raises.
         """
-        spec = self._require_spec(request.model)
-        if x is not None:
-            require_host_batch(x, spec, request.batch)
-        if request.arrival_s < self.loop.now:
-            raise SchedulerError(
-                f"cannot submit into the past: arrival {request.arrival_s} "
-                f"< now={self.loop.now}"
-            )
-        response = ServingResponse(self._with_default_deadline(request))
-        response.x = x
-        self._register_arrival(response, request.arrival_s)
-        self.loop.schedule(
-            response.enqueued_s, partial(self._on_arrival, response),
-            label="arrive",
-        )
-        return response
+        return self.ingress.submit_request(request, x)
 
     def register_request(self, response: ServingResponse) -> None:
         """Register a routed handle; the router delivers it itself.
 
         The router already validated the request (model, id, arrival
-        time), so only the model's default deadline is stamped here.
-        Ledger state is that of :meth:`submit_request` minus the heap
-        entry; :meth:`deliver` runs the arrival.
+        time), so only the model's default deadline is stamped here;
+        :meth:`deliver` runs the arrival.
         """
         request = response.request
         if request.deadline_s is None:
-            response.request = self._with_default_deadline(request)
+            relative = self.slo_for(request.model).deadline_s
+            if relative is not None:
+                response.request = replace(
+                    request, deadline_s=request.arrival_s + relative
+                )
         self._register_arrival(response, request.arrival_s)
 
     def deliver(
@@ -652,12 +674,12 @@ class ServingFrontend:
                 segment.room = room - 1
                 segment.samples = samples
 
-    def begin_arrival_batch(self, run: "list[_Segment] | None" = None) -> bool:
+    def begin_arrival_batch(self, run: "list[_Segment]") -> bool:
         """Open a delivery run: arm the estimate memo and the segments.
 
-        ``run`` is the list of segments with handles still to push; a
-        cluster delivery run passes one list to all its frontends, so
-        that anything that ends a segment early (a flush, a degrade, a
+        ``run`` is the (empty) list of segments with handles still to
+        push; a router delivery run passes one list to all its frontends,
+        so that anything that ends a segment early (a flush, a degrade, a
         shed's resolution hook) pushes every frontend's pending handles
         first.  Returns True when this call opened the run (the caller
         must then call :meth:`end_arrival_batch`), False when a run is
@@ -665,7 +687,7 @@ class ServingFrontend:
         """
         if self._run is not None:
             return False
-        self._run = [] if run is None else run
+        self._run = run
         self._est_memo = {}
         return True
 
@@ -677,54 +699,17 @@ class ServingFrontend:
         self._est_memo = None
 
     def serve_trace(self, trace: RequestTrace) -> ServingResult:
-        """Replay a whole trace through the frontend and drain the loop.
+        """Replay a whole trace through the :attr:`ingress`; drain the loop.
 
-        The trace is checked whole first (deployed models, arrival order)
-        and then registered in one pass; a
-        :class:`~repro.sim.engine.TraceCursor` then fires one event per
-        run of equal timestamps and admits the run through
-        :meth:`deliver`, per model segment (see the module docstring).
-        Outcomes are digit-identical to one :meth:`submit_request` per
-        arrival followed by :meth:`run`.
+        The ingress checks the trace whole (deployed models, unique ids,
+        arrival order) before it ledgers anything, then routes each run of
+        equal timestamps in one event and delivers it in the next, per
+        model segment (see the module docstring and
+        :meth:`~repro.cluster.router.ClusterRouter.feed_requests`).
         """
-        requests = list(trace)
-        times = [request.arrival_s for request in requests]
-        for model in sorted({r.model for r in requests}.difference(self.specs)):
-            self._require_spec(model)   # raises, naming the model
-        check_arrival_order(times, self.loop.now)
-        stamp = self._with_default_deadline
-        responses = [ServingResponse(stamp(request)) for request in requests]
-        for response in responses:
-            self._register_arrival(response, response.request.arrival_s)
-        TraceCursor(
-            self.loop, times, partial(self._arrive_run, responses),
-            label="arrive",
-        ).start()
+        responses = self.ingress.feed_requests(trace)
         self.run()
         return ServingResult(responses=responses, telemetry=self.telemetry)
-
-    def _arrive_run(
-        self, responses: "list[ServingResponse]", i: int, j: int
-    ) -> None:
-        """Deliver one run of same-timestamp arrivals synchronously."""
-        if j - i == 1:
-            self._on_arrival(responses[i])
-            return
-        armed = self.begin_arrival_batch()
-        try:
-            deliver = self.deliver
-            for k in range(i, j):
-                deliver(responses[k])
-        finally:
-            if armed:
-                self.end_arrival_batch()
-
-    def _with_default_deadline(self, request: InferenceRequest) -> InferenceRequest:
-        """Stamp the model's configured default SLO on deadline-less requests."""
-        relative = self.slo_for(request.model).deadline_s
-        if request.deadline_s is not None or relative is None:
-            return request
-        return replace(request, deadline_s=request.arrival_s + relative)
 
     def run(self, until: "float | None" = None) -> float:
         """Drive the event loop (arrivals, flush timers, completions)."""
@@ -753,8 +738,7 @@ class ServingFrontend:
         self._pending[seq] = response
 
     def _on_arrival(
-        self, response: ServingResponse, _loop=None,
-        est_delay: "float | None" = None,
+        self, response: ServingResponse, est_delay: "float | None" = None
     ) -> None:
         if self.crashed:
             # The process is gone: nothing answers, nothing is refused.
@@ -964,9 +948,10 @@ class ServingFrontend:
     def _fail_request(self, response: ServingResponse, reason: str) -> None:
         """One request's launch failed transiently.
 
-        A cluster router that installed :attr:`on_request_failed` takes
-        ownership (retry with backoff, or shed); standalone frontends shed
-        locally — resolved either way, never lost.
+        A resilient cluster router that installed
+        :attr:`on_request_failed` takes ownership (retry with backoff, or
+        shed); otherwise the frontend sheds it locally — resolved either
+        way, never lost.
         """
         for sink in self._sinks[response.request.model]:
             sink.n_failed += 1
@@ -1232,8 +1217,14 @@ class ServingFrontend:
     def n_pending(self) -> int:
         """Handles this frontend still answers for: registered here and
         not yet resolved or handed on — arriving, queued, in flight, or
-        in the crash limbo."""
-        return len(self._pending)
+        in the crash limbo — plus those submitted to its :attr:`ingress`
+        that have not arrived yet."""
+        n = len(self._pending)
+        if self._ingress is not None:
+            n += sum(
+                not r.n_routes and not r.done for r in self._ingress._responses
+            )
+        return n
 
     @property
     def queued(self) -> int:

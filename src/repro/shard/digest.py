@@ -52,7 +52,7 @@ def digest_responses(responses) -> str:
     """Digest resolved responses as given.
 
     Accepts anything with an ``outcome_tuple()`` of the six canonical
-    fields — every :class:`~repro.serving.frontend.ServingResponse`,
-    routed (its node name filled in) or standalone (node None).
+    fields — every :class:`~repro.serving.frontend.ServingResponse`
+    (node None until it is routed).
     """
     return digest_rows(r.outcome_tuple() for r in responses)

@@ -1,9 +1,10 @@
 """One launch record per landed batch, shared by the handles it served.
 
-A standalone frontend and a three-node router replay an overload under an
-error profile that fails some requests in the middle of their batch.
-Every landed batch is captured at its worker's completion callback, so
-each check compares a batch's entries against the record they got:
+A standalone frontend (served as a one-node fleet, node ``"serving"``)
+and a three-node router replay an overload under an error profile that
+fails some requests in the middle of their batch.  Every landed batch is
+captured at its worker's completion callback, so each check compares a
+batch's entries against the record they got:
 
 * the served handles of one batch hold the very same record, and
   batch ids are unique per node;
@@ -49,7 +50,7 @@ def error_profile() -> ErrorProfile:
     return ErrorProfile(0.2, seed=5, windows=[(0.0, 10.0)])
 
 
-def capture_batches(frontend: ServingFrontend, node: "str | None", landed: list):
+def capture_batches(frontend: ServingFrontend, node: str, landed: list):
     """Record ``(node, entries)`` for every batch the frontend lands."""
     for worker in frontend._workers.values():
         def on_complete(batch, placement, event, _inner=worker.on_complete):
@@ -64,7 +65,7 @@ def run_frontend(serving_predictors):
     )
     fe.fault_profile = error_profile()
     landed: list = []
-    capture_batches(fe, None, landed)
+    capture_batches(fe, "serving", landed)
     trace = make_trace(STREAM, [SIMPLE, MNIST_SMALL], rng=11)
     return fe.serve_trace(trace).responses, landed
 
