@@ -77,7 +77,8 @@ def clone(estimator: BaseEstimator) -> BaseEstimator:
 
 
 def check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
-    """Validate and normalize a training pair."""
+    """Validate and normalize a training pair: finite float features and
+    non-negative integer labels (returned as int64)."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     if x.ndim != 2:
@@ -88,7 +89,19 @@ def check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"x has {x.shape[0]} rows but y has {y.shape[0]}")
     if x.shape[0] == 0:
         raise ValueError("cannot fit on an empty dataset")
-    return x, y
+    finite = np.isfinite(x)
+    if not finite.all():
+        r, c = np.argwhere(~finite)[0]
+        raise ValueError(f"x[{r}, {c}] = {x[r, c]} is not finite")
+    if y.dtype.kind not in "biuf":
+        raise ValueError(f"labels must be integers, got dtype {y.dtype}")
+    labels = y.astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(labels) | (labels < 0) | (labels != np.round(labels)))
+    if bad.size:
+        raise ValueError(
+            f"labels must be non-negative integers, got y[{bad[0]}] = {y[bad[0]]}"
+        )
+    return x, y.astype(np.int64)
 
 
 def check_fitted(estimator: BaseEstimator, attr: str) -> None:

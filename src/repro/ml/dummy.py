@@ -41,7 +41,6 @@ class DummyClassifier(BaseEstimator):
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "DummyClassifier":
         _, y = check_xy(x, y)
-        y = y.astype(np.int64)
         counts = np.bincount(y)
         self.classes_ = np.flatnonzero(counts)
         self.class_prior_ = counts[self.classes_] / counts.sum()

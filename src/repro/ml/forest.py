@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import BaseEstimator, check_fitted, check_xy
-from repro.ml.tree import DecisionTreeClassifier
+from repro.ml.tree import DecisionTreeClassifier, _grow
 from repro.rng import ensure_rng, spawn
 
 __all__ = ["RandomForestClassifier"]
@@ -52,44 +52,37 @@ class RandomForestClassifier(BaseEstimator):
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
         x, y = check_xy(x, y)
-        y = y.astype(np.int64)
-        self.n_classes_ = int(y.max()) + 1
-        rng = ensure_rng(self.random_state)
-        tree_rngs = spawn(rng, self.n_estimators)
+        self.n_classes_ = n_classes = int(y.max()) + 1
         n = x.shape[0]
-        self.trees_ = []
-        for t_rng in tree_rngs:
-            if self.bootstrap:
-                idx = t_rng.integers(0, n, size=n)
-            else:
-                idx = np.arange(n)
-            tree = DecisionTreeClassifier(
+        trees, jobs = [], []
+        for t_rng in spawn(ensure_rng(self.random_state), self.n_estimators):
+            trees.append(DecisionTreeClassifier(
                 criterion=self.criterion,
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=self.max_features,
                 random_state=t_rng,
-            )
-            tree.n_classes_ = self.n_classes_  # keep proba width uniform
-            xb, yb = x[idx], y[idx]
-            tree.fit(xb, yb)
-            # fit() recomputes n_classes_ from the bootstrap labels; restore
-            # the forest-wide width so probabilities stack.
-            if tree.n_classes_ != self.n_classes_:
-                tree = self._refit_padded(tree, xb, yb)
-            self.trees_.append(tree)
+            ))
+            rows = t_rng.integers(0, n, size=n) if self.bootstrap else np.arange(n)
+            jobs.append((rows, y[rows], t_rng))
+        # A bootstrap that misses the top class grows at its own, narrower
+        # class count (an all-zero class column can change impurity bits,
+        # since numpy sums 8 or more terms pairwise), then regrows from the
+        # same generator with one synthetic top-class sample, a copy of its
+        # first row, so every tree's probabilities are as wide.
+        widths = [int(yb.max()) + 1 for _, yb, _ in jobs]
+        grown = {}
+        for width in set(widths):
+            group = [i for i, w in enumerate(widths) if w == width]
+            grown.update(zip(group, _grow(trees[0], x, [jobs[i] for i in group], width)))
+        short = [i for i, w in enumerate(widths) if w < n_classes]
+        padded = [(np.append(rows, rows[0]), np.append(yb, n_classes - 1), t_rng)
+                  for rows, yb, t_rng in (jobs[i] for i in short)]
+        if short:
+            grown.update(zip(short, _grow(trees[0], x, padded, n_classes)))
+        self.trees_ = [tree._fitted(*grown[i], n_classes) for i, tree in enumerate(trees)]
         self._flat = None
         return self
-
-    def _refit_padded(self, tree, xb, yb) -> DecisionTreeClassifier:
-        """Refit a tree whose bootstrap missed the top class, padding the
-        label set with one synthetic no-op so proba widths match."""
-        # Append a single sample of the max class drawn from the data it
-        # would least distort: duplicate the first sample's features.
-        pad_x = np.vstack([xb, xb[:1]])
-        pad_y = np.append(yb, self.n_classes_ - 1)
-        tree.fit(pad_x, pad_y)
-        return tree
 
     def flatten(self):
         """All fitted trees as one :class:`~repro.ml.flatten.FlatForest`

@@ -37,7 +37,7 @@ class KNeighborsClassifier(BaseEstimator):
                 f"n_neighbors={self.n_neighbors} > n_samples={x.shape[0]}"
             )
         self.x_ = x
-        self.y_ = y.astype(np.int64)
+        self.y_ = y
         self.n_classes_ = int(self.y_.max()) + 1
         self._sq_norms = np.einsum("ij,ij->i", x, x)
         return self

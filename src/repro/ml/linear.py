@@ -35,7 +35,6 @@ class LinearRegressionClassifier(BaseEstimator):
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LinearRegressionClassifier":
         x, y = check_xy(x, y)
-        y = y.astype(np.int64)
         n, d = x.shape
         k = int(y.max()) + 1
         xb = np.hstack([x, np.ones((n, 1))])
@@ -83,7 +82,6 @@ class LogisticRegression(BaseEstimator):
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LogisticRegression":
         x, y = check_xy(x, y)
-        y = y.astype(np.int64)
         n, d = x.shape
         k = int(y.max()) + 1
         w = np.zeros((d, k))

@@ -42,7 +42,6 @@ class MLPClassifier(BaseEstimator):
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "MLPClassifier":
         x, y = check_xy(x, y)
-        y = y.astype(np.int64)
         self.n_classes_ = int(y.max()) + 1
         rng = ensure_rng(self.random_state)
         spec = FFNNSpec(

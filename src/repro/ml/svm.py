@@ -30,7 +30,6 @@ class LinearSVC(BaseEstimator):
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "LinearSVC":
         x, y = check_xy(x, y)
-        y = y.astype(np.int64)
         n, d = x.shape
         k = int(y.max()) + 1
         w = np.zeros((d, k))

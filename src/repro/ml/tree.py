@@ -5,9 +5,12 @@ Standard greedy axis-aligned splitting with gini or entropy impurity
 ``min_samples_leaf`` controls, and ``max_features`` random feature
 subsampling (used by the random forest).
 
-The split search is fully vectorized per node: one argsort per candidate
-feature, class-count prefix sums, and an impurity evaluation across all
-thresholds at once — no Python loop over samples.
+One grower, :func:`_grow`, fits a single tree and all trees of a forest
+alike.  The trees grow in lockstep: each step, every unfinished tree takes
+its next node in depth-first order, and one batched pass scores all those
+nodes at once -- a stable sort per (node, candidate feature) segment,
+class-count prefix sums and an impurity evaluation across every threshold.
+Python loops run over trees and candidate features, never over samples.
 """
 
 from __future__ import annotations
@@ -52,6 +55,187 @@ def _impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
     raise ValueError(f"criterion must be 'gini' or 'entropy', got {criterion!r}")
 
 
+#: Sorted (row, candidate feature) values one scoring pass holds at most
+#: (a larger node is scored alone): bounds the pass's temporaries, since a
+#: forest's root step holds every bootstrap row once per candidate.
+_STEP_ROWS = 8192
+
+
+def _n_candidates(max_features: "int | str | None", n_features: int) -> int:
+    """Features drawn per split search under ``max_features``."""
+    if max_features is None:
+        return n_features
+    if max_features == "sqrt":
+        return max(1, int(np.sqrt(n_features)))
+    k = int(max_features)
+    if not (1 <= k <= n_features):
+        raise ValueError(f"max_features must be in [1, {n_features}], got {k}")
+    return k
+
+
+def _grow(params, x: np.ndarray, jobs: list, n_classes: int) -> list:
+    """Grow one tree per ``(rows, y, rng)`` job on ``(x[rows], y)``.
+
+    ``params`` (a tree) supplies ``criterion``, ``max_depth``,
+    ``min_samples_leaf`` and ``max_features``.  The trees grow in lockstep:
+    each step, every tree with a node left to search pops its next one in
+    depth-first order and draws that node's candidate features from its
+    own generator, so each tree consumes the draws it would alone.  The
+    step's nodes are then scored together, in blocks of at most
+    ``_STEP_ROWS`` sorted values.  Returns each job's ``(root,
+    importance)``, the unnormalized mean decrease in impurity per feature.
+    """
+    n, n_features = x.shape
+    k = _n_candidates(params.max_features, n_features)
+    criterion, min_leaf = params.criterion, params.min_samples_leaf
+    max_depth = np.inf if params.max_depth is None else params.max_depth
+    if not n_features:
+        max_depth = 0  # nothing to split on: every tree is one leaf
+
+    def add_nodes(counts, depth):
+        """Nodes for class-count rows, and which need a split search:
+        those neither as deep as allowed, too small to split, nor pure."""
+        size = counts.sum(axis=1)
+        search = (depth < max_depth) & (size >= 2 * min_leaf) & (counts.max(axis=1) < size)
+        return [_Node(proba=p) for p in counts / size[:, None]], search
+
+    xt = np.ascontiguousarray(x.T).ravel()  # value (row r, feature f) at f*n + r
+    src = np.concatenate([rows for rows, _, _ in jobs])  # grower row -> x row
+    labels = np.concatenate([y for _, y, _ in jobs])
+    n_fit = np.array([y.size for _, y, _ in jobs])
+    counts = np.array([np.bincount(y, minlength=n_classes) for _, y, _ in jobs], dtype=np.float64)
+    roots, search = add_nodes(counts, 0)
+    impurity, ends = _impurity(counts, criterion), np.cumsum(n_fit)
+    # Per tree, its nodes left to search, the next one last, as
+    # (node, grower rows, depth, class counts, impurity).
+    stacks = [[(roots[t], np.arange(ends[t] - n_fit[t], ends[t]), 0, counts[t], impurity[t])]
+              if search[t] else [] for t in range(len(jobs))]
+    importance = np.zeros((len(jobs), n_features))
+    live = [t for t, stack in enumerate(stacks) if stack]
+    while live:
+        live_ids = np.array(live)
+        popped = [stacks[t].pop() for t in live]
+        feats = np.array([jobs[t][2].choice(n_features, size=k, replace=False)
+                          if k < n_features else np.arange(n_features) for t in live])
+        b0 = 0
+        while b0 < len(live):
+            b1, width = b0 + 1, popped[b0][1].size * k
+            while b1 < len(live) and width + popped[b1][1].size * k <= _STEP_ROWS:
+                width += popped[b1][1].size * k
+                b1 += 1
+            block = popped[b0:b1]
+            hits, feature, threshold, score, left, child_imp, rows, n_left = _split_nodes(
+                xt, n, src, labels, block, feats[b0:b1], criterion, min_leaf)
+            tree = live_ids[b0 + hits]
+            b0 = b1
+            if not hits.size:
+                continue
+            split = [block[i] for i in hits]
+            size = np.array([p[1].size for p in split])
+            # At most one split per tree per block: each tree accumulates
+            # its mean decrease in impurity in depth-first order.
+            importance[tree, feature] += (size / n_fit[tree]) * (
+                np.array([p[4] for p in split]) - score)
+            children = np.concatenate([left, np.array([p[3] for p in split]) - left])
+            nodes, search = add_nodes(children, np.array([p[2] + 1 for p in split] * 2))
+            h, n_right = hits.size, size - n_left
+            l_end = np.cumsum(n_left)
+            r_end = l_end[-1] + np.cumsum(n_right)
+            for j, (node, _, d, _, _) in enumerate(split):
+                node.feature, node.threshold = int(feature[j]), float(threshold[j])
+                node.left, node.right = nodes[j], nodes[h + j]
+                stack = stacks[tree[j]]
+                if search[h + j]:  # pushed first, popped after the left subtree
+                    stack.append((nodes[h + j], rows[r_end[j] - n_right[j]:r_end[j]],
+                                  d + 1, children[h + j], child_imp[1, j]))
+                if search[j]:
+                    stack.append((nodes[j], rows[l_end[j] - n_left[j]:l_end[j]],
+                                  d + 1, children[j], child_imp[0, j]))
+        live = [t for t in live if stacks[t]]
+    return list(zip(roots, importance))
+
+
+def _split_nodes(xt, n, src, labels, block, feats, criterion, min_leaf):
+    """Score every pending node of ``block`` on its candidate ``feats``.
+
+    Segment ``(j, s)``, node ``s``'s rows sorted on ``feats[s, j]``, starts
+    at ``j * R + start[s]`` of the flat sorted arrays (``R`` block rows).
+    A node takes each candidate's first best threshold in draw order, keeps
+    a later candidate only if it scores lower by more than 1e-12, and
+    splits only if that is below its own impurity by more than 1e-12.
+    Returns the ``hits`` (block indices of the nodes that split) and, for
+    them: feature, threshold, weighted child impurity, left-child class
+    counts, (left, right) child impurities, the rows of every left child
+    then of every right child, and the left-child sizes.
+    """
+    b, k = feats.shape
+    sizes = np.array([p[1].size for p in block])
+    flat_rows = np.concatenate([p[1] for p in block])
+    n_rows = flat_rows.size
+    seg = np.repeat(np.arange(b), sizes)
+    key = (np.arange(k)[:, None] * b + seg).ravel()
+    vals = xt[(feats[seg].T * n + src[flat_rows]).ravel()]
+    order = np.lexsort((vals, key))
+    xs = vals[order]
+    m = xs.size
+    # Class prefix counts: one cumsum, minus the running count before each
+    # segment -- exact, since the counts are integers.
+    cum = np.zeros((m, len(block[0][3])))
+    cum[np.arange(m), labels[flat_rows[order % n_rows]]] = 1.0
+    np.cumsum(cum, axis=0, out=cum)
+    seg_start = (np.arange(k)[:, None] * n_rows + (np.cumsum(sizes) - sizes)).ravel()
+    seg_n = np.tile(sizes, k)
+    before = cum[seg_start - 1]
+    before[0] = 0.0
+    size_l = np.arange(1, m + 1) - seg_start[key]
+    size_n = seg_n[key]
+    # Candidates: both sides keep min_leaf rows and the value changes there
+    # (which also rules out each segment's last position).
+    valid = (size_l >= min_leaf) & (size_n - size_l >= min_leaf)
+    valid[:-1] &= xs[:-1] < xs[1:]
+    at = np.flatnonzero(valid)
+    seg_at = key[at]
+    sides = np.empty((2, at.size, cum.shape[1]))
+    np.subtract(cum[at], before[seg_at], out=sides[0])
+    np.subtract((cum[seg_start + seg_n - 1] - before)[seg_at], sides[0], out=sides[1])
+    imp = _impurity(sides, criterion)
+    size_l, size_n = size_l[at].astype(np.float64), size_n[at].astype(np.float64)
+    weighted = (size_l * imp[0] + (size_n - size_l) * imp[1]) / size_n
+    full = np.full(m, np.inf)
+    full[at] = weighted
+    seg_best = np.minimum.reduceat(full, seg_start)
+    # Each segment's first best candidate (-1 where it has none).
+    tied = np.flatnonzero(weighted == seg_best[seg_at])
+    lead = np.ones(tied.size, dtype=bool)
+    lead[1:] = seg_at[tied[1:]] != seg_at[tied[:-1]]
+    first = np.full(k * b, -1)
+    first[seg_at[tied[lead]]] = tied[lead]
+    seg_best, first = seg_best.reshape(k, b), first.reshape(k, b)
+    score, pick = np.full(b, np.inf), np.zeros(b, dtype=np.intp)
+    for j in range(k):
+        better = seg_best[j] < score - 1e-12
+        score[better] = seg_best[j, better]
+        pick[better] = j
+    hits = np.flatnonzero(score < np.array([p[4] for p in block]) - 1e-12)
+    pick = pick[hits]
+    c = first[pick, hits]
+    feature = feats[hits, pick]
+    lo, hi = xs[at[c]], xs[at[c] + 1]
+    with np.errstate(over="ignore"):
+        mid = 0.5 * (lo + hi)
+    # A midpoint that rounds onto the upper value, or overflows, would send
+    # every row left: split at the lower value instead.
+    threshold = np.where((lo <= mid) & (mid < hi), mid, lo)
+    slot = np.full(b, -1)
+    slot[hits] = np.arange(hits.size)
+    owner = slot[seg]
+    moved, owner = flat_rows[owner >= 0], owner[owner >= 0]
+    goes_left = xt[feature[owner] * n + src[moved]] <= threshold[owner]
+    rows = np.concatenate([moved[goes_left], moved[~goes_left]])
+    return (hits, feature, threshold, score[hits], sides[0][c], imp[:, c],
+            rows, size_l[c].astype(np.intp))
+
+
 class DecisionTreeClassifier(BaseEstimator):
     """Greedy CART classifier.
 
@@ -86,116 +270,25 @@ class DecisionTreeClassifier(BaseEstimator):
         self.n_classes_: int = 0
         self.n_features_: int = 0
         self._importance_raw: np.ndarray | None = None
-        self._n_fit_samples: int = 0
         self._flat = None  # lazily built FlatTree, invalidated by fit()
 
     # -- fitting ---------------------------------------------------------
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "DecisionTreeClassifier":
         x, y = check_xy(x, y)
-        y = y.astype(np.int64)
-        if y.min() < 0:
-            raise ValueError("labels must be non-negative integers")
-        self.n_classes_ = int(y.max()) + 1
-        self.n_features_ = x.shape[1]
-        self._importance_raw = np.zeros(self.n_features_)
-        self._n_fit_samples = y.size
-        rng = ensure_rng(self.random_state)
-        self.root_ = self._grow(x, y, depth=0, rng=rng)
+        n_classes = int(y.max()) + 1
+        jobs = [(np.arange(y.size), y, ensure_rng(self.random_state))]
+        return self._fitted(*_grow(self, x, jobs, n_classes)[0], n_classes)
+
+    def _fitted(self, root: _Node, importance: np.ndarray,
+                n_classes: int) -> "DecisionTreeClassifier":
+        """Install a grown tree (a forest grows its trees together)."""
+        self.root_ = root
+        self._importance_raw = importance
+        self.n_classes_ = n_classes
+        self.n_features_ = importance.size
         self._flat = None
         return self
-
-    def _n_candidate_features(self) -> int:
-        if self.max_features is None:
-            return self.n_features_
-        if self.max_features == "sqrt":
-            return max(1, int(np.sqrt(self.n_features_)))
-        k = int(self.max_features)
-        if not (1 <= k <= self.n_features_):
-            raise ValueError(
-                f"max_features must be in [1, {self.n_features_}], got {k}"
-            )
-        return k
-
-    def _grow(self, x: np.ndarray, y: np.ndarray, depth: int, rng) -> _Node:
-        counts = np.bincount(y, minlength=self.n_classes_).astype(np.float64)
-        node = _Node(proba=counts / counts.sum())
-        if (
-            (self.max_depth is not None and depth >= self.max_depth)
-            or y.size < 2 * self.min_samples_leaf
-            or counts.max() == counts.sum()  # pure node
-        ):
-            return node
-
-        split = self._best_split(x, y, rng)
-        if split is None:
-            return node
-        feature, threshold = split
-        mask = x[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        # Mean-decrease-in-impurity accounting for feature_importances_.
-        parent_imp = float(
-            _impurity(counts[None, :], self.criterion)[0]
-        )
-        left_counts = np.bincount(y[mask], minlength=self.n_classes_).astype(float)
-        right_counts = counts - left_counts
-        n = float(y.size)
-        child_imp = (
-            left_counts.sum() * float(_impurity(left_counts[None, :], self.criterion)[0])
-            + right_counts.sum() * float(_impurity(right_counts[None, :], self.criterion)[0])
-        ) / n
-        self._importance_raw[feature] += (n / self._n_fit_samples) * (
-            parent_imp - child_imp
-        )
-        node.left = self._grow(x[mask], y[mask], depth + 1, rng)
-        node.right = self._grow(x[~mask], y[~mask], depth + 1, rng)
-        return node
-
-    def _best_split(self, x, y, rng) -> "tuple[int, float] | None":
-        n = y.size
-        k = self._n_candidate_features()
-        if k < self.n_features_:
-            features = rng.choice(self.n_features_, size=k, replace=False)
-        else:
-            features = np.arange(self.n_features_)
-
-        onehot = np.zeros((n, self.n_classes_))
-        onehot[np.arange(n), y] = 1.0
-
-        best = None
-        best_score = np.inf
-        min_leaf = self.min_samples_leaf
-        for f in features:
-            order = np.argsort(x[:, f], kind="stable")
-            xs = x[order, f]
-            # Prefix class counts after each potential left block.
-            left_counts = np.cumsum(onehot[order], axis=0)
-            total = left_counts[-1]
-            # Candidate split after position i (left = [0..i]); valid iff
-            # both sides satisfy min_samples_leaf and the value changes.
-            sizes_left = np.arange(1, n + 1, dtype=np.float64)
-            valid = (
-                (sizes_left >= min_leaf)
-                & (n - sizes_left >= min_leaf)
-                & np.append(xs[:-1] < xs[1:], False)
-            )
-            if not np.any(valid):
-                continue
-            right_counts = total[None, :] - left_counts
-            imp_left = _impurity(left_counts, self.criterion)
-            imp_right = _impurity(right_counts, self.criterion)
-            weighted = (sizes_left * imp_left + (n - sizes_left) * imp_right) / n
-            weighted = np.where(valid, weighted, np.inf)
-            i = int(np.argmin(weighted))
-            if weighted[i] < best_score - 1e-12:
-                best_score = weighted[i]
-                best = (int(f), float(0.5 * (xs[i] + xs[i + 1])))
-
-        parent_imp = float(_impurity(onehot.sum(axis=0)[None, :], self.criterion)[0])
-        if best is None or best_score >= parent_imp - 1e-12:
-            return None  # no informative split
-        return best
 
     # -- inference ---------------------------------------------------------
 
@@ -291,23 +384,9 @@ class DecisionTreeClassifier(BaseEstimator):
     @property
     def depth_(self) -> int:
         """Realized depth of the fitted tree."""
-        check_fitted(self, "root_")
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root_)
+        return self.flatten().max_depth
 
     @property
     def n_leaves_(self) -> int:
         """Leaf count of the fitted tree."""
-        check_fitted(self, "root_")
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
-
-        return walk(self.root_)
+        return int(np.count_nonzero(self.flatten().feature < 0))

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from repro.errors import NotFittedError
-from repro.ml import DecisionTreeClassifier, RandomForestClassifier
+from repro.ml import (
+    DecisionTreeClassifier,
+    DummyClassifier,
+    KNeighborsClassifier,
+    LinearRegressionClassifier,
+    LinearSVC,
+    LogisticRegression,
+    MLPClassifier,
+    RandomForestClassifier,
+)
 from repro.ml.base import check_fitted, check_xy, clone
 
 
@@ -60,6 +69,43 @@ class TestCheckXY:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             check_xy(np.zeros((0, 2)), np.zeros(0))
+
+    def test_infinite_feature_rejected_at_its_cell(self):
+        with pytest.raises(ValueError, match=r"x\[3, 0\] = inf is not finite"):
+            RandomForestClassifier(n_estimators=3).fit([[0], [1], [2], [np.inf]], [0, 1, 1, 0])
+
+    def test_nan_feature_rejected_at_its_cell(self):
+        x = np.zeros((4, 3))
+        x[2, 1] = np.nan
+        x[3, 0] = np.nan
+        with pytest.raises(ValueError, match=r"x\[2, 1\] = nan is not finite"):
+            DecisionTreeClassifier().fit(x, [0, 1, 0, 1])
+
+    def test_fractional_labels_rejected_at_the_first(self):
+        with pytest.raises(ValueError, match=r"integers, got y\[0\] = 0.5"):
+            DecisionTreeClassifier().fit([[0.0], [1.0]], [0.5, 1.7])
+
+    def test_non_numeric_labels_rejected(self):
+        with pytest.raises(ValueError, match="dtype"):
+            check_xy(np.zeros((2, 1)), np.array(["a", "b"]))
+
+    def test_integral_float_labels_become_int64(self):
+        _, y = check_xy(np.zeros((3, 1)), np.array([0.0, 2.0, 1.0]))
+        assert y.dtype == np.int64 and y.tolist() == [0, 2, 1]
+
+    @pytest.mark.parametrize("est", [
+        DecisionTreeClassifier(), RandomForestClassifier(n_estimators=2),
+        DummyClassifier(), KNeighborsClassifier(n_neighbors=1),
+        LinearRegressionClassifier(), LogisticRegression(), LinearSVC(),
+        MLPClassifier(epochs=1),
+    ], ids=lambda est: type(est).__name__)
+    def test_every_classifier_validates_its_pair(self, est):
+        x = np.array([[0.0], [1.0], [2.0]])
+        for bad_x, y, cell in ((x, [0.0, 1.5, 1.0], r"y\[1\]"),
+                               (x, [0, -1, 1], r"y\[1\]"),
+                               (np.array([[0.0], [np.nan], [2.0]]), [0, 1, 1], r"x\[1, 0\]")):
+            with pytest.raises(ValueError, match=cell):
+                est.fit(bad_x, y)
 
 
 class TestScoreAndFitted:
