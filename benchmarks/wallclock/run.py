@@ -23,8 +23,10 @@ recursive reference walk from ``tests/placement_oracle.py``.
 from __future__ import annotations
 
 import argparse
+import cProfile
 import json
 import platform
+import pstats
 import sys
 import time
 from pathlib import Path
@@ -57,7 +59,7 @@ def bench_forest(tiny: bool) -> dict:
         n_estimators=50, criterion="entropy", max_depth=10,
         min_samples_leaf=1, random_state=7,
     ).fit(dataset.x, dataset.y)
-    flat = forest.flatten()
+    flat = forest.arena_
 
     batches = (16, 64) if tiny else (64, 256, 1024)
     repeats = 2 if tiny else 5
@@ -145,14 +147,15 @@ def _timed_trace(serve, trace, profile: "str | None"):
     for hotspot attribution (``make profile-cluster``), not for the floors.
     """
     t0 = time.perf_counter()
-    if profile:
-        from repro.telemetry.profiling import profiled
-
-        with profiled(out=profile):
-            result = serve(trace)
-    else:
-        result = serve(trace)
-    return result, time.perf_counter() - t0
+    if not profile:
+        return serve(trace), time.perf_counter() - t0
+    profiler = cProfile.Profile()
+    result = profiler.runcall(serve, trace)
+    wall_s = time.perf_counter() - t0
+    profiler.dump_stats(profile)
+    pstats.Stats(profiler).sort_stats("cumulative").print_stats(25)
+    print(f"raw stats dumped to {profile}")
+    return result, wall_s
 
 
 def bench_serving(tiny: bool, profile: "str | None" = None) -> dict:

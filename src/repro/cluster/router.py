@@ -120,6 +120,12 @@ class ClusterRouter:
                 "all nodes must share one event loop (build them via "
                 "make_fleet, or pass the same loop to every frontend)"
             )
+        for node in nodes:
+            if node.frontend._ingress is not None:
+                raise SchedulerError(
+                    f"node {node.name!r}'s frontend already ingests its own "
+                    "submissions: route a frontend before submitting to it"
+                )
         specs = nodes[0].frontend.specs
         for node in nodes[1:]:
             if set(node.frontend.specs) != set(specs):
@@ -139,6 +145,7 @@ class ClusterRouter:
         self.telemetry = FleetTelemetry()
         for node in self.nodes:
             self.telemetry.attach(node.name, node.frontend.telemetry)
+            node.frontend._routed_as = node.name
 
         self.events: "list[ClusterEvent]" = []
         self.n_rerouted = 0
@@ -458,20 +465,16 @@ class ClusterRouter:
 
     def _on_node_failure(
         self, node: ClusterNode, response: ServingResponse, reason: str
-    ) -> bool:
+    ) -> None:
         """Frontend hook: one request's launch failed transiently.
 
-        Returns True to take ownership (the frontend then leaves the
-        response pending for the router to retry or shed); False hands it
-        back for a local node-level shed — e.g. a request that was never
-        routed through this router.
+        Takes ownership: the frontend leaves the response pending for the
+        router to retry or shed.  Every handle on a routed node came
+        through this router.
         """
-        if response._ledger is not self:
-            return False
         self.telemetry.resilience.n_failures += 1
         self._breakers[node.name].record_failure(self.loop.now)
         self._retry_or_shed(response, "inference_error")
-        return True
 
     # -- resilience: health checks -----------------------------------------
 
@@ -517,8 +520,6 @@ class ClusterRouter:
         self._log("node_down", node.name, f"{len(lost)} orphaned")
         # Orphans are redelivered immediately — their time already burned
         # on the dead node — subject to the same deadline-first rule.
-        # That includes handles submitted straight to the node's frontend:
-        # the limbo holds the handles themselves, so none is left behind.
         for response in lost:
             self._redeliver(response)
 

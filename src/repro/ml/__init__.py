@@ -18,7 +18,7 @@ paper's methodology.
 
 from repro.ml.base import BaseEstimator, clone
 from repro.ml.dummy import DummyClassifier
-from repro.ml.flatten import FlatForest, FlatTree
+from repro.ml.flatten import FlatForest
 from repro.ml.forest import RandomForestClassifier
 from repro.ml.knn import KNeighborsClassifier
 from repro.ml.linear import LinearRegressionClassifier, LogisticRegression
@@ -48,7 +48,6 @@ __all__ = [
     "DecisionTreeClassifier",
     "DummyClassifier",
     "FlatForest",
-    "FlatTree",
     "RandomForestClassifier",
     "KNeighborsClassifier",
     "LinearRegressionClassifier",

@@ -3,7 +3,7 @@
 Bootstrap-aggregated CART trees with per-node random feature subsampling
 (``sqrt`` by default).  Prediction averages per-tree class distributions
 (soft voting), which is also what breaks ties smoothly on the imbalanced
-scheduler dataset.
+scheduler dataset.  The fitted forest is one arena joining its trees'.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import BaseEstimator, check_fitted, check_xy
+from repro.ml.flatten import FlatForest
 from repro.ml.tree import DecisionTreeClassifier, _grow
 from repro.rng import ensure_rng, spawn
 
@@ -48,7 +49,7 @@ class RandomForestClassifier(BaseEstimator):
         self.random_state = random_state
         self.trees_: list[DecisionTreeClassifier] | None = None
         self.n_classes_: int = 0
-        self._flat = None  # lazily built FlatForest, invalidated by fit()
+        self.arena_: FlatForest | None = None  # every tree's arena, joined
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RandomForestClassifier":
         x, y = check_xy(x, y)
@@ -81,40 +82,30 @@ class RandomForestClassifier(BaseEstimator):
         if short:
             grown.update(zip(short, _grow(trees[0], x, padded, n_classes)))
         self.trees_ = [tree._fitted(*grown[i], n_classes) for i, tree in enumerate(trees)]
-        self._flat = None
+        self.arena_ = FlatForest.join([tree.arena_ for tree in self.trees_])
         return self
-
-    def flatten(self):
-        """All fitted trees as one :class:`~repro.ml.flatten.FlatForest`
-        arena (built once per fit, cached)."""
-        check_fitted(self, "trees_")
-        if self._flat is None:
-            from repro.ml.flatten import FlatForest
-
-            self._flat = FlatForest.from_trees(self.trees_)
-        return self._flat
 
     def split_points(self, column: int) -> np.ndarray:
         """Sorted unique thresholds any tree splits ``column`` at: every
         value between two consecutive ones scores the same bits."""
-        return self.flatten().split_points(column)
+        check_fitted(self, "arena_")
+        return self.arena_.split_points(column)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Soft-voted distributions via the flat-arena fast path.
+        """Soft-voted distributions via the arena fast path.
 
         Every tree routes the whole batch simultaneously; accumulation
         runs in tree order so the result is bit-identical to averaging
-        per-tree walks of the node graphs (the reference in
+        per-tree walks of the arena (the reference in
         ``tests/placement_oracle.py``).
         """
-        check_fitted(self, "trees_")
+        check_fitted(self, "arena_")
         x = np.asarray(x, dtype=np.float64)
-        flat = self.flatten()
-        if x.ndim != 2 or x.shape[1] != flat.n_features:
+        if x.ndim != 2 or x.shape[1] != self.arena_.n_features:
             raise ValueError(
-                f"expected (n, {flat.n_features}) input, got shape {x.shape}"
+                f"expected (n, {self.arena_.n_features}) input, got shape {x.shape}"
             )
-        return flat.predict_proba(x)
+        return self.arena_.predict_proba(x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(x), axis=1)

@@ -11,34 +11,19 @@ its next node in depth-first order, and one batched pass scores all those
 nodes at once -- a stable sort per (node, candidate feature) segment,
 class-count prefix sums and an impurity evaluation across every threshold.
 Python loops run over trees and candidate features, never over samples.
+Each tree is written straight into a :class:`~repro.ml.flatten.FlatForest`
+arena in preorder, which is its fitted state: no node objects are built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.ml.base import BaseEstimator, check_fitted, check_xy
+from repro.ml.flatten import FlatForest
 from repro.rng import ensure_rng
 
 __all__ = ["DecisionTreeClassifier"]
-
-
-@dataclass
-class _Node:
-    """One tree node; leaves carry a class distribution."""
-
-    proba: np.ndarray            # class distribution at this node
-    feature: int = -1            # split feature (-1 = leaf)
-    threshold: float = 0.0       # go left iff x[feature] <= threshold
-    left: "._Node | None" = None
-    right: "._Node | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        """Whether this node has no split."""
-        return self.feature < 0
 
 
 def _impurity(counts: np.ndarray, criterion: str) -> np.ndarray:
@@ -82,8 +67,10 @@ def _grow(params, x: np.ndarray, jobs: list, n_classes: int) -> list:
     depth-first order and draws that node's candidate features from its
     own generator, so each tree consumes the draws it would alone.  The
     step's nodes are then scored together, in blocks of at most
-    ``_STEP_ROWS`` sorted values.  Returns each job's ``(root,
-    importance)``, the unnormalized mean decrease in impurity per feature.
+    ``_STEP_ROWS`` sorted values.  Leaves are pushed and popped too, so
+    the order in which a tree's nodes pop is its preorder: their index in
+    its arena.  Returns each job's ``(arena, importance)``, the importance
+    being the unnormalized mean decrease in impurity per feature.
     """
     n, n_features = x.shape
     k = _n_candidates(params.max_features, n_features)
@@ -92,29 +79,55 @@ def _grow(params, x: np.ndarray, jobs: list, n_classes: int) -> list:
     if not n_features:
         max_depth = 0  # nothing to split on: every tree is one leaf
 
+    # Nodes are numbered as they are created, in batches: one entry of
+    # ``probas`` and ``depths`` per node; one of ``splits`` per split node,
+    # as (node, feature, threshold, left child, right child).
+    probas, depths, splits = [], [], []
+    n_created = 0
+
     def add_nodes(counts, depth):
-        """Nodes for class-count rows, and which need a split search:
-        those neither as deep as allowed, too small to split, nor pure."""
+        """Create nodes for class-count rows.  Returns the first one's
+        number and which need a split search: those neither as deep as
+        allowed, too small to split, nor pure."""
+        nonlocal n_created
         size = counts.sum(axis=1)
-        search = (depth < max_depth) & (size >= 2 * min_leaf) & (counts.max(axis=1) < size)
-        return [_Node(proba=p) for p in counts / size[:, None]], search
+        probas.append(counts / size[:, None])
+        depths.append(depth)
+        first, n_created = n_created, n_created + size.size
+        return first, (depth < max_depth) & (size >= 2 * min_leaf) & (counts.max(axis=1) < size)
+
+    # Per tree, its nodes left to pop, the next one last: (node,) for a
+    # leaf, (node, grower rows, depth, class counts, impurity) for a node
+    # to search.  ``preorder`` lists the popped ones.
+    n_jobs = len(jobs)
+    preorder = [[] for _ in range(n_jobs)]
+
+    def next_search(t):
+        """Pop tree ``t``'s nodes up to its next one to search (None when
+        there is none left)."""
+        stack, order = stacks[t], preorder[t]
+        while stack:
+            entry = stack.pop()
+            order.append(entry[0])
+            if len(entry) > 1:
+                return entry
+        return None
 
     xt = np.ascontiguousarray(x.T).ravel()  # value (row r, feature f) at f*n + r
     src = np.concatenate([rows for rows, _, _ in jobs])  # grower row -> x row
     labels = np.concatenate([y for _, y, _ in jobs])
     n_fit = np.array([y.size for _, y, _ in jobs])
     counts = np.array([np.bincount(y, minlength=n_classes) for _, y, _ in jobs], dtype=np.float64)
-    roots, search = add_nodes(counts, 0)
+    first, search = add_nodes(counts, np.zeros(n_jobs, dtype=np.intp))
     impurity, ends = _impurity(counts, criterion), np.cumsum(n_fit)
-    # Per tree, its nodes left to search, the next one last, as
-    # (node, grower rows, depth, class counts, impurity).
-    stacks = [[(roots[t], np.arange(ends[t] - n_fit[t], ends[t]), 0, counts[t], impurity[t])]
-              if search[t] else [] for t in range(len(jobs))]
-    importance = np.zeros((len(jobs), n_features))
-    live = [t for t, stack in enumerate(stacks) if stack]
+    stacks = [[(first + t, np.arange(ends[t] - n_fit[t], ends[t]), 0, counts[t], impurity[t])
+               if search[t] else (first + t,)] for t in range(n_jobs)]
+    importance = np.zeros((n_jobs, n_features))
+    pending = [next_search(t) for t in range(n_jobs)]
+    live = [t for t in range(n_jobs) if pending[t] is not None]
     while live:
         live_ids = np.array(live)
-        popped = [stacks[t].pop() for t in live]
+        popped = [pending[t] for t in live]
         feats = np.array([jobs[t][2].choice(n_features, size=k, replace=False)
                           if k < n_features else np.arange(n_features) for t in live])
         b0 = 0
@@ -137,22 +150,47 @@ def _grow(params, x: np.ndarray, jobs: list, n_classes: int) -> list:
             importance[tree, feature] += (size / n_fit[tree]) * (
                 np.array([p[4] for p in split]) - score)
             children = np.concatenate([left, np.array([p[3] for p in split]) - left])
-            nodes, search = add_nodes(children, np.array([p[2] + 1 for p in split] * 2))
+            first, search = add_nodes(children, np.array([p[2] + 1 for p in split] * 2))
             h, n_right = hits.size, size - n_left
+            splits.append((np.array([p[0] for p in split]), feature, threshold,
+                           np.arange(first, first + h), np.arange(first + h, first + 2 * h)))
             l_end = np.cumsum(n_left)
             r_end = l_end[-1] + np.cumsum(n_right)
-            for j, (node, _, d, _, _) in enumerate(split):
-                node.feature, node.threshold = int(feature[j]), float(threshold[j])
-                node.left, node.right = nodes[j], nodes[h + j]
+            for j, (_, _, d, _, _) in enumerate(split):
                 stack = stacks[tree[j]]
-                if search[h + j]:  # pushed first, popped after the left subtree
-                    stack.append((nodes[h + j], rows[r_end[j] - n_right[j]:r_end[j]],
-                                  d + 1, children[h + j], child_imp[1, j]))
-                if search[j]:
-                    stack.append((nodes[j], rows[l_end[j] - n_left[j]:l_end[j]],
-                                  d + 1, children[j], child_imp[0, j]))
-        live = [t for t in live if stacks[t]]
-    return list(zip(roots, importance))
+                # The right child is pushed first, to pop after the left subtree.
+                lc, rc = first + j, first + h + j
+                stack.append((rc, rows[r_end[j] - n_right[j]:r_end[j]], d + 1,
+                              children[h + j], child_imp[1, j]) if search[h + j] else (rc,))
+                stack.append((lc, rows[l_end[j] - n_left[j]:l_end[j]], d + 1,
+                              children[j], child_imp[0, j]) if search[j] else (lc,))
+        for t in live:
+            pending[t] = next_search(t)
+        live = [t for t in live if pending[t] is not None]
+    return list(zip(_arenas(preorder, n_created, probas, depths, splits, n_features),
+                    importance))
+
+
+def _arenas(preorder, n_created, probas, depths, splits, n_features) -> list:
+    """Each tree's arena: its nodes in ``preorder``, child links local."""
+    sizes = np.array([len(order) for order in preorder])
+    starts = np.cumsum(sizes) - sizes
+    order = np.concatenate([np.array(o, dtype=np.intp) for o in preorder])
+    position = np.empty(n_created, dtype=np.intp)
+    position[order] = np.arange(n_created) - np.repeat(starts, sizes)
+    feature = np.full(n_created, -1, dtype=np.int32)
+    threshold = np.zeros(n_created)
+    links = np.full((2, n_created), -1, dtype=np.int32)
+    if splits:
+        nodes, feats, thresholds, lefts, rights = (np.concatenate(c) for c in zip(*splits))
+        feature[nodes], threshold[nodes] = feats, thresholds
+        links[0, nodes], links[1, nodes] = position[lefts], position[rights]
+    feature, threshold, links = feature[order], threshold[order], links[:, order]
+    proba = np.concatenate(probas)[order]
+    max_depth = np.maximum.reduceat(np.concatenate(depths)[order], starts)
+    return [FlatForest(feature[s:e], threshold[s:e], links[0, s:e], links[1, s:e],
+                       proba[s:e], np.zeros(1, dtype=np.intp), n_features, d)
+            for s, e, d in zip(starts, starts + sizes, max_depth)]
 
 
 def _split_nodes(xt, n, src, labels, block, feats, criterion, min_leaf):
@@ -266,11 +304,10 @@ class DecisionTreeClassifier(BaseEstimator):
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self.root_: _Node | None = None
+        self.arena_: FlatForest | None = None  # the fitted tree, a one-tree arena
         self.n_classes_: int = 0
         self.n_features_: int = 0
         self._importance_raw: np.ndarray | None = None
-        self._flat = None  # lazily built FlatTree, invalidated by fit()
 
     # -- fitting ---------------------------------------------------------
 
@@ -280,20 +317,19 @@ class DecisionTreeClassifier(BaseEstimator):
         jobs = [(np.arange(y.size), y, ensure_rng(self.random_state))]
         return self._fitted(*_grow(self, x, jobs, n_classes)[0], n_classes)
 
-    def _fitted(self, root: _Node, importance: np.ndarray,
+    def _fitted(self, arena: FlatForest, importance: np.ndarray,
                 n_classes: int) -> "DecisionTreeClassifier":
         """Install a grown tree (a forest grows its trees together)."""
-        self.root_ = root
+        self.arena_ = arena
         self._importance_raw = importance
         self.n_classes_ = n_classes
         self.n_features_ = importance.size
-        self._flat = None
         return self
 
     # -- inference ---------------------------------------------------------
 
     def _check_x(self, x: np.ndarray) -> np.ndarray:
-        check_fitted(self, "root_")
+        check_fitted(self, "arena_")
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_features_:
             raise ValueError(
@@ -301,30 +337,22 @@ class DecisionTreeClassifier(BaseEstimator):
             )
         return x
 
-    def flatten(self):
-        """The fitted tree as a :class:`~repro.ml.flatten.FlatTree`
-        (built once per fit, cached)."""
-        check_fitted(self, "root_")
-        if self._flat is None:
-            from repro.ml.flatten import FlatTree
-
-            self._flat = FlatTree.from_tree(self)
-        return self._flat
-
     def split_points(self, column: int) -> np.ndarray:
         """Sorted unique thresholds this tree splits ``column`` at: every
         value between two consecutive ones takes the same path."""
-        return self.flatten().split_points(column)
+        check_fitted(self, "arena_")
+        return self.arena_.split_points(column)
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Batched class distributions via the flat-array fast path.
+        """Batched class distributions, routed through the arena.
 
-        Bit-identical to a recursive walk of the ``_Node`` graph (the
+        Bit-identical to a walk of the arena one node per visit (the
         reference in ``tests/placement_oracle.py``, asserted by
         ``tests/property``): the same comparisons route every sample to
         the same leaf, whose stored distribution is copied out.
         """
-        return self.flatten().predict_proba(self._check_x(x))
+        x = self._check_x(x)
+        return self.arena_.predict_proba(x)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(x), axis=1)
@@ -339,7 +367,7 @@ class DecisionTreeClassifier(BaseEstimator):
         One line per node: ``feature <= threshold`` for splits, the class
         distribution for leaves.
         """
-        check_fitted(self, "root_")
+        check_fitted(self, "arena_")
         if feature_names is None:
             feature_names = [f"x[{i}]" for i in range(self.n_features_)]
         if len(feature_names) < self.n_features_:
@@ -349,22 +377,26 @@ class DecisionTreeClassifier(BaseEstimator):
         if class_names is None:
             class_names = [str(i) for i in range(self.n_classes_)]
 
+        arena = self.arena_
+        feature, threshold = arena.feature.tolist(), arena.threshold.tolist()
+        left, right = arena.left.tolist(), arena.right.tolist()
         lines: list[str] = []
 
-        def walk(node: _Node, depth: int) -> None:
+        def walk(i: int, depth: int) -> None:
             pad = "|   " * depth
-            if node.is_leaf:
-                winner = class_names[int(np.argmax(node.proba))]
-                dist = ", ".join(f"{p:.2f}" for p in node.proba)
+            if feature[i] < 0:
+                proba = arena.proba[i]
+                winner = class_names[int(np.argmax(proba))]
+                dist = ", ".join(f"{p:.2f}" for p in proba)
                 lines.append(f"{pad}|-- class: {winner}  [{dist}]")
                 return
-            name = feature_names[node.feature]
-            lines.append(f"{pad}|-- {name} <= {node.threshold:g}")
-            walk(node.left, depth + 1)
-            lines.append(f"{pad}|-- {name} >  {node.threshold:g}")
-            walk(node.right, depth + 1)
+            name = feature_names[feature[i]]
+            lines.append(f"{pad}|-- {name} <= {threshold[i]:g}")
+            walk(left[i], depth + 1)
+            lines.append(f"{pad}|-- {name} >  {threshold[i]:g}")
+            walk(right[i], depth + 1)
 
-        walk(self.root_, 0)
+        walk(0, 0)
         return "\n".join(lines)
 
     @property
@@ -375,7 +407,7 @@ class DecisionTreeClassifier(BaseEstimator):
         samples size and the state of the GPU" — is checkable directly
         from these on the scheduler dataset.
         """
-        check_fitted(self, "root_")
+        check_fitted(self, "arena_")
         total = self._importance_raw.sum()
         if total <= 0.0:
             return np.zeros_like(self._importance_raw)
@@ -384,9 +416,11 @@ class DecisionTreeClassifier(BaseEstimator):
     @property
     def depth_(self) -> int:
         """Realized depth of the fitted tree."""
-        return self.flatten().max_depth
+        check_fitted(self, "arena_")
+        return self.arena_.max_depth
 
     @property
     def n_leaves_(self) -> int:
         """Leaf count of the fitted tree."""
-        return int(np.count_nonzero(self.flatten().feature < 0))
+        check_fitted(self, "arena_")
+        return int(np.count_nonzero(self.arena_.feature < 0))

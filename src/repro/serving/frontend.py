@@ -458,6 +458,9 @@ class ServingFrontend:
         self._cheapest = min(context.devices, key=lambda d: d.spec.busy_watts)
 
         self._ingress = None   # built on first submission, see ingress
+        # This frontend's node name once a ClusterRouter routes it (its own
+        # ingress included): a fleet's node then has no ingress of its own.
+        self._routed_as: "str | None" = None
         self._seq = 0
         self._n_batches = 0
         # Handles this frontend still answers for, by seq: registered and
@@ -492,8 +495,8 @@ class ServingFrontend:
         # leaves results digit-identical.
         self.fault_profile = None
         # Cluster hook: called with (response, reason) when a request's
-        # launch fails; return True to take ownership (retry /
-        # shed at the router), False to let this frontend shed it locally.
+        # launch fails, it takes ownership (retry / shed at the router);
+        # without one, this frontend sheds the request locally.
         self.on_request_failed = None
 
     def _make_worker(self, device) -> DeviceWorker:
@@ -524,9 +527,17 @@ class ServingFrontend:
         ``serve_trace`` hand their requests to this router, built on
         first use, so they route, tie-break and ledger exactly as a
         :class:`~repro.cluster.router.ClusterRouter` over this frontend
-        alone does.
+        alone does.  A frontend that a fleet's router routes to has no
+        ingress of its own: submissions go to that router, so asking
+        raises :class:`~repro.errors.SchedulerError` before anything is
+        ledgered.
         """
         if self._ingress is None:
+            if self._routed_as is not None:
+                raise SchedulerError(
+                    f"node {self._routed_as!r} is routed by a ClusterRouter: "
+                    "submit to the router, not to the node's frontend"
+                )
             # repro.cluster imports this module, so it loads at call time.
             from repro.cluster.node import ClusterNode
             from repro.cluster.router import ClusterRouter
@@ -955,8 +966,8 @@ class ServingFrontend:
         """
         for sink in self._sinks[response.request.model]:
             sink.n_failed += 1
-        hook = self.on_request_failed
-        if hook is not None and hook(response, reason):
+        if self.on_request_failed is not None:
+            self.on_request_failed(response, reason)
             return
         self._shed(response, reason)
 

@@ -203,10 +203,12 @@ def test_crash_mid_drain_keeps_limboed_launches_pending(serving_predictors):
         node_specs=(NodeSpec("a"), NodeSpec("b")),
         default_slo=flush_now,
     )
-    router = ClusterRouter(fleet, resilience=ResilienceConfig())
+    router = ClusterRouter(fleet, balancer="round-robin", resilience=ResilienceConfig())
     node, fe = fleet[0], fleet[0].frontend
-    responses = [fe.submit("simple", 8, arrival_s=0.0) for _ in range(3)]
-    fe.run(until=1e-6)
+    # Round-robin from node a: every other request lands there.
+    responses = [router.submit("simple", 8, arrival_s=0.0) for _ in range(6)][0::2]
+    router.run(until=1e-6)
+    assert all(r.node_name == "a" for r in responses)
     assert fe.outstanding - fe.queued == 3
 
     assert router.drain_node("a") == 0    # nothing queued: all in flight

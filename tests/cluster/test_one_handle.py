@@ -3,8 +3,7 @@
 A routed request keeps one :class:`~repro.serving.frontend.ServingResponse`
 from its first route to its resolution.  Each case below moves a lone
 request once — a drain, a timeout rescue, a transient-failure retry, a
-crash re-adoption (also of a request submitted straight to the node), a
-dGPU drop and a partition split — and checks that:
+crash re-adoption, a dGPU drop and a partition split — and checks that:
 
 * ``on_done`` fired once, with the handle;
 * ``node_name`` and ``n_routes`` end where the move put them;
@@ -24,6 +23,7 @@ from repro.hw.specs import DGPU_GTX_1080TI
 from repro.partition import PartitionableDeviceSpec, PartitionedAccelerator
 from repro.serving import ServingFrontend, SLOConfig
 from repro.sim.engine import EventLoop
+from repro.workloads.requests import InferenceRequest, RequestTrace
 from tests.cluster.conftest import CLUSTER_SLO, build_fleet
 from tests.serving.conftest import SERVING_SPECS
 
@@ -145,35 +145,31 @@ def test_crash_readoption_moves_the_handle(serving_predictors, monkeypatch):
     assert_resolved_once(router, response, calls, "node-b", 2)
 
 
-def test_crash_readopts_a_request_submitted_to_the_node(serving_predictors):
-    """The crash limbo holds handles, so a request that never passed the
-    router is re-adopted with the routed ones instead of staying pending."""
-    loop = EventLoop()
-    nodes = [
-        build_node(spec, serving_predictors, SERVING_SPECS, loop=loop,
-                   default_slo=CLUSTER_SLO)
-        for spec in TWO_NODES
-    ]
-    router = ClusterRouter(
-        nodes, resilience=ResilienceConfig(
-            timeout_s=None, heartbeat_every_s=0.01, breaker_cooldown_s=0.05,
-            breaker_max_cooldown_s=0.4, seed=11,
-        ),
-    )
-    node_a = router.node("node-a").frontend
-    response = node_a.submit("simple", 8, arrival_s=0.0)
-    calls = []
-    response.on_done = calls.append
-    FaultInjector(router).crash_node(0.001, "node-a")
-    router.schedule_health(0.2)
+def test_a_routed_node_refuses_direct_submissions(serving_predictors):
+    """A routed node's frontend has no ingress of its own: submitting to
+    it raises, naming the node, before anything is ledgered."""
+    router = ClusterRouter(build_fleet(serving_predictors))
+    node_a = router.nodes[0].frontend
+    request = InferenceRequest(request_id=0, arrival_s=0.0, model="simple", batch=8)
+    for submit in (
+        lambda: node_a.submit("simple", 8, arrival_s=0.0),
+        lambda: node_a.submit_request(request),
+        lambda: node_a.serve_trace(RequestTrace((request,))),
+    ):
+        with pytest.raises(SchedulerError, match="node 'node-a'.*router"):
+            submit()
+    assert router.n_pending == 0 and node_a.n_pending == 0
+    # The request is still the router's to take.
+    response = router.submit_request(request)
     router.run()
-    assert calls == [response]
-    assert response.served and response.node_name == "node-b"
-    assert node_a.n_pending == 0 and not node_a.collect_lost()
-    assert router.telemetry.resilience.n_redelivered == 1
-    with pytest.raises(SchedulerError, match="already resolved"):
-        response.resolve("shed", "second_resolution")
-    assert calls == [response]
+    assert response.served and router.n_pending == 0
+
+
+def test_a_router_refuses_a_frontend_with_its_own_ingress(serving_predictors):
+    nodes = build_fleet(serving_predictors, TWO_NODES)
+    nodes[1].frontend.submit("simple", 8, arrival_s=0.0)
+    with pytest.raises(SchedulerError, match="node 'node-b'.*own"):
+        ClusterRouter(nodes)
 
 
 def test_drop_device_readmits_on_the_same_node(serving_predictors, monkeypatch):

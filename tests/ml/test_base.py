@@ -46,7 +46,7 @@ class TestClone:
         y = rng.integers(0, 2, 20)
         est = DecisionTreeClassifier().fit(x, y)
         c = clone(est)
-        assert c.root_ is None
+        assert c.arena_ is None
 
 
 class TestCheckXY:
@@ -117,4 +117,4 @@ class TestScoreAndFitted:
 
     def test_check_fitted_raises(self):
         with pytest.raises(NotFittedError):
-            check_fitted(DecisionTreeClassifier(), "root_")
+            check_fitted(DecisionTreeClassifier(), "arena_")

@@ -2,8 +2,8 @@
 
 ``repro.ml.tree._grow`` grows every tree of a forest in one batched pass;
 ``tests/ml/tree_reference.py`` grows one node at a time.  Both must give
-the same flat arrays, the same ``_importance_raw`` and leave every
-generator in the same state.
+the same arenas, the same ``_importance_raw`` and leave every generator
+in the same state.
 """
 
 import tracemalloc
@@ -23,18 +23,24 @@ from tests.ml.tree_reference import reference_fit_forest, reference_fit_tree
 FLAT_ARRAYS = ("feature", "threshold", "left", "right", "proba")
 
 
-def assert_same_tree(got, want):
-    a, b = got.flatten(), want.flatten()
-    for name in FLAT_ARRAYS:
+def assert_same_arena(a, b):
+    for name in FLAT_ARRAYS + ("roots",):
         u, v = getattr(a, name), getattr(b, name)
         assert u.dtype == v.dtype and u.shape == v.shape, name
         assert u.tobytes() == v.tobytes(), name
+    assert (a.n_features, a.max_depth) == (b.n_features, b.max_depth)
+
+
+def assert_same_tree(got, want):
+    assert_same_arena(got.arena_, want.arena_)
     assert got._importance_raw.tobytes() == want._importance_raw.tobytes()
 
 
 def assert_same_forest(got, want):
     assert got.n_classes_ == want.n_classes_
     assert len(got.trees_) == len(want.trees_)
+    # The joined arena against the reference's graphs flattened together.
+    assert_same_arena(got.arena_, want.arena_)
     for a, b in zip(got.trees_, want.trees_):
         assert_same_tree(a, b)
         # Each tree keeps its spawned generator: equal states mean equal
@@ -52,7 +58,8 @@ def forest_pair(x, y, **params):
 def tree_pair(x, y, seed, **params):
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = DecisionTreeClassifier(random_state=got_rng, **params).fit(x, y)
-    want = reference_fit_tree(DecisionTreeClassifier(random_state=want_rng, **params), x, y)
+    want = DecisionTreeClassifier(random_state=want_rng, **params)
+    reference_fit_tree(want, x, y)
     assert_same_tree(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
     return got
@@ -117,7 +124,7 @@ class TestMatchesReference:
         forest = forest_pair(x, y, n_estimators=20, random_state=1)
         assert all(t.n_classes_ == 3 for t in forest.trees_)
         # A padded root holds the one synthetic top-class sample of 31.
-        assert any(t.flatten().proba[0, 2] == 1 / 31 for t in forest.trees_)
+        assert any(t.arena_.proba[0, 2] == 1 / 31 for t in forest.trees_)
 
     def test_no_features_grows_single_leaves(self):
         x, y = np.zeros((4, 0)), np.array([0, 1, 0, 1])
@@ -177,7 +184,7 @@ class TestThresholdRounding:
         y = np.array([0, 1])
         tree = DecisionTreeClassifier().fit(x, y)
         assert tree.n_leaves_ == 2
-        assert lo <= tree.root_.threshold < hi
+        assert lo <= tree.arena_.threshold[0] < hi
         assert tree.predict(x).tolist() == [0, 1]
         forest = RandomForestClassifier(n_estimators=3, bootstrap=False,
                                         random_state=0).fit(x, y)
@@ -187,7 +194,7 @@ class TestThresholdRounding:
         x = np.array([[5e-324], [1e-323]])
         y = np.array([0, 1])
         tree = DecisionTreeClassifier(max_depth=5).fit(x, y)
-        proba = tree.flatten().proba
+        proba = tree.arena_.proba
         assert np.isfinite(proba).all()
         assert tree.n_leaves_ == 2
         assert tree.predict(x).tolist() == [0, 1]

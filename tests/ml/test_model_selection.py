@@ -104,7 +104,7 @@ class TestCrossValScore:
         x, y = imbalanced(90)
         est = DecisionTreeClassifier(max_depth=3)
         cross_val_score(est, x, y, cv=3)
-        assert est.root_ is None
+        assert est.arena_ is None
 
 
 class TestGridSearch:

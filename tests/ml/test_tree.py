@@ -85,15 +85,17 @@ class TestConstraints:
         x, y = xor_data(100)
         tree = DecisionTreeClassifier(min_samples_leaf=20).fit(x, y)
 
-        def leaf_sizes(node, x_sub, y_sub):
-            if node.is_leaf:
+        arena = tree.arena_
+
+        def leaf_sizes(i, x_sub, y_sub):
+            if arena.feature[i] < 0:
                 return [len(y_sub)]
-            mask = x_sub[:, node.feature] <= node.threshold
-            return leaf_sizes(node.left, x_sub[mask], y_sub[mask]) + leaf_sizes(
-                node.right, x_sub[~mask], y_sub[~mask]
+            mask = x_sub[:, arena.feature[i]] <= arena.threshold[i]
+            return leaf_sizes(arena.left[i], x_sub[mask], y_sub[mask]) + leaf_sizes(
+                arena.right[i], x_sub[~mask], y_sub[~mask]
             )
 
-        assert min(leaf_sizes(tree.root_, x, y)) >= 20
+        assert min(leaf_sizes(0, x, y)) >= 20
 
     def test_entropy_criterion_works(self):
         x, y = xor_data()

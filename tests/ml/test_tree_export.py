@@ -57,3 +57,31 @@ class TestExportText:
             class_names=["cpu", "dgpu", "igpu"],
         )
         assert "batch" in text  # the dominant split feature shows up
+
+
+def test_small_tree_text_is_pinned():
+    """The arena walk prints what the node-graph walk printed."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(40, 3))
+    y = ((x[:, 0] > 0).astype(int) + (x[:, 1] > 0.5)).astype(int)
+    tree = DecisionTreeClassifier(max_depth=3, random_state=0).fit(x, y)
+    text = tree.export_text(feature_names=["a", "b", "c"],
+                            class_names=["lo", "mid", "hi"])
+    assert text == "\n".join([
+        "|-- a <= -0.375179",
+        "|   |-- b <= 0.448902",
+        "|   |   |-- class: lo  [1.00, 0.00, 0.00]",
+        "|   |-- b >  0.448902",
+        "|   |   |-- class: mid  [0.00, 1.00, 0.00]",
+        "|-- a >  -0.375179",
+        "|   |-- b <= 0.497985",
+        "|   |   |-- a <= -0.0296972",
+        "|   |   |   |-- class: lo  [1.00, 0.00, 0.00]",
+        "|   |   |-- a >  -0.0296972",
+        "|   |   |   |-- class: mid  [0.00, 1.00, 0.00]",
+        "|   |-- b >  0.497985",
+        "|   |   |-- a <= -0.119167",
+        "|   |   |   |-- class: mid  [0.00, 1.00, 0.00]",
+        "|   |   |-- a >  -0.119167",
+        "|   |   |   |-- class: hi  [0.00, 0.00, 1.00]",
+    ])

@@ -4,8 +4,13 @@ The oracle for :func:`repro.ml.tree._grow`, which grows every tree of a
 forest in one lockstep pass.  This is the grower the package used before
 that: each node draws its candidate features from the tree's generator,
 sorts the node's rows once per candidate, and recurses left then right.
-The lockstep grower must reproduce it bit for bit: the same flat arrays,
-the same ``_importance_raw`` and the same generator state after the fit.
+The lockstep grower must reproduce it bit for bit: the same arena, the
+same ``_importance_raw`` and the same generator state after the fit.
+
+The reference grows a graph of :class:`_Node` objects, as the package
+once did, and flattens the graph into a preorder arena the way the
+package did before its grower wrote arenas directly: a forest's trees
+are flattened into one arena together, not joined afterwards.
 
 It keeps the threshold rule of the package (the midpoint of two adjacent
 values, or the lower value where the midpoint rounds onto the upper one
@@ -14,14 +19,63 @@ or overflows), so the comparison covers it too.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.ml.base import check_xy
+from repro.ml.flatten import FlatForest
 from repro.ml.forest import RandomForestClassifier
-from repro.ml.tree import DecisionTreeClassifier, _impurity, _n_candidates, _Node
+from repro.ml.tree import DecisionTreeClassifier, _impurity, _n_candidates
 from repro.rng import ensure_rng, spawn
 
 __all__ = ["reference_fit_tree", "reference_fit_forest"]
+
+
+@dataclass
+class _Node:
+    """One tree node; leaves carry a class distribution."""
+
+    proba: np.ndarray            # class distribution at this node
+    feature: int = -1            # split feature (-1 = leaf)
+    threshold: float = 0.0       # go left iff x[feature] <= threshold
+    left: "_Node | None" = None
+    right: "_Node | None" = None
+
+
+def _flatten(roots: "list[_Node]", n_features: int) -> FlatForest:
+    """The node graphs under ``roots`` as one arena: each tree in
+    preorder, child links absolute, a tree's root at the start of its run."""
+    feature, threshold, left, right, proba, starts = [], [], [], [], [], []
+    max_depth = 0
+    for root in roots:
+        starts.append(len(feature))
+        stack = [(root, -1, False, 0)]  # (node, parent index, is right child, depth)
+        while stack:
+            node, parent, is_right, depth = stack.pop()
+            i = len(feature)
+            if parent >= 0:
+                (right if is_right else left)[parent] = i
+            max_depth = max(max_depth, depth)
+            feature.append(node.feature)
+            threshold.append(node.threshold)
+            left.append(-1)
+            right.append(-1)
+            proba.append(node.proba)
+            if node.feature >= 0:
+                # Push right first so the left child pops (and lands) first.
+                stack.append((node.right, i, True, depth + 1))
+                stack.append((node.left, i, False, depth + 1))
+    return FlatForest(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int32),
+        right=np.asarray(right, dtype=np.int32),
+        proba=np.vstack(proba),
+        roots=np.asarray(starts, dtype=np.intp),
+        n_features=n_features,
+        max_depth=max_depth,
+    )
 
 
 def _best_split(tree, x, y, rng) -> "tuple[int, float] | None":
@@ -108,8 +162,9 @@ def _grow(tree, x, y, depth, rng) -> _Node:
 
 
 def reference_fit_tree(tree: DecisionTreeClassifier, x, y,
-                       rng=None) -> DecisionTreeClassifier:
-    """Fit ``tree`` in place with the recursive grower.
+                       rng=None) -> _Node:
+    """Fit ``tree`` in place with the recursive grower; returns the root
+    of its node graph.
 
     ``rng`` overrides the tree's ``random_state`` (a forest passes each
     tree's spawned generator).
@@ -121,9 +176,9 @@ def reference_fit_tree(tree: DecisionTreeClassifier, x, y,
     tree._n_fit_samples = y.size
     if rng is None:
         rng = ensure_rng(tree.random_state)
-    tree.root_ = _grow(tree, x, y, 0, rng)
-    tree._flat = None
-    return tree
+    root = _grow(tree, x, y, 0, rng)
+    tree.arena_ = _flatten([root], tree.n_features_)
+    return root
 
 
 def reference_fit_forest(forest: RandomForestClassifier, x, y) -> RandomForestClassifier:
@@ -137,7 +192,7 @@ def reference_fit_forest(forest: RandomForestClassifier, x, y) -> RandomForestCl
     forest.n_classes_ = int(y.max()) + 1
     rng = ensure_rng(forest.random_state)
     n = x.shape[0]
-    forest.trees_ = []
+    forest.trees_, roots = [], []
     for t_rng in spawn(rng, forest.n_estimators):
         idx = t_rng.integers(0, n, size=n) if forest.bootstrap else np.arange(n)
         tree = DecisionTreeClassifier(
@@ -148,11 +203,12 @@ def reference_fit_forest(forest: RandomForestClassifier, x, y) -> RandomForestCl
             random_state=t_rng,
         )
         xb, yb = x[idx], y[idx]
-        reference_fit_tree(tree, xb, yb, rng=t_rng)
+        root = reference_fit_tree(tree, xb, yb, rng=t_rng)
         if tree.n_classes_ != forest.n_classes_:
             pad_x = np.vstack([xb, xb[:1]])
             pad_y = np.append(yb, forest.n_classes_ - 1)
-            reference_fit_tree(tree, pad_x, pad_y, rng=t_rng)
+            root = reference_fit_tree(tree, pad_x, pad_y, rng=t_rng)
         forest.trees_.append(tree)
-    forest._flat = None
+        roots.append(root)
+    forest.arena_ = _flatten(roots, x.shape[1])
     return forest

@@ -2,7 +2,7 @@
 
 :class:`~repro.sched.backlog.BacklogAwareScheduler` serves every
 ``decide`` / ``estimate_completion`` through its decision cache, and the
-predictor scores through flattened tree arrays.  Both are fast paths
+predictor scores through tree arenas.  Both are fast paths
 whose contract is bit-identity with a slow, obviously-correct walk.  The
 walks live here:
 
@@ -12,8 +12,9 @@ walks live here:
   on a freshly built frontend or fleet, so a replay through it is the
   reference a cached replay must equal outcome for outcome.
 * :func:`tree_proba_recursive` / :func:`forest_proba_recursive` walk the
-  Python ``_Node`` graphs that :class:`~repro.ml.flatten.FlatTree` and
-  :class:`~repro.ml.flatten.FlatForest` flatten.
+  arenas that the grower writes each tree into
+  (:class:`~repro.ml.flatten.FlatForest`) one Python node per visit,
+  where the fast path routes all samples one level per numpy step.
 
 Keep :class:`UncachedBacklog` an independent walk: built on
 ``_entry_for`` it would stop being a reference for the cache.
@@ -127,31 +128,34 @@ def use_uncached(target):
 
 
 def tree_proba_recursive(tree, x: np.ndarray) -> np.ndarray:
-    """Reference path: walk a fitted tree's Python ``_Node`` graph.
+    """Reference path: walk a fitted tree's arena one node per visit.
 
     One interpreter iteration per node makes it the slow baseline the
     wall-clock harness measures the flat path against.
     """
     x = tree._check_x(x)
+    arena = tree.arena_
+    feature, threshold = arena.feature.tolist(), arena.threshold.tolist()
+    left, right, proba = arena.left.tolist(), arena.right.tolist(), arena.proba
     out = np.empty((x.shape[0], tree.n_classes_))
-    # Iterative routing: partition index sets level by level (no Python
+    # Iterative routing: partition index sets node by node (no Python
     # loop over individual samples).
-    stack = [(tree.root_, np.arange(x.shape[0]))]
+    stack = [(0, np.arange(x.shape[0]))]
     while stack:
-        node, idx = stack.pop()
+        i, idx = stack.pop()
         if idx.size == 0:
             continue
-        if node.is_leaf:
-            out[idx] = node.proba
+        if feature[i] < 0:
+            out[idx] = proba[i]
             continue
-        mask = x[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[mask]))
-        stack.append((node.right, idx[~mask]))
+        mask = x[idx, feature[i]] <= threshold[i]
+        stack.append((left[i], idx[mask]))
+        stack.append((right[i], idx[~mask]))
     return out
 
 
 def forest_proba_recursive(forest, x: np.ndarray) -> np.ndarray:
-    """Reference path: average per-tree node-graph walks (slow)."""
+    """Reference path: average per-tree arena walks (slow)."""
     check_fitted(forest, "trees_")
     proba = tree_proba_recursive(forest.trees_[0], x)
     for tree in forest.trees_[1:]:

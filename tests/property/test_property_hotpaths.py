@@ -2,8 +2,8 @@
 
 Two claims are load-bearing enough to fuzz:
 
-* the flattened tree/forest inference is *bit-identical* to the recursive
-  reference on arbitrary fitted models — the scheduler's device choice
+* the arena tree/forest inference is *bit-identical* to the node-by-node
+  reference walk on arbitrary fitted models — the scheduler's device choice
   (an argmax over these probabilities) must never flip because of the
   fast path;
 * the P² streaming p99 stays within a few percent of the exact
